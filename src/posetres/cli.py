@@ -1,14 +1,15 @@
 """Command-line front end: parse ideal files, drive the pipeline, and emit
 JSON / DOT / summary output with a fixed exit-code contract
-(0 ok, 1 verification failure, 2 parse error, 3 resource cap).
+(0 ok, 1 verification failure, 2 parse or usage error, 3 resource cap).
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
 
-from .errors import ParseError, PosetresError, TooLarge
+from .errors import InvalidField, ParseError, PosetresError, TooLarge
 from .exactla import FieldSpec
 from .gradedcomplex import (bar_reduce, betti_table, is_resolution, minimize,
                             taylor_complex)
@@ -214,18 +215,24 @@ def cmd_verify(args):
         print(f"{name}: {'pass' if ok else 'fail'}{detail}")
         return ok
 
+    # A failed call is not cached: each check that needs it fails the same way.
+    @functools.cache
+    def basis():
+        return make_minimal_support_basis(C)[0]
+
+    def minimal_support():
+        C2 = basis()
+        Cbar = bar_reduce(C2)
+        return all(is_minimal_support_cycle(Cbar, n - 1, dict(C2.column(b)))
+                   for n in range(1, C2.top + 1)
+                   for b, _ in C2.labels.get(n, []))
+
     check("complex", lambda: (C.check_complex() or True))
     check("resolution", lambda: is_resolution(C)[0])
-    C2, _ = make_minimal_support_basis(C)
-    Cbar = bar_reduce(C2)
-    check("minimal_support", lambda: all(
-        is_minimal_support_cycle(Cbar, n - 1, dict(C2.column(b)))
-        for n in range(1, C2.top + 1) for b, _ in C2.labels.get(n, [])))
-    check("conic_iso", lambda: conic_iso_check(C2) is not None)
-    check("support_criterion", lambda: verify_mfr_support(ideal, C2, F))
-    P = incidence_poset(C2)
-    Q, report = hcwify(P, F)
-    check("hcw", lambda: is_hcw(Q, F))
+    check("minimal_support", minimal_support)
+    check("conic_iso", lambda: conic_iso_check(basis()) is not None)
+    check("support_criterion", lambda: verify_mfr_support(ideal, basis(), F))
+    check("hcw", lambda: is_hcw(hcwify(incidence_poset(basis()), F)[0], F))
     T = betti_table(C)
     rigid, _ = is_rigid(T)
     print(f"rigid: {str(rigid).lower()}")
@@ -304,7 +311,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, InvalidField) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TooLarge as exc:

@@ -7,36 +7,31 @@ is written [a, z]; its differential is z re-expressed in the degree-(n-1)
 cycle bases, grouping the faces of z by their top vertex.
 """
 
-from .errors import HypothesisFailed, NotAMorphism, VerificationError
+from .errors import (HypothesisFailed, NotAComplex, NotAMorphism,
+                     VerificationError)
 from .exactla import SparseMatrix, rank, solve
-from .gradedcomplex import GradedFreeComplex
-from .monomials import join_closure
+from .gradedcomplex import ChainComplex, GradedFreeComplex
+from .monomials import divides, join_closure
 from .posets import (FACE_CAP, OrientedComplex, cycle_space, reduced_homology)
 
 
-class ConicComplex:
+class ConicComplex(ChainComplex):
     """Field chain complex with one component per poset element.
 
-    gens:   dict n -> ordered list of (apex, index) pairs
+    gens:   dict n -> ordered list of (apex, index) pairs, the basis ids
     cycles: dict (apex, index) -> sparse cycle {face: scalar}
     diffs:  dict n -> {((apex_r, i_r), (apex_c, i_c)): scalar} for n >= 1
     aug:    dict (apex, index) -> scalar, the augmentation on degree 0
     """
 
     def __init__(self, poset, field, gens, cycles, diffs, aug, augmented):
+        super().__init__(field, gens, diffs, aug, augmented)
         self.poset = poset
-        self.field = field
-        self.gens = {n: list(gs) for n, gs in gens.items() if gs}
         self.cycles = dict(cycles)
-        self.diffs = {n: {k: v for k, v in m.items() if v}
-                      for n, m in diffs.items()}
-        self.diffs = {n: m for n, m in self.diffs.items() if m}
-        self.aug = dict(aug)
-        self.augmented = augmented
 
     @property
-    def top(self):
-        return max(self.gens, default=-1)
+    def gens(self):
+        return self.basis
 
     def component_dims(self):
         dims = {}
@@ -45,62 +40,19 @@ class ConicComplex:
                 dims[a] = dims.get(a, 0) + 1
         return dims
 
-    def ranks(self):
-        return tuple(len(self.gens.get(n, ())) for n in range(self.top + 1))
-
-    def matrix(self, n):
-        """Differential C_n -> C_{n-1}; n = 0 gives the augmentation row."""
-        cols = self.gens.get(n, [])
-        cix = {g: j for j, g in enumerate(cols)}
-        if n == 0:
-            if not self.augmented:
-                return SparseMatrix(0, len(cols))
-            entries = [(0, cix[g], v) for g, v in self.aug.items() if v]
-            return SparseMatrix(1, len(cols), entries)
-        rows = self.gens.get(n - 1, [])
-        rix = {g: i for i, g in enumerate(rows)}
-        entries = [(rix[r], cix[c], v)
-                   for (r, c), v in self.diffs.get(n, {}).items()]
-        return SparseMatrix(len(rows), len(cols), entries)
-
-    def homology_ranks(self):
-        """Homology ranks per degree; includes degree -1 when augmented."""
-        F = self.field
-        top = self.top
-        rk = {n: rank(self.matrix(n), F) for n in range(0, top + 1)}
-        out = {}
-        if self.augmented:
-            out[-1] = 1 - rk.get(0, 0)
-        for n in range(0, top + 1):
-            dim = len(self.gens.get(n, []))
-            out[n] = dim - rk.get(n, 0) - rk.get(n + 1, 0)
-        return {n: r for n, r in out.items() if r}
-
-    def is_exact(self):
-        return not self.homology_ranks()
-
     def restrict_deg_leq(self, alpha):
-        """Conic complex of the subposet on {a : deg a <= alpha}.
+        """Field complex on the generators whose apex has deg <= alpha.
 
-        Valid because open filters inside that subposet coincide with the
-        filters taken in the whole poset (deg is monotone), so all cycle
-        bases are shared.
+        It is the conic complex of the subposet on {a : deg a <= alpha},
+        because open filters inside that subposet coincide with the filters
+        taken in the whole poset (deg is monotone), so all cycle bases are
+        shared.
         """
-        P = self.poset
-        if P.deg is None:
+        deg = self.poset.deg
+        if deg is None:
             raise NotAMorphism("poset has no degree map")
-        keep = {a for a in P.elements
-                if all(x <= y for x, y in zip(P.deg[a], alpha))}
-        gens = {n: [g for g in gs if g[0] in keep]
-                for n, gs in self.gens.items()}
-        kept = {g for gs in gens.values() for g in gs}
-        diffs = {n: {(r, c): v for (r, c), v in m.items() if c in kept}
-                 for n, m in self.diffs.items()}
-        cycles = {g: self.cycles[g] for g in kept}
-        aug = {g: v for g, v in self.aug.items() if g in kept}
-        sub = P.restrict(keep)
-        return ConicComplex(sub, self.field, gens, cycles, diffs, aug,
-                            self.augmented)
+        return self.restrict(g for gs in self.gens.values() for g in gs
+                             if divides(deg[g[0]], alpha))
 
     def same_matrices(self, other):
         """Entry-wise equality of generators, cycles and differentials."""
@@ -196,26 +148,11 @@ def conic_complex(P, F, augmented=False, cap=FACE_CAP):
     for g in gens.get(0, []):
         aug[g] = cycles[g].get((), F.zero)
     C = ConicComplex(P, F, gens, cycles, diffs, aug, augmented)
-    _check_conic_complex(C)
+    try:
+        C.check_complex()
+    except NotAComplex as exc:
+        raise VerificationError(f"conic {exc}") from exc
     return C
-
-
-def _check_conic_complex(C):
-    """d o d = 0, and each component has the expected top-homology rank."""
-    F = C.field
-    for n in sorted(C.diffs):
-        if n + 1 not in C.diffs:
-            continue
-        lower = {}
-        for (r, c), v in C.diffs[n].items():
-            lower.setdefault(c, {})[r] = v
-        comp = {}
-        for (mid, c), v in C.diffs[n + 1].items():
-            for r, w in lower.get(mid, {}).items():
-                comp[(r, c)] = F.add(comp.get((r, c), F.zero), F.mul(v, w))
-        bad = [k for k, v in comp.items() if v]
-        if bad:
-            raise VerificationError(f"conic d o d != 0 at {bad[0]}")
 
 
 def skeleton_complex(P, n, cap=FACE_CAP):
@@ -235,14 +172,7 @@ def kernel_skeleton_check(C):
     """rank Ker d_n of the conic complex == rank H~_n of the n-skeleton."""
     P, F = C.poset, C.field
     for n in range(0, C.top + 1):
-        cols = C.gens.get(n, [])
-        if n >= 1:
-            A = C.matrix(n)
-        else:
-            cix = {g: j for j, g in enumerate(cols)}
-            A = SparseMatrix(1, len(cols),
-                             [(0, cix[g], v) for g, v in C.aug.items() if v])
-        ker = len(cols) - rank(A, F)
+        ker = len(C.gens.get(n, [])) - rank(C.matrix(n), F)
         h = reduced_homology(skeleton_complex(P, n), F).get(n, 0)
         if ker != h:
             return False
@@ -272,7 +202,7 @@ def homogenize(C, deg=None):
         raise NotAMorphism("no degree map supplied")
     deg = {a: tuple(deg[a]) for a in P.elements}
     for lo, hi in P.covers:
-        if not all(x <= y for x, y in zip(deg[lo], deg[hi])):
+        if not divides(deg[lo], deg[hi]):
             raise NotAMorphism(f"deg not monotone on {lo} < {hi}")
     num_vars = len(next(iter(deg.values())))
 

@@ -6,7 +6,8 @@ class PosetresError(Exception):
 
 
 class InvalidField(PosetresError):
-    """Characteristic is neither 0 nor a prime."""
+    """Characteristic is neither 0 nor a prime, or a value is not a field
+    element."""
 
 
 class ShapeError(PosetresError):

@@ -42,18 +42,19 @@ class FieldSpec:
         return self.characteristic
 
     def __call__(self, x):
-        """Coerce an int / Fraction / 'a/b' string into the field."""
-        if isinstance(x, str):
-            x = Fraction(x)
-        if self.characteristic:
-            if isinstance(x, Fraction):
-                num = x.numerator % self.characteristic
-                den = x.denominator % self.characteristic
-                return (num * pow(den, -1, self.characteristic)) % self.characteristic
-            return x % self.characteristic
-        if isinstance(x, Fraction):
-            return x
-        return Fraction(x)
+        """Coerce an int / Fraction / 'a/b' string into the field.  Any other
+        value, or a denominator that vanishes in GF(p), raises InvalidField."""
+        p = self.characteristic
+        if isinstance(x, int):
+            return x % p if p else Fraction(x)
+        try:
+            y = Fraction(x) if isinstance(x, str) else x
+            if isinstance(y, Fraction):
+                return y.numerator * pow(y.denominator, -1, p) % p if p else y
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise InvalidField(f"{x!r} is not an element of the field of "
+                           f"characteristic {p}")
 
     @property
     def zero(self):

@@ -2,8 +2,9 @@
 
 Because every differential entry is forced to be homogeneous, an entry from
 basis element b to basis element c is scalar * x^(deg b - deg c); we store
-only the scalar and derive the exponent from the labels.  The Taylor complex,
-minimization, bar reduction, graded strands and Betti tables all live here.
+only the scalar and derive the exponent from the labels.  The field complex
+base, Taylor complex, minimization, bar reduction, graded strands and Betti
+tables all live here.
 """
 
 from itertools import combinations
@@ -11,74 +12,55 @@ from itertools import combinations
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError)
 from .exactla import SparseMatrix, rank
-from .monomials import join_closure, lcm
+from .monomials import divides, join_closure, lcm
 
 TAYLOR_CAP = 16
 
 
-class GradedFreeComplex:
-    """Chain complex of free Z^m-graded modules with a labeled basis.
+class ChainComplex:
+    """Field chain complex on an ordered basis of hashable ids.
 
-    labels: dict n -> ordered list of (id, multidegree)
-    diffs:  dict n -> {(row_id, col_id): scalar}  for n >= 1, mapping F_n
-            into F_{n-1}; the scalar is the bar (field) coefficient.
+    basis:     dict n -> ordered list of the basis ids in degree n
+    diffs:     dict n -> {(row_id, col_id): scalar} for n >= 1
+    aug:       dict degree-0 id -> scalar, the augmentation (may be empty)
+    augmented: whether homology_ranks counts aug, giving degree -1
     """
 
-    def __init__(self, num_vars, field, labels, diffs):
-        self.num_vars = num_vars
+    def __init__(self, field, basis, diffs, aug=None, augmented=False):
         self.field = field
-        self.labels = {n: [(i, tuple(d)) for i, d in labs]
-                       for n, labs in labels.items() if labs}
+        self.basis = {n: list(ids) for n, ids in basis.items() if ids}
         self.diffs = {n: {k: v for k, v in mat.items() if v}
                       for n, mat in diffs.items()}
         self.diffs = {n: m for n, m in self.diffs.items() if m}
-        self.degree_of = {}
-        self.hdeg_of = {}
-        for n, labs in self.labels.items():
-            for i, d in labs:
-                if i in self.degree_of:
-                    raise ShapeError(f"duplicate basis id {i!r}")
-                if len(d) != num_vars:
-                    raise ShapeError(f"label degree length != num_vars for {i!r}")
-                self.degree_of[i] = d
-                self.hdeg_of[i] = n
-        for n, mat in self.diffs.items():
-            for (r, c), _ in mat.items():
-                if self.hdeg_of.get(c) != n or self.hdeg_of.get(r) != n - 1:
-                    raise ShapeError(f"entry ({r},{c}) misplaced in degree {n}")
-                dr, dc = self.degree_of[r], self.degree_of[c]
-                if not all(a <= b for a, b in zip(dr, dc)):
-                    raise ShapeError(
-                        f"inhomogeneous entry ({r},{c}): deg {dc} - {dr} < 0")
+        self.aug = dict(aug or {})
+        self.augmented = augmented
+        self.hdeg_of = {i: n for n, ids in self.basis.items() for i in ids}
 
     @property
     def top(self):
-        return max(self.labels, default=-1)
+        return max(self.basis, default=-1)
 
     def ranks(self):
-        return tuple(len(self.labels.get(n, ())) for n in range(self.top + 1))
+        return tuple(len(self.basis.get(n, ())) for n in range(self.top + 1))
 
-    def exponent(self, r, c):
-        """Monomial exponent of the entry at (row r, column c)."""
-        dr, dc = self.degree_of[r], self.degree_of[c]
-        return tuple(b - a for a, b in zip(dr, dc))
-
-    def matrix(self, n):
-        """Differential F_n -> F_{n-1} as a SparseMatrix over bar scalars."""
-        rows = [i for i, _ in self.labels.get(n - 1, [])]
-        cols = [i for i, _ in self.labels.get(n, [])]
-        rix = {i: k for k, i in enumerate(rows)}
-        cix = {i: k for k, i in enumerate(cols)}
+    def matrix(self, n, rows=None, cols=None):
+        """d_n as a SparseMatrix on the given row and column ids (default:
+        the whole basis of degrees n-1 and n); entries outside them are
+        dropped.  n = 0 gives the augmentation row, if there is one."""
+        if cols is None:
+            cols = self.basis.get(n, [])
+        cix = {c: j for j, c in enumerate(cols)}
+        if n == 0:
+            entries = [(0, cix[c], v) for c, v in self.aug.items()
+                       if v and c in cix]
+            return SparseMatrix(1 if self.aug else 0, len(cols), entries)
+        if rows is None:
+            rows = self.basis.get(n - 1, [])
+        rix = {r: i for i, r in enumerate(rows)}
         entries = [(rix[r], cix[c], v)
-                   for (r, c), v in self.diffs.get(n, {}).items()]
+                   for (r, c), v in self.diffs.get(n, {}).items()
+                   if c in cix and r in rix]
         return SparseMatrix(len(rows), len(cols), entries)
-
-    def column(self, b):
-        """Differential image of basis element b as {row_id: scalar}."""
-        n = self.hdeg_of.get(b)
-        if n is None:
-            raise NotFound(f"unknown basis id {b!r}")
-        return {r: v for (r, c), v in self.diffs.get(n, {}).items() if c == b}
 
     def check_complex(self):
         """Raise NotAComplex unless every consecutive composite vanishes."""
@@ -97,6 +79,81 @@ class GradedFreeComplex:
             if bad:
                 raise NotAComplex(
                     f"d_{n} o d_{n + 1} != 0, e.g. at {bad[0][0]}")
+
+    def homology_ranks(self):
+        """Nonzero homology ranks per degree; includes degree -1 when
+        augmented."""
+        F = self.field
+        rk = {n: rank(self.matrix(n), F) for n in range(1, self.top + 1)}
+        out = {}
+        if self.augmented:
+            rk[0] = rank(self.matrix(0), F)
+            out[-1] = 1 - rk[0]
+        for n in range(self.top + 1):
+            out[n] = (len(self.basis.get(n, ())) - rk.get(n, 0)
+                      - rk.get(n + 1, 0))
+        return {n: r for n, r in out.items() if r}
+
+    def is_exact(self):
+        return not self.homology_ranks()
+
+    def restrict(self, keep):
+        """Field complex (a BarComplex) on the basis ids in `keep`, with the
+        differential and augmentation entries among them.  It is a
+        subcomplex when `keep` contains the boundary support of each of
+        its ids, e.g. every degree truncation of a homogeneous complex."""
+        keep = set(keep)
+        basis = {n: [i for i in ids if i in keep]
+                 for n, ids in self.basis.items()}
+        diffs = {n: {(r, c): v for (r, c), v in mat.items()
+                     if c in keep and r in keep}
+                 for n, mat in self.diffs.items()}
+        aug = {i: v for i, v in self.aug.items() if i in keep}
+        return BarComplex(self.field, basis, diffs, aug, self.augmented)
+
+
+class GradedFreeComplex(ChainComplex):
+    """Chain complex of free Z^m-graded modules with a labeled basis.
+
+    labels: dict n -> ordered list of (id, multidegree)
+    diffs:  dict n -> {(row_id, col_id): scalar}  for n >= 1, mapping F_n
+            into F_{n-1}; the scalar is the bar (field) coefficient.
+    """
+
+    def __init__(self, num_vars, field, labels, diffs):
+        self.num_vars = num_vars
+        self.labels = {n: [(i, tuple(d)) for i, d in labs]
+                       for n, labs in labels.items() if labs}
+        super().__init__(field, {n: [i for i, _ in labs]
+                                 for n, labs in self.labels.items()}, diffs)
+        self.degree_of = {}
+        for labs in self.labels.values():
+            for i, d in labs:
+                if i in self.degree_of:
+                    raise ShapeError(f"duplicate basis id {i!r}")
+                if len(d) != num_vars:
+                    raise ShapeError(f"label degree length != num_vars for {i!r}")
+                self.degree_of[i] = d
+        for n, mat in self.diffs.items():
+            for (r, c), _ in mat.items():
+                if self.hdeg_of.get(c) != n or self.hdeg_of.get(r) != n - 1:
+                    raise ShapeError(f"entry ({r},{c}) misplaced in degree {n}")
+                dr, dc = self.degree_of[r], self.degree_of[c]
+                if not divides(dr, dc):
+                    raise ShapeError(
+                        f"inhomogeneous entry ({r},{c}): deg {dc} - {dr} < 0")
+
+    def exponent(self, r, c):
+        """Monomial exponent of the entry at (row r, column c)."""
+        dr, dc = self.degree_of[r], self.degree_of[c]
+        return tuple(b - a for a, b in zip(dr, dc))
+
+    def column(self, b):
+        """Differential image of basis element b as {row_id: scalar}."""
+        n = self.hdeg_of.get(b)
+        if n is None:
+            raise NotFound(f"unknown basis id {b!r}")
+        return {r: v for (r, c), v in self.diffs.get(n, {}).items() if c == b}
 
     def is_minimal(self):
         for n, mat in self.diffs.items():
@@ -156,45 +213,13 @@ def _scalar_json(v):
     return int(v)
 
 
-class BarComplex:
-    """Field chain complex obtained by erasing the monomial factors."""
-
-    def __init__(self, field, labels, diffs):
-        self.field = field
-        self.labels = {n: list(ids) for n, ids in labels.items() if ids}
-        self.diffs = {n: dict(mat) for n, mat in diffs.items() if mat}
-        self.hdeg_of = {}
-        for n, ids in self.labels.items():
-            for i in ids:
-                self.hdeg_of[i] = n
+class BarComplex(ChainComplex):
+    """Field chain complex obtained by erasing the monomial factors;
+    labels is the basis, dict n -> ordered list of ids."""
 
     @property
-    def top(self):
-        return max(self.labels, default=-1)
-
-    def ranks(self):
-        return tuple(len(self.labels.get(n, ())) for n in range(self.top + 1))
-
-    def matrix(self, n):
-        rows = self.labels.get(n - 1, [])
-        cols = self.labels.get(n, [])
-        rix = {i: k for k, i in enumerate(rows)}
-        cix = {i: k for k, i in enumerate(cols)}
-        entries = [(rix[r], cix[c], v)
-                   for (r, c), v in self.diffs.get(n, {}).items()]
-        return SparseMatrix(len(rows), len(cols), entries)
-
-    def homology_ranks(self):
-        """Non-reduced homology ranks per homological degree."""
-        ranks = {}
-        mats = {n: self.matrix(n) for n in range(1, self.top + 1)}
-        for n in range(self.top + 1):
-            dim = len(self.labels.get(n, []))
-            r_in = rank(mats[n + 1], self.field) if n + 1 in mats else 0
-            r_out = rank(mats[n], self.field) if n in mats else 0
-            if dim - r_in - r_out:
-                ranks[n] = dim - r_in - r_out
-        return ranks
+    def labels(self):
+        return self.basis
 
 
 class BettiTable:
@@ -337,22 +362,15 @@ def minimize(C):
 
 
 def bar_reduce(C):
-    """Tensor with k[x]/(x_1-1,...,x_m-1): keep scalars, drop monomials."""
-    labels = {n: [i for i, _ in labs] for n, labs in C.labels.items()}
-    return BarComplex(C.field, labels, C.diffs)
+    """Tensor with k[x]/(x_1-1,...,x_m-1): keep scalars, drop monomials.
+    The augmentation sends every degree-0 basis element to 1."""
+    aug = dict.fromkeys(C.basis.get(0, []), C.field.one)
+    return BarComplex(C.field, C.basis, C.diffs, aug)
 
 
 def strand(C, alpha):
     """Homogeneous strand of degree alpha, as a field complex."""
-    alpha = tuple(alpha)
-    keep = {i for i, d in C.degree_of.items()
-            if all(a <= b for a, b in zip(d, alpha))}
-    labels = {n: [i for i, _ in labs if i in keep]
-              for n, labs in C.labels.items()}
-    diffs = {n: {(r, c): v for (r, c), v in mat.items()
-                 if r in keep and c in keep}
-             for n, mat in C.diffs.items()}
-    return BarComplex(C.field, labels, diffs)
+    return C.restrict(i for i, d in C.degree_of.items() if divides(d, alpha))
 
 
 def betti_table(C):

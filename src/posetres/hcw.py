@@ -4,12 +4,13 @@ monomial ideal to an hcw-poset supporting its minimal resolution.
 """
 
 from .errors import HypothesisFailed, NotAMorphism, VerificationError
-from .exactla import SparseMatrix, solve
+from .exactla import solve
 from .conic import (conic_complex, homogenize, supports_resolution,
                     _coords_in_basis)
 from .gradedcomplex import betti_table, minimize, taylor_complex
 from .incidence import incidence_poset
 from .minsupport import make_minimal_support_basis
+from .monomials import divides
 from .posets import (Poset, is_hcw, is_homology_sphere_at, reduced_homology,
                      cycle_space)
 
@@ -105,21 +106,12 @@ def _solve_filling(C, alpha, n, zeta, excluded):
     """Solve conic d_{n+1} t = zeta over the deg <= alpha truncation, with
     the apexes in `excluded` forced out of the support."""
     F = C.field
-    P = C.poset
-    sub_ok = lambda g: (all(x <= y for x, y in zip(P.deg[g[0]], alpha))
-                        and g[0] not in excluded)
-    cols = [g for g in C.gens.get(n + 1, []) if sub_ok(g)]
-    rows = [g for g in C.gens.get(n, [])
-            if all(x <= y for x, y in zip(P.deg[g[0]], alpha))]
-    rix = {g: i for i, g in enumerate(rows)}
-    cix = {g: j for j, g in enumerate(cols)}
-    entries = [(rix[r], cix[c], v)
-               for (r, c), v in C.diffs.get(n + 1, {}).items() if c in cix]
-    A = SparseMatrix(len(rows), len(cols), entries)
-    rhs = [F.zero] * len(rows)
-    for g, v in zeta.items():
-        rhs[rix[g]] = v
-    x = solve(A, rhs, F)
+    deg = C.poset.deg
+    cols = [g for g in C.gens.get(n + 1, [])
+            if divides(deg[g[0]], alpha) and g[0] not in excluded]
+    rows = [g for g in C.gens.get(n, []) if divides(deg[g[0]], alpha)]
+    rhs = [zeta.get(g, F.zero) for g in rows]
+    x = solve(C.matrix(n + 1, rows, cols), rhs, F)
     if x is None:
         return None
     return {g: v for g, v in zip(cols, x) if v}

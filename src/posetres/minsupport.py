@@ -7,9 +7,9 @@ lifted back upstairs with the monomial coefficients dictated by the degrees.
 
 from .errors import (NotACycle, NotFound, NotMinimal, ShapeError,
                      VerificationError)
-from .exactla import SparseMatrix, kernel_basis, solve
-from .gradedcomplex import GradedFreeComplex
-from .monomials import lcm
+from .exactla import kernel_basis, solve
+from .gradedcomplex import BarComplex, GradedFreeComplex, bar_reduce
+from .monomials import divides, lcm
 
 
 def boundary_support(C, b):
@@ -20,23 +20,6 @@ def boundary_support(C, b):
     if n < 1:
         raise ShapeError(f"{b!r} sits in degree 0; no boundary support")
     return frozenset(C.column(b))
-
-
-def _cycle_matrix(Cbar, n, cols):
-    """Matrix whose kernel is the degree-n cycle space, on the given columns.
-
-    In degree 0 the relevant map is the bar augmentation sending every basis
-    element to 1; in degree n >= 1 it is the bar differential.
-    """
-    if n == 0:
-        F = Cbar.field
-        return SparseMatrix(1, len(cols), [(0, j, F.one) for j in range(len(cols))])
-    rows = Cbar.labels.get(n - 1, [])
-    rix = {i: k for k, i in enumerate(rows)}
-    cix = {i: k for k, i in enumerate(cols)}
-    entries = [(rix[r], cix[c], v)
-               for (r, c), v in Cbar.diffs.get(n, {}).items() if c in cix]
-    return SparseMatrix(len(rows), len(cols), entries)
 
 
 def _as_dict(Cbar, n, z):
@@ -52,19 +35,23 @@ def _as_dict(Cbar, n, z):
 
 
 def is_minimal_support_cycle(Cbar, n, z):
-    """Circuit test: no nonzero cycle has support strictly inside supp(z)."""
+    """Circuit test: no nonzero cycle has support strictly inside supp(z).
+
+    Cbar is a bar complex with its augmentation, as bar_reduce gives, so the
+    degree-0 cycles are the kernel of the augmentation.
+    """
     F = Cbar.field
     zd = _as_dict(Cbar, n, z)
     ids = Cbar.labels.get(n, [])
     pos = {i: k for k, i in enumerate(ids)}
-    A = _cycle_matrix(Cbar, n, ids)
+    A = Cbar.matrix(n)
     vec = [F(zd.get(i, F.zero)) for i in ids]
     if any(A.mul_vec(vec, F)):
         raise NotACycle(f"vector is not in the degree-{n} cycle space")
     S = sorted(zd, key=pos.get)
     for c in S:
         sub = [b for b in S if b != c]
-        if kernel_basis(_cycle_matrix(Cbar, n, sub), F):
+        if kernel_basis(Cbar.matrix(n, cols=sub), F):
             return False
     return True
 
@@ -78,7 +65,7 @@ def _shrink_to_minimal(Cbar, n, zd, pos):
         progressed = False
         for c in S:
             sub = [b for b in S if b != c]
-            ker = kernel_basis(_cycle_matrix(Cbar, n, sub), F)
+            ker = kernel_basis(Cbar.matrix(n, cols=sub), F)
             if ker:
                 zd = {b: v for b, v in zip(sub, ker[0]) if v}
                 S = sorted(zd, key=pos.get)
@@ -129,11 +116,12 @@ def make_minimal_support_basis(C):
         for (r, c), v in mat.items():
             col[n].setdefault(c, {})[r] = v
 
+    aug = bar_reduce(C).aug
+
     def bar_view():
-        labels = {n: [i for i, _ in labs] for n, labs in C.labels.items()}
         diffs = {n: {(r, c): v for c, cm in col.get(n, {}).items()
                      for r, v in cm.items()} for n in col}
-        return _BarLike(F, labels, diffs)
+        return BarComplex(F, C.basis, diffs, aug)
 
     log = BasisChangeLog()
     for k1 in sorted(C.diffs):  # k1 = k+1, columns live here, cycles in k1-1
@@ -152,16 +140,10 @@ def make_minimal_support_basis(C):
                 alpha = None
                 for b in zp:
                     alpha = deg[b] if alpha is None else lcm(alpha, deg[b])
-                wcols = [i for i, _ in C.labels.get(k1, [])
-                         if all(x <= y for x, y in zip(deg[i], alpha))]
-                rows = [i for i, _ in C.labels.get(k, [])]
-                rix = {i: j for j, i in enumerate(rows)}
-                cix = {i: j for j, i in enumerate(wcols)}
-                entries = [(rix[r], cix[c], v)
-                           for c in wcols for r, v in col[k1].get(c, {}).items()]
-                A = SparseMatrix(len(rows), len(wcols), entries)
-                rhs = [F(zp.get(i, F.zero)) for i in rows]
-                x = solve(A, rhs, F)
+                wcols = [i for i in C.basis.get(k1, [])
+                         if divides(deg[i], alpha)]
+                rhs = [F(zp.get(i, F.zero)) for i in C.basis.get(k, [])]
+                x = solve(Cbar.matrix(k1, cols=wcols), rhs, F)
                 if x is None:
                     raise VerificationError(
                         f"strand at {alpha} not exact; cannot lift cycle")
@@ -182,24 +164,11 @@ def make_minimal_support_basis(C):
                         for i, _ in items]
                 log.record(k1, bp, case, items, exps)
 
-    labels = {n: list(labs) for n, labs in C.labels.items()}
-    diffs = {n: {(r, c): v for c, cm in col[n].items() for r, v in cm.items()}
-             for n in col}
-    out = GradedFreeComplex(C.num_vars, F, labels, diffs)
+    out = GradedFreeComplex(C.num_vars, F, C.labels, bar_view().diffs)
     out.check_complex()
     if not out.is_minimal():
         raise VerificationError("basis rewrite produced a unit entry")
     return out, log
-
-
-class _BarLike:
-    """Minimal stand-in with the BarComplex attributes the helpers use."""
-
-    def __init__(self, field, labels, diffs):
-        self.field = field
-        self.labels = labels
-        self.diffs = diffs
-        self.hdeg_of = {i: n for n, ids in labels.items() for i in ids}
 
 
 def _apply_replacement(col, C, k1, bp, expr):

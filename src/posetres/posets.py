@@ -10,6 +10,7 @@ is rank 1 in dimension -1.
 from .errors import (NotAMorphism, NotFound, ShapeError, TooLarge,
                      VerificationError)
 from .exactla import SparseMatrix, kernel_basis, rank
+from .monomials import divides
 
 FACE_CAP = 2_000_000
 
@@ -56,7 +57,7 @@ class Poset:
             self.deg = {e: tuple(deg[e]) for e in self.elements}
             for e in self.elements:
                 for x in self.below[e]:
-                    if not all(a <= b for a, b in zip(self.deg[x], self.deg[e])):
+                    if not divides(self.deg[x], self.deg[e]):
                         raise NotAMorphism(
                             f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
         self._dims = None
@@ -139,14 +140,6 @@ class Poset:
         rels = [(x, e) for e in elems for x in self.below[e] if x in keep]
         deg = {e: self.deg[e] for e in elems} if self.deg is not None else None
         return Poset(elems, rels, deg=deg)
-
-    def subposet_deg_leq(self, alpha):
-        """Induced subposet on the elements with deg <= alpha coordinate-wise."""
-        if self.deg is None:
-            raise NotAMorphism("poset has no degree map")
-        keep = [e for e in self.elements
-                if all(a <= b for a, b in zip(self.deg[e], alpha))]
-        return self.restrict(keep)
 
     def order_complex(self, cap=FACE_CAP):
         """All chains of the poset as an OrientedComplex (cached)."""
@@ -271,18 +264,6 @@ class OrientedComplex:
                     raise VerificationError(f"complex not closed: missing face {sub}")
                 entries.append((r, j, -1 if i % 2 else 1))
         return SparseMatrix(len(rows_ix), len(cols), entries)
-
-
-def down_set(P, a, strict=True):
-    return P.down_set(a, strict)
-
-
-def dim_element(P, a):
-    return P.dim(a)
-
-
-def order_complex(P, cap=FACE_CAP):
-    return P.order_complex(cap)
 
 
 def reduced_homology(K, F):

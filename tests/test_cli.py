@@ -3,7 +3,7 @@ import json
 import pytest
 
 from posetres.cli import main, parse_ideal_file
-from posetres.errors import ParseError
+from posetres.errors import ParseError, VerificationError
 from conftest import FIXTURES
 
 RP2 = str(FIXTURES / "rp2.ideal")
@@ -61,6 +61,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
     p.write_text("1 2\n1 2 3\n")
     assert main(["resolve", str(p)]) == 2
     assert main(["resolve", str(tmp_path / "missing.ideal")]) == 2
+    for char in ("4", "1", "-2"):
+        assert main(["resolve", M, "--char", char]) == 2
 
 
 def test_cap_exit_code(tmp_path):
@@ -99,6 +101,23 @@ def test_verify_all_pass(capsys):
     out = capsys.readouterr().out
     assert "fail" not in out
     assert "rigid: false" in out and "betti_poset_hcw: false" in out
+
+
+def test_verify_reports_stage_failures(monkeypatch, capsys):
+    def boom(*args):
+        raise VerificationError("boom")
+
+    monkeypatch.setattr("posetres.cli.hcwify", boom)
+    assert main(["verify", M]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "hcw: fail (boom)" in lines
+    assert lines[-1] == "rigid_iff_hcw: pass"
+    monkeypatch.setattr("posetres.cli.make_minimal_support_basis", boom)
+    assert main(["verify", M]) == 4
+    out = capsys.readouterr().out
+    for name in ("minimal_support", "conic_iso", "support_criterion", "hcw"):
+        assert f"{name}: fail (boom)" in out
+    assert "rigid_iff_hcw: pass" in out
 
 
 def test_rigid_and_betti_poset(capsys):

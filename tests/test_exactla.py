@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetres import FieldSpec, SparseMatrix, kernel_basis, rank, solve
-from posetres.errors import InvalidField, ShapeError
+from posetres.errors import InvalidField, PosetresError, ShapeError
 
 
 def test_fieldspec_validation():
@@ -23,6 +23,10 @@ def test_fieldspec_coercion():
     G = FieldSpec(5)
     assert G(7) == 2
     assert G("1/2") == 3  # 2^{-1} = 3 mod 5
+    for p, bad in ((3, "1/3"), (3, Fraction(2, 3)), (0, "abc"), (0, "1/0"),
+                   (3, 2.5), (0, 2.5), (2, None)):
+        with pytest.raises(PosetresError):
+            FieldSpec(p)(bad)
 
 
 def test_sparse_matrix_validation():
@@ -69,7 +73,7 @@ def test_solve_conventions():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5),
        st.lists(st.integers(-3, 3), min_size=25, max_size=25),
-       st.sampled_from([0, 2, 5]))
+       st.sampled_from([0, 2, 3, 5]))
 def test_rank_nullity_and_kernel_annihilation(r, c, flat, p):
     F = FieldSpec(p)
     dense = [[F(flat[i * 5 + j]) for j in range(c)] for i in range(r)]
@@ -78,12 +82,20 @@ def test_rank_nullity_and_kernel_annihilation(r, c, flat, p):
     assert rank(A, F) + len(ker) == c
     for v in ker:
         assert not any(A.mul_vec(v, F))
+    # Echelon conventions: the first nonzero coordinate is 1; each vector's
+    # last nonzero coordinate is its free column, the free columns ascend,
+    # and every other vector vanishes there.
+    free = [max(j for j, x in enumerate(v) if x) for v in ker]
+    assert free == sorted(set(free))
+    for k, v in enumerate(ker):
+        assert next(x for x in v if x) == F.one
+        assert all(not w[free[k]] for l, w in enumerate(ker) if l != k)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), st.lists(st.integers(-2, 2), min_size=16, max_size=16),
        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
-       st.sampled_from([0, 2]))
+       st.sampled_from([0, 2, 3, 5]))
 def test_solve_is_exact(n, flat, xs, p):
     F = FieldSpec(p)
     dense = [[F(flat[i * 4 + j]) for j in range(n)] for i in range(n)]

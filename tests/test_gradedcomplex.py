@@ -4,7 +4,8 @@ from oracle import betti_numbers
 from posetres import (FieldSpec, GradedFreeComplex, bar_reduce, betti_table,
                       is_resolution, minimalize, minimize, strand,
                       taylor_complex)
-from posetres.errors import NotAComplex, NotMinimal, ShapeError, TooLarge
+from posetres.errors import (NotAComplex, NotMinimal, PosetresError,
+                             ShapeError, TooLarge)
 from conftest import SQUAREFREE3
 
 Q = FieldSpec(0)
@@ -123,3 +124,13 @@ def test_json_rejects_bad_exponent():
     obj["differentials"][0][0]["exponent"] = [9, 9, 9]
     with pytest.raises(ShapeError):
         GradedFreeComplex.from_json(obj)
+
+
+def test_json_rejects_bad_scalar():
+    M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
+    obj = M.to_json()
+    obj["characteristic"] = 3
+    for bad in ("1/3", "abc", 2.5):
+        obj["differentials"][0][0]["scalar"] = bad
+        with pytest.raises(PosetresError):
+            GradedFreeComplex.from_json(obj)

@@ -1,5 +1,6 @@
 import pytest
 
+from oracle import betti_numbers
 from posetres import (FieldSpec, Poset, antichain_form, betti_table,
                       conic_complex, fill_cavity, hcw_support, hcwify,
                       incidence_poset, is_hcw, minimalize, minimize,
@@ -7,7 +8,7 @@ from posetres import (FieldSpec, Poset, antichain_form, betti_table,
 from posetres.errors import HypothesisFailed
 from posetres.hcw import _boundary_of_chain
 from posetres.posets import reduced_homology
-from conftest import load_fixture_complex, RP2_GENS
+from conftest import M_GENS, RP2_GENS, load_fixture_complex, random_corpus
 
 Q = FieldSpec(0)
 GF2 = FieldSpec(2)
@@ -132,3 +133,12 @@ def test_hcw_support_rp2():
     assert betti_table(H).totals() == (10, 15, 7, 1)
     M = minimize(taylor_complex(I, GF2))
     assert betti_table(H).entries == betti_table(M).entries
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hcw_support_matches_oracle_in_odd_characteristic(p):
+    F = FieldSpec(p)
+    for I in [minimalize(RP2_GENS), minimalize(M_GENS)] + random_corpus(100):
+        Qp, deg, H = hcw_support(I, F)
+        assert is_hcw(Qp, F)
+        assert betti_table(H).entries == betti_numbers(I.generators, p)
