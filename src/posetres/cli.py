@@ -110,8 +110,17 @@ def _load_poset(path):
         raise ParseError(f"cannot read poset {path}: {exc}")
     try:
         return Poset.from_json(obj)
-    except (KeyError, TypeError, PosetresError) as exc:
+    except PosetresError as exc:
         raise ParseError(f"bad poset file {path}: {exc}")
+
+
+def _input_poset(args, F):
+    """The poset file at args.path with --poset, else the incidence poset
+    of the minimal-support basis of the ideal there."""
+    if args.poset:
+        return _load_poset(args.path)
+    _, C = _minimal_resolution(args.path, F)
+    return incidence_poset(make_minimal_support_basis(C)[0])
 
 
 def _field(args):
@@ -169,13 +178,7 @@ def cmd_incidence(args):
 
 def cmd_conic(args):
     F = _field(args)
-    if args.poset:
-        P = _load_poset(args.path)
-    else:
-        _, C = _minimal_resolution(args.path, F)
-        C2, _ = make_minimal_support_basis(C)
-        P = incidence_poset(C2)
-    CC = conic_complex(P, F, augmented=args.augmented)
+    CC = conic_complex(_input_poset(args, F), F, augmented=args.augmented)
     if args.json:
         print(json.dumps(CC.to_json(), indent=2))
     print("ranks: " + " ".join(str(r) for r in CC.ranks()))
@@ -184,19 +187,13 @@ def cmd_conic(args):
 
 def cmd_hcwify(args):
     F = _field(args)
-    if args.poset:
-        P = _load_poset(args.path)
-    else:
-        _, C = _minimal_resolution(args.path, F)
-        C2, _ = make_minimal_support_basis(C)
-        P = incidence_poset(C2)
-    Q, report = hcwify(P, F)
+    _, report = hcwify(_input_poset(args, F), F)
     if args.dot:
         print(report.to_dot())
     elif args.json:
         print(json.dumps(report.to_json(), indent=2))
     print(f"added_relations: {len(report.added)}")
-    print(f"hcw: {str(is_hcw(Q, F)).lower()}")
+    print(f"hcw: {str(all(report.verdicts_after.values())).lower()}")
     return 0
 
 

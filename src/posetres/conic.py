@@ -12,7 +12,7 @@ from .errors import (HypothesisFailed, NotAComplex, NotAMorphism,
 from .exactla import SparseMatrix, rank, solve
 from .gradedcomplex import ChainComplex, GradedFreeComplex
 from .monomials import divides, join_closure
-from .posets import (FACE_CAP, OrientedComplex, cycle_space, reduced_homology)
+from .posets import cycle_space, reduced_homology
 
 
 class ConicComplex(ChainComplex):
@@ -82,68 +82,57 @@ class ConicComplex(ChainComplex):
         }
 
 
-def _decompose_by_apex(z):
-    """Group the faces of a top cycle by their largest vertex."""
+def conic_coords(P, cycles, chain, n, F):
+    """Coordinates of an n-chain of Delta(P) in the conic degree-n basis
+    `cycles` ((apex, index) -> cycle): the faces are grouped by their top
+    vertex c, which must have d(c) = n, and each group is solved for in the
+    cycle basis at c.  Raises VerificationError if either step fails."""
     parts = {}
-    for f, v in z.items():
+    for f, v in chain.items():
         parts.setdefault(f[0], {})[f[1:]] = v
-    return parts
+    out = {}
+    for c, zc in parts.items():
+        if P.dim(c) != n:
+            raise VerificationError(
+                f"chain top vertex {c!r} has dimension != {n}")
+        basis = []
+        while (c, len(basis)) in cycles:
+            basis.append(cycles[(c, len(basis))])
+        faces = P.filter_complex(c).faces.get(n - 1, [])
+        fix = {f: i for i, f in enumerate(faces)}
+        A = SparseMatrix(len(faces), len(basis),
+                         [(fix[f], j, v) for j, vec in enumerate(basis)
+                          for f, v in vec.items()])
+        rhs = [F.zero] * len(faces)
+        for f, v in zc.items():
+            rhs[fix[f]] = v
+        coords = solve(A, rhs, F) if basis else None
+        if coords is None:
+            raise VerificationError(
+                f"chain component at apex {c!r} outside the cycle space")
+        out.update(((c, i), s) for i, s in enumerate(coords) if s)
+    return out
 
 
-def _coords_in_basis(basis, faces, z, F):
-    """Coordinates of the sparse chain z in the given list of cycle vectors."""
-    if not basis:
-        return None if z else []
-    fix = {f: i for i, f in enumerate(faces)}
-    entries = []
-    for j, vec in enumerate(basis):
-        for f, v in vec.items():
-            entries.append((fix[f], j, v))
-    A = SparseMatrix(len(faces), len(basis), entries)
-    rhs = [F.zero] * len(faces)
-    for f, v in z.items():
-        rhs[fix[f]] = v
-    return solve(A, rhs, F)
-
-
-def conic_complex(P, F, augmented=False, cap=FACE_CAP):
+def conic_complex(P, F, augmented=False):
     """Build the conic chain complex of a poset with deterministic,
     echelonized cycle bases at every apex."""
-    P.order_complex(cap)
     gens = {}
     cycles = {}
-    bases = {}
     for a in P.elements:
         n = P.dim(a)
-        K = P.filter_complex(a)
-        basis = cycle_space(K, n - 1, F)
-        bases[a] = (K, basis)
         gens.setdefault(n, [])
-        for i, z in enumerate(basis):
+        for i, z in enumerate(cycle_space(P.filter_complex(a), n - 1, F)):
             gens[n].append((a, i))
             cycles[(a, i)] = z
-    for n in gens:
-        gens[n].sort(key=lambda g: (P.index[g[0]], g[1]))
     diffs = {}
     for n in sorted(gens):
         if n == 0:
             continue
         diffs[n] = {}
         for g in gens[n]:
-            parts = _decompose_by_apex(cycles[g])
-            for c, zc in parts.items():
-                if P.dim(c) != n - 1:
-                    raise VerificationError(
-                        f"face top vertex {c!r} has dimension != {n - 1}")
-                K_c, basis_c = bases[c]
-                coords = _coords_in_basis(basis_c, K_c.faces.get(n - 2, []),
-                                          zc, F)
-                if coords is None:
-                    raise VerificationError(
-                        f"cycle component at apex {c!r} outside the cycle space")
-                for i, s in enumerate(coords):
-                    if s:
-                        diffs[n][((c, i), g)] = s
+            for c, s in conic_coords(P, cycles, cycles[g], n - 1, F).items():
+                diffs[n][(c, g)] = s
     aug = {}
     for g in gens.get(0, []):
         aug[g] = cycles[g].get((), F.zero)
@@ -155,17 +144,9 @@ def conic_complex(P, F, augmented=False, cap=FACE_CAP):
     return C
 
 
-def skeleton_complex(P, n, cap=FACE_CAP):
+def skeleton_complex(P, n):
     """The conic n-skeleton: all chains whose largest vertex has d <= n."""
-    full = P.order_complex(cap)
-    faces = {-1: [()]}
-    for d, fs in full.faces.items():
-        if d < 0:
-            continue
-        sub = [f for f in fs if P.dim(f[0]) <= n]
-        if sub:
-            faces[d] = sub
-    return OrientedComplex(faces)
+    return P.subcomplex({e for e in P.elements if P.dim(e) <= n})
 
 
 def kernel_skeleton_check(C):
@@ -216,16 +197,14 @@ def homogenize(C, deg=None):
     return GradedFreeComplex(num_vars, C.field, labels, diffs)
 
 
-def supports_resolution(P, F, conic=None):
+def supports_resolution(P, F):
     """Exactness of the augmented conic complex of every degree-truncation.
 
     Returns (ok, witness alpha or None).
     """
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
-    C = conic if conic is not None else conic_complex(P, F, augmented=True)
-    if not C.augmented:
-        C = ConicComplex(P, F, C.gens, C.cycles, C.diffs, C.aug, True)
+    C = conic_complex(P, F, augmented=True)
     for alpha in sorted(join_closure(P.deg.values())):
         if not C.restrict_deg_leq(alpha).is_exact():
             return False, alpha

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+from contextlib import contextmanager
+
 
 class PosetresError(Exception):
     """Base class for all errors raised by this package."""
@@ -64,3 +66,14 @@ class VerificationError(PosetresError):
 
 class ParseError(PosetresError):
     """Malformed input file."""
+
+
+@contextmanager
+def malformed(what):
+    """Turn the structural faults met while reading a JSON object (a missing
+    key, a wrong type, a wrong length) into ParseError.  Usable as a
+    decorator."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {what}: {exc!r}") from exc

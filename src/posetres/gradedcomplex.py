@@ -10,7 +10,7 @@ tables all live here.
 from itertools import combinations
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
-                     VerificationError)
+                     VerificationError, malformed)
 from .exactla import SparseMatrix, rank
 from .monomials import divides, join_closure, lcm
 
@@ -179,6 +179,7 @@ class GradedFreeComplex(ChainComplex):
         return out
 
     @classmethod
+    @malformed("complex JSON")
     def from_json(cls, obj, field=None):
         from .exactla import FieldSpec
         F = field if field is not None else FieldSpec(obj.get("characteristic", 0))
@@ -248,14 +249,15 @@ class BettiTable:
                             for (i, d), v in sorted(self.entries.items())]}
 
 
-def taylor_complex(ideal, F, cap=TAYLOR_CAP):
+def taylor_complex(ideal, F):
     """Taylor complex of a monomial ideal: one generator per nonempty subset
     of the minimal generators, labeled by the subset lcm, with the standard
-    alternating-sign differential."""
+    alternating-sign differential.  More than TAYLOR_CAP generators raise
+    TooLarge."""
     gens = ideal.generators
     r = len(gens)
-    if r > cap:
-        raise TooLarge(f"{r} generators exceeds the Taylor cap {cap}")
+    if r > TAYLOR_CAP:
+        raise TooLarge(f"{r} generators exceeds the Taylor cap {TAYLOR_CAP}")
     labels = {}
     diffs = {}
     for size in range(1, r + 1):

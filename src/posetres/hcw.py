@@ -5,14 +5,14 @@ monomial ideal to an hcw-poset supporting its minimal resolution.
 
 from .errors import HypothesisFailed, NotAMorphism, VerificationError
 from .exactla import solve
-from .conic import (conic_complex, homogenize, supports_resolution,
-                    _coords_in_basis)
+from .conic import (conic_complex, conic_coords, homogenize,
+                    supports_resolution)
 from .gradedcomplex import betti_table, minimize, taylor_complex
 from .incidence import incidence_poset
 from .minsupport import make_minimal_support_basis
 from .monomials import divides
-from .posets import (Poset, is_hcw, is_homology_sphere_at, reduced_homology,
-                     cycle_space)
+from .posets import (Poset, cycle_space, is_homology_sphere_at,
+                     reduced_homology)
 
 
 def _boundary_of_chain(K, n, chain, F):
@@ -73,33 +73,6 @@ def antichain_form(P, a, w, m, F):
         if any(_boundary_of_chain(P.filter_complex(c), m - 1, wc, F).values()):
             raise VerificationError("antichain form component is not a cycle")
     return w
-
-
-def _conic_coords(C, chain, n):
-    """Coordinates of an antichain-form n-cycle in the conic degree-n basis."""
-    F = C.field
-    P = C.poset
-    out = {}
-    for f in chain:
-        c = f[0]
-        if P.dim(c) != n:
-            raise VerificationError("chain is not in antichain form")
-    for c in sorted({f[0] for f in chain}, key=P.index.get):
-        zc = {f[1:]: v for f, v in chain.items() if f[0] == c}
-        basis = []
-        i = 0
-        while (c, i) in C.cycles:
-            basis.append(C.cycles[(c, i)])
-            i += 1
-        K = P.filter_complex(c)
-        coords = _coords_in_basis(basis, K.faces.get(n - 1, []), zc, F)
-        if coords is None:
-            raise VerificationError(
-                f"component at {c!r} outside its cycle space")
-        for i, s in enumerate(coords):
-            if s:
-                out[(c, i)] = s
-    return out
 
 
 def _solve_filling(C, alpha, n, zeta, excluded):
@@ -164,7 +137,7 @@ def fill_cavity(P, a, n, F):
         if h is None:
             raise VerificationError("positive homology rank but no class found")
         z = antichain_form(P, a, h, n, F)
-        zeta = _conic_coords(C, z, n)
+        zeta = conic_coords(P, C.cycles, z, n, F)
         t = _solve_filling(C, alpha, n, zeta, set())
         if t is None:
             raise VerificationError("conic filling system is inconsistent")
@@ -242,8 +215,10 @@ def hcwify(P, F):
     """Apply cavity filling over all elements until the poset is hcw."""
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
+    homology = {}
     for a in P.elements:
-        r = reduced_homology(P.filter_complex(a), F).get(P.dim(a) - 1, 0)
+        homology[a] = reduced_homology(P.filter_complex(a), F)
+        r = homology[a].get(P.dim(a) - 1, 0)
         if r != 1:
             raise HypothesisFailed(
                 f"top filter homology below {a!r} has rank {r}, expected 1")
@@ -252,18 +227,19 @@ def hcwify(P, F):
         raise HypothesisFailed(
             f"truncated conic complex at {alpha} is not exact")
     before = P
-    verdicts_before = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
+    # Delta(P_{<a}) has dimension d(a) - 1: as in is_homology_sphere_at
+    verdicts_before = {a: h == {P.dim(a) - 1: 1} for a, h in homology.items()}
     added = []
     for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
         for n in range(P.dim(a) - 2, -1, -1):
             P, new = fill_cavity(P, a, n, F)
             added.extend(new)
-    if not is_hcw(P, F):
+    verdicts_after = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
+    if not all(verdicts_after.values()):
         raise VerificationError("hcwify result is not hcw")
     if not conic_complex(before, F, True).same_matrices(
             conic_complex(P, F, True)):
         raise VerificationError("hcwify changed the conic complex")
-    verdicts_after = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
     return P, HcwReport(before, P, added, verdicts_before, verdicts_after)
 
 

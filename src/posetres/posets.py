@@ -7,8 +7,10 @@ face () sits in dimension -1 so that reduced homology of the empty complex
 is rank 1 in dimension -1.
 """
 
+from graphlib import CycleError, TopologicalSorter
+
 from .errors import (NotAMorphism, NotFound, ShapeError, TooLarge,
-                     VerificationError)
+                     VerificationError, malformed)
 from .exactla import SparseMatrix, kernel_basis, rank
 from .monomials import divides
 
@@ -28,30 +30,27 @@ class Poset:
         if len(set(self.elements)) != len(self.elements):
             raise ShapeError("duplicate poset elements")
         self.index = {e: i for i, e in enumerate(self.elements)}
-        succ = {e: set() for e in self.elements}
+        preds = {e: set() for e in self.elements}
         for lo, hi in relations:
             if lo not in self.index or hi not in self.index:
                 raise NotFound(f"relation ({lo},{hi}) mentions unknown element")
             if lo == hi:
                 raise ShapeError(f"reflexive relation on {lo}")
-            succ[lo].add(hi)
-        # strict down-sets via DFS on the relation digraph (also detects cycles)
-        below = {}
-        state = {}
-        order = self._toposort(succ)
-        for e in reversed(order):
-            acc = set()
-            for f in succ[e]:
-                acc.add(f)
-                acc |= state[f]
-            state[e] = acc
-        # state[e] = elements strictly ABOVE e; invert
-        below = {e: set() for e in self.elements}
-        for e in self.elements:
-            for f in state[e]:
-                below[f].add(e)
-        self.below = {e: frozenset(s) for e, s in below.items()}
-        self.covers = self._reduce()
+            preds[hi].add(lo)
+        try:
+            order = list(TopologicalSorter(preds).static_order())
+        except CycleError:
+            raise ShapeError("relations contain a cycle") from None
+        # x in preds[e] covers e unless it lies below another element below e
+        below, covers, self._dims = {}, set(), {}
+        for e in order:
+            lower = set().union(*(below[x] for x in preds[e]))
+            covers.update((x, e) for x in preds[e] if x not in lower)
+            below[e] = frozenset(lower | preds[e])
+            self._dims[e] = 1 + max((self._dims[x] for x in preds[e]),
+                                    default=-1)
+        self.below = {e: below[e] for e in self.elements}
+        self.covers = frozenset(covers)
         self.deg = None
         if deg is not None:
             self.deg = {e: tuple(deg[e]) for e in self.elements}
@@ -60,48 +59,8 @@ class Poset:
                     if not divides(self.deg[x], self.deg[e]):
                         raise NotAMorphism(
                             f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
-        self._dims = None
         self._order_complex = None
         self._filter_cache = {}
-
-    def _toposort(self, succ):
-        seen = {}
-        order = []
-
-        def visit(e):
-            stack = [(e, iter(succ[e]))]
-            seen[e] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for f in it:
-                    s = seen.get(f)
-                    if s == 1:
-                        raise ShapeError("relations contain a cycle")
-                    if s is None:
-                        seen[f] = 1
-                        stack.append((f, iter(succ[f])))
-                        advanced = True
-                        break
-                if not advanced:
-                    seen[node] = 2
-                    order.append(node)
-                    stack.pop()
-
-        for e in self.elements:
-            if e not in seen:
-                visit(e)
-        order.reverse()
-        return order
-
-    def _reduce(self):
-        covers = set()
-        for hi in self.elements:
-            lows = self.below[hi]
-            for lo in lows:
-                if not any(lo in self.below[mid] for mid in lows if mid != lo):
-                    covers.add((lo, hi))
-        return frozenset(covers)
 
     def __len__(self):
         return len(self.elements)
@@ -116,12 +75,6 @@ class Poset:
         """d(a): length of the longest chain ending at a."""
         if a not in self.index:
             raise NotFound(f"unknown element {a!r}")
-        if self._dims is None:
-            dims = {}
-            for e in sorted(self.elements, key=lambda x: len(self.below[x])):
-                lower = self.below[e]
-                dims[e] = 1 + max((dims[x] for x in lower), default=-1)
-            self._dims = dims
         return self._dims[a]
 
     def down_set(self, a, strict=True):
@@ -141,8 +94,9 @@ class Poset:
         deg = {e: self.deg[e] for e in elems} if self.deg is not None else None
         return Poset(elems, rels, deg=deg)
 
-    def order_complex(self, cap=FACE_CAP):
-        """All chains of the poset as an OrientedComplex (cached)."""
+    def order_complex(self):
+        """All chains of the poset as an OrientedComplex (cached); more than
+        FACE_CAP faces raise TooLarge."""
         if self._order_complex is not None:
             return self._order_complex
         key = {e: i for i, e in enumerate(self.elements)}
@@ -154,8 +108,8 @@ class Poset:
             d = len(chain) - 1
             faces.setdefault(d, []).append(chain)
             count += 1
-            if count > cap:
-                raise TooLarge(f"order complex exceeds {cap} faces")
+            if count > FACE_CAP:
+                raise TooLarge(f"order complex exceeds {FACE_CAP} faces")
             for x in self.below[chain[-1]]:
                 stack.append(chain + (x,))
         for d in faces:
@@ -163,26 +117,18 @@ class Poset:
         self._order_complex = OrientedComplex(faces)
         return self._order_complex
 
-    def filter_complex(self, a):
-        """Order complex of the open filter P_{<a} (cached per element).
+    def subcomplex(self, tops):
+        """Subcomplex of the order complex: the empty face and every chain
+        whose largest vertex lies in `tops`."""
+        faces = {d: [f for f in fs if f[0] in tops]
+                 for d, fs in self.order_complex().faces.items() if d >= 0}
+        return OrientedComplex({-1: [()], **faces})
 
-        Faces are exactly the faces of the full order complex whose largest
-        vertex is below a.
-        """
-        if a in self._filter_cache:
-            return self._filter_cache[a]
-        full = self.order_complex()
-        lower = self.below[a]
-        faces = {-1: [()]}
-        for d, fs in full.faces.items():
-            if d < 0:
-                continue
-            sub = [f for f in fs if f[0] in lower]
-            if sub:
-                faces[d] = sub
-        K = OrientedComplex(faces)
-        self._filter_cache[a] = K
-        return K
+    def filter_complex(self, a):
+        """Order complex of the open filter P_{<a} (cached per element)."""
+        if a not in self._filter_cache:
+            self._filter_cache[a] = self.subcomplex(self.below[a])
+        return self._filter_cache[a]
 
     def maximal_elements(self):
         tops = set(self.elements)
@@ -206,6 +152,7 @@ class Poset:
         return out
 
     @classmethod
+    @malformed("poset JSON")
     def from_json(cls, obj):
         elements = [e["id"] for e in obj["elements"]]
         deg = None

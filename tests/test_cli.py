@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import posetres.gradedcomplex
+import posetres.posets
+from posetres import Poset
 from posetres.cli import main, parse_ideal_file
-from posetres.errors import ParseError, VerificationError
+from posetres.errors import ParseError, TooLarge, VerificationError
 from conftest import FIXTURES
 
 RP2 = str(FIXTURES / "rp2.ideal")
@@ -63,14 +66,32 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["resolve", str(tmp_path / "missing.ideal")]) == 2
     for char in ("4", "1", "-2"):
         assert main(["resolve", M, "--char", char]) == 2
+    capsys.readouterr()
+    p = tmp_path / "bad.json"
+    for obj in ({}, {"elements": [{"id": 1}, {"id": 2}, {"id": 3}],
+                     "covers": [[1, 2, 3]]},
+                {"elements": [{"id": [1]}], "covers": []}):
+        p.write_text(json.dumps(obj))
+        assert main(["conic", str(p), "--poset"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
-def test_cap_exit_code(tmp_path):
+def test_cap_exit_code(tmp_path, monkeypatch):
     gens = "\n".join(" ".join("1" if i == j else "0" for i in range(17))
                      for j in range(17))
     p = tmp_path / "big.ideal"
     p.write_text(gens + "\n")
     assert main(["resolve", str(p)]) == 3
+    # both caps are read when the capped function runs
+    monkeypatch.setattr(posetres.gradedcomplex, "TAYLOR_CAP", 2)
+    assert main(["resolve", M]) == 3
+    monkeypatch.setattr(posetres.posets, "FACE_CAP", 3)
+    P = Poset(["a", "b", "t"], [("a", "t"), ("b", "t")])
+    with pytest.raises(TooLarge):
+        P.order_complex()
+    p = tmp_path / "v.json"
+    p.write_text(json.dumps(P.to_json()))
+    assert main(["conic", str(p), "--poset"]) == 3
 
 
 def test_hcwify_summaries(capsys):

@@ -4,8 +4,8 @@ from oracle import betti_numbers
 from posetres import (FieldSpec, GradedFreeComplex, bar_reduce, betti_table,
                       is_resolution, minimalize, minimize, strand,
                       taylor_complex)
-from posetres.errors import (NotAComplex, NotMinimal, PosetresError,
-                             ShapeError, TooLarge)
+from posetres.errors import (NotAComplex, NotMinimal, ParseError,
+                             PosetresError, ShapeError, TooLarge)
 from conftest import SQUAREFREE3
 
 Q = FieldSpec(0)
@@ -123,6 +123,16 @@ def test_json_rejects_bad_exponent():
     obj = M.to_json()
     obj["differentials"][0][0]["exponent"] = [9, 9, 9]
     with pytest.raises(ShapeError):
+        GradedFreeComplex.from_json(obj)
+
+
+def test_json_rejects_malformed_structure():
+    with pytest.raises(ParseError):
+        GradedFreeComplex.from_json({})
+    M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
+    obj = M.to_json()
+    del obj["basis"][0][0]["degree"]
+    with pytest.raises(ParseError):
         GradedFreeComplex.from_json(obj)
 
 

@@ -1,7 +1,9 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetres import FieldSpec, Poset, reduced_homology
-from posetres.errors import NotAMorphism, NotFound, ShapeError
+from posetres.errors import NotAMorphism, NotFound, ParseError, ShapeError
 from posetres.posets import cycle_space, is_hcw, is_homology_sphere_at
 
 Q = FieldSpec(0)
@@ -28,6 +30,38 @@ def test_transitive_reduction_and_dims():
     assert P.covers == frozenset({(1, 2), (2, 3)})
     assert [P.dim(e) for e in [1, 2, 3]] == [0, 1, 2]
     assert P.less(1, 3) and not P.less(3, 1)
+
+
+@st.composite
+def relation_sets(draw):
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    return n, draw(st.lists(pairs, max_size=16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_sets())
+def test_construction_matches_brute_force(case):
+    n, rels = case
+    G = nx.DiGraph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(rels)
+    if not nx.is_directed_acyclic_graph(G):
+        with pytest.raises(ShapeError):
+            Poset(range(n), rels)
+        return
+    P = Poset(range(n), rels)
+    less = {(x, y) for x, y in rels}
+    for k in range(n):  # Warshall's transitive closure
+        less |= {(x, y) for x in range(n) for y in range(n)
+                 if (x, k) in less and (k, y) in less}
+    assert all(P.below[y] == {x for x in range(n) if (x, y) in less}
+               for y in range(n))
+    assert P.covers == set(nx.transitive_reduction(G).edges)
+    for a in range(n):
+        H = G.subgraph(nx.ancestors(G, a) | {a})
+        assert P.dim(a) == nx.dag_longest_path_length(H)
 
 
 def test_deg_monotonicity_enforced():
@@ -91,6 +125,19 @@ def test_poset_json_roundtrip():
     assert R.elements == P.elements
     assert R.covers == P.covers
     assert R.deg == P.deg
+
+
+def test_poset_json_rejects_malformed_structure():
+    good = {"elements": [{"id": 1}, {"id": 2}], "covers": [[1, 2]]}
+    assert Poset.from_json(good).covers == frozenset({(1, 2)})
+    for bad in ({}, {"elements": [{"id": 1}], "covers": [[1, 2, 3]]},
+                {"elements": [{"id": 1}, {"id": 2}], "covers": [[1]]},
+                {"elements": [{"id": 1}, {"id": 2}], "covers": [3]},
+                {"elements": [{"id": 1, "deg": [0]}, {"id": 2}],
+                 "covers": []},
+                {"elements": 5, "covers": []}):
+        with pytest.raises(ParseError):
+            Poset.from_json(bad)
 
 
 def test_to_dot_mentions_edges():
