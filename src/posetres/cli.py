@@ -68,9 +68,13 @@ def parse_ideal_file(text):
                     nm, pw = factor, "1"
                 if nm not in ix:
                     raise ParseError(f"line {lineno}: unknown variable {nm!r}")
-                if not pw.isdigit() or int(pw) < 1:
+                try:
+                    k = int(pw) if pw.isdigit() else 0
+                except ValueError:  # a digit int() rejects, or too many
+                    k = 0
+                if k < 1:
                     raise ParseError(f"line {lineno}: bad exponent {pw!r}")
-                e[ix[nm]] += int(pw)
+                e[ix[nm]] += k
             exps.append(tuple(e))
     else:
         for lineno, l in rows:
@@ -97,7 +101,7 @@ def _load_ideal(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     return parse_ideal_file(text)
 

@@ -9,7 +9,7 @@ cycle bases, grouping the faces of z by their top vertex.
 
 from .errors import (HypothesisFailed, NotAComplex, NotAMorphism,
                      VerificationError)
-from .exactla import SparseMatrix, rank, solve
+from .exactla import rank
 from .gradedcomplex import ChainComplex, GradedFreeComplex
 from .monomials import divides, join_closure
 from .posets import cycle_space, reduced_homology
@@ -85,8 +85,15 @@ class ConicComplex(ChainComplex):
 def conic_coords(P, cycles, chain, n, F):
     """Coordinates of an n-chain of Delta(P) in the conic degree-n basis
     `cycles` ((apex, index) -> cycle): the faces are grouped by their top
-    vertex c, which must have d(c) = n, and each group is solved for in the
-    cycle basis at c.  Raises VerificationError if either step fails."""
+    vertex c, which must have d(c) = n, and each group is written in the
+    cycle basis at c.  Raises VerificationError if either step fails.
+
+    Precondition: the basis at c is echelonized as kernel_basis gives it, so
+    each vector is the only one that is nonzero at its last face (in the
+    face order of P.filter_complex(c)); the coordinate of vector i is read
+    off that face.  What the read-off leaves over must vanish, which is the
+    check that the group lies in the span of the basis.
+    """
     parts = {}
     for f, v in chain.items():
         parts.setdefault(f[0], {})[f[1:]] = v
@@ -95,22 +102,21 @@ def conic_coords(P, cycles, chain, n, F):
         if P.dim(c) != n:
             raise VerificationError(
                 f"chain top vertex {c!r} has dimension != {n}")
-        basis = []
-        while (c, len(basis)) in cycles:
-            basis.append(cycles[(c, len(basis))])
-        faces = P.filter_complex(c).faces.get(n - 1, [])
-        fix = {f: i for i, f in enumerate(faces)}
-        A = SparseMatrix(len(faces), len(basis),
-                         [(fix[f], j, v) for j, vec in enumerate(basis)
-                          for f, v in vec.items()])
-        rhs = [F.zero] * len(faces)
-        for f, v in zc.items():
-            rhs[fix[f]] = v
-        coords = solve(A, rhs, F) if basis else None
-        if coords is None:
+        fix = P.filter_complex(c).face_index.get(n - 1, {})
+        rest = dict(zc)
+        i = 0
+        while (c, i) in cycles:
+            b = cycles[(c, i)]
+            last = max(b, key=fix.__getitem__)
+            s = F.div(zc.get(last, F.zero), b[last])
+            if s:
+                out[(c, i)] = s
+                for f, v in b.items():
+                    rest[f] = F.sub(rest.get(f, F.zero), F.mul(s, v))
+            i += 1
+        if not i or any(rest.values()):
             raise VerificationError(
                 f"chain component at apex {c!r} outside the cycle space")
-        out.update(((c, i), s) for i, s in enumerate(coords) if s)
     return out
 
 

@@ -185,21 +185,37 @@ def _rref_gf2(rows_bits, ncols):
     return pivots
 
 
-def _to_gf2_rows(A):
-    rows_bits = [0] * A.rows
-    for (r, c) in A.entries:
-        rows_bits[r] |= 1 << c
-    return rows_bits
+def echelon(A, F, rhs=None):
+    """Reduced row echelon form of A, with the vector rhs (if given) carried
+    along as a last column.  Pivots are sought only among the columns of A.
+
+    Returns (pivots, column): the pivot columns in ascending order, and a
+    function giving column j of the reduced matrix as a list over the rows
+    (j = A.cols is the reduced rhs).  This is the one place that picks the
+    GF(2) bitmask kernel or the dense kernel.
+    """
+    n = A.cols
+    if F.characteristic == 2:
+        rows = [0] * A.rows
+        for (r, c) in A.entries:
+            rows[r] |= 1 << c
+        if rhs is not None:
+            for r, v in enumerate(rhs):
+                if F(v):
+                    rows[r] |= 1 << n
+        pivots = _rref_gf2(rows, n)
+        return pivots, lambda j: [(row >> j) & 1 for row in rows]
+    M = A.to_dense(F)
+    if rhs is not None:
+        for row, v in zip(M, rhs):
+            row.append(F(v))
+    pivots = _rref(M, F, n)
+    return pivots, lambda j: [row[j] for row in M]
 
 
 def rank(A, F):
     """Rank of a SparseMatrix over F."""
-    if A.rows == 0 or A.cols == 0:
-        return 0
-    if F.characteristic == 2:
-        return len(_rref_gf2(_to_gf2_rows(A), A.cols))
-    M = A.to_dense(F)
-    return len(_rref(M, F, A.cols))
+    return len(echelon(A, F)[0])
 
 
 def kernel_basis(A, F):
@@ -209,32 +225,7 @@ def kernel_basis(A, F):
     nonzero coordinate is 1.
     """
     n = A.cols
-    if n == 0:
-        return []
-    if A.rows == 0:
-        basis = []
-        for j in range(n):
-            v = [F.zero] * n
-            v[j] = F.one
-            basis.append(v)
-        return basis
-    if F.characteristic == 2:
-        rows_bits = _to_gf2_rows(A)
-        pivots = _rref_gf2(rows_bits, n)
-        pivot_set = set(pivots)
-        basis = []
-        for j in range(n):
-            if j in pivot_set:
-                continue
-            v = [0] * n
-            v[j] = 1
-            for i, pc in enumerate(pivots):
-                if rows_bits[i] & (1 << j):
-                    v[pc] = 1
-            basis.append(v)
-        return basis
-    M = A.to_dense(F)
-    pivots = _rref(M, F, n)
+    pivots, column = echelon(A, F)
     pivot_set = set(pivots)
     basis = []
     for j in range(n):
@@ -242,9 +233,9 @@ def kernel_basis(A, F):
             continue
         v = [F.zero] * n
         v[j] = F.one
-        for i, pc in enumerate(pivots):
-            if M[i][j]:
-                v[pc] = F.neg(M[i][j])
+        for pc, x in zip(pivots, column(j)):
+            if x:
+                v[pc] = F.neg(x)
         lead = next(x for x in v if x)
         if lead != F.one:
             inv = F.inv(lead)
@@ -257,29 +248,11 @@ def solve(A, b, F):
     """Some x with A.x = b, or None.  Free coordinates are set to zero."""
     if len(b) != A.rows:
         raise ShapeError(f"rhs length {len(b)} != {A.rows} rows")
-    n = A.cols
-    if F.characteristic == 2:
-        rows_bits = _to_gf2_rows(A)
-        for r, v in enumerate(b):
-            if F(v):
-                rows_bits[r] |= 1 << n
-        pivots = _rref_gf2(rows_bits, n)
-        x = [0] * n
-        for i, pc in enumerate(pivots):
-            if rows_bits[i] >> n:
-                x[pc] = 1
-        for r in range(len(pivots), A.rows):
-            if rows_bits[r]:
-                return None
-        return x
-    M = A.to_dense(F)
-    for r in range(A.rows):
-        M[r].append(F(b[r]))
-    pivots = _rref(M, F, n)
-    for r in range(len(pivots), A.rows):
-        if M[r][n]:
-            return None
-    x = [F.zero] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = M[i][n]
+    pivots, column = echelon(A, F, b)
+    y = column(A.cols)
+    if any(y[len(pivots):]):
+        return None
+    x = [F.zero] * A.cols
+    for pc, v in zip(pivots, y):
+        x[pc] = v
     return x

@@ -7,7 +7,7 @@ lifted back upstairs with the monomial coefficients dictated by the degrees.
 
 from .errors import (NotACycle, NotFound, NotMinimal, ShapeError,
                      VerificationError)
-from .exactla import kernel_basis, solve
+from .exactla import kernel_basis, rank, solve
 from .gradedcomplex import BarComplex, GradedFreeComplex, bar_reduce
 from .monomials import divides, lcm
 
@@ -43,36 +43,34 @@ def is_minimal_support_cycle(Cbar, n, z):
     F = Cbar.field
     zd = _as_dict(Cbar, n, z)
     ids = Cbar.labels.get(n, [])
-    pos = {i: k for k, i in enumerate(ids)}
     A = Cbar.matrix(n)
     vec = [F(zd.get(i, F.zero)) for i in ids]
     if any(A.mul_vec(vec, F)):
         raise NotACycle(f"vector is not in the degree-{n} cycle space")
-    S = sorted(zd, key=pos.get)
-    for c in S:
-        sub = [b for b in S if b != c]
-        if kernel_basis(Cbar.matrix(n, cols=sub), F):
-            return False
-    return True
+    return _is_circuit(Cbar, n, zd)
+
+
+def _is_circuit(Cbar, n, zd):
+    """A nonzero cycle zd has minimal support iff the cycles on its support
+    form a line, i.e. |supp zd| - rank(d_n on supp zd) < 2: a second
+    independent cycle there, minus a multiple of zd, is a nonzero cycle on
+    a smaller support, and conversely such a cycle is independent of zd."""
+    return len(zd) - rank(Cbar.matrix(n, cols=list(zd)), Cbar.field) < 2
 
 
 def _shrink_to_minimal(Cbar, n, zd, pos):
-    """Smallest-support cycle inside supp(zd), or None if zd is minimal."""
-    F = Cbar.field
-    S = sorted(zd, key=pos.get)
-    shrunk = False
-    while True:
-        progressed = False
-        for c in S:
-            sub = [b for b in S if b != c]
-            ker = kernel_basis(Cbar.matrix(n, cols=sub), F)
-            if ker:
-                zd = {b: v for b, v in zip(sub, ker[0]) if v}
-                S = sorted(zd, key=pos.get)
-                shrunk = progressed = True
-                break
-        if not progressed:
-            return zd if shrunk else None
+    """A minimal-support cycle inside supp(zd), or None if zd is minimal.
+
+    While zd is not a circuit, the cycles on its support form a space of
+    dimension >= 2, so some nonzero one vanishes at the first id of the
+    support; zd becomes the first kernel vector without that id.
+    """
+    shrunk = None
+    while not _is_circuit(Cbar, n, zd):
+        S = sorted(zd, key=pos.get)[1:]
+        ker = kernel_basis(Cbar.matrix(n, cols=S), Cbar.field)
+        zd = shrunk = {b: v for b, v in zip(S, ker[0]) if v}
+    return shrunk
 
 
 class BasisChangeLog:

@@ -245,7 +245,5 @@ def is_hcw(P, F):
 def cycle_space(K, n, F):
     """Echelonized basis of the n-cycles of K over F, as face->scalar dicts."""
     cols = K.faces.get(n, [])
-    if not cols:
-        return []
     vecs = kernel_basis(K.boundary_matrix(n), F)
     return [{f: v for f, v in zip(cols, vec) if v} for vec in vecs]

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import posetres.gradedcomplex
 import posetres.posets
@@ -37,6 +38,19 @@ def test_parse_errors():
             parse_ideal_file(text)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(),
+                 st.text(alphabet="xyz0123456789\u00b2 *^#:,\n-", max_size=40)))
+@example("x^\u00b2*y\n")
+@example("x^" + "7" * 5000 + "\n")
+@example(b"x*y\n\xff\n".decode("utf-8", "surrogateescape"))
+def test_parse_ideal_file_raises_only_parse_error(text):
+    try:
+        parse_ideal_file(text)
+    except ParseError:
+        pass
+
+
 def test_resolve_summary(capsys):
     assert main(["resolve", RP2, "--char", "2"]) == 0
     assert capsys.readouterr().out.strip() == "betti: 10 15 7 1"
@@ -67,6 +81,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     for char in ("4", "1", "-2"):
         assert main(["resolve", M, "--char", char]) == 2
     capsys.readouterr()
+    # a superscript digit, an exponent past int()'s digit limit, not UTF-8
+    for body in ("x^\u00b2*y\n".encode(), b"x^" + b"7" * 5000 + b"\n",
+                 b"x*y\n\xff\xfe\n"):
+        p.write_bytes(body)
+        assert main(["resolve", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
     p = tmp_path / "bad.json"
     for obj in ({}, {"elements": [{"id": 1}, {"id": 2}, {"id": 3}],
                      "covers": [[1, 2, 3]]},

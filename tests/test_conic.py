@@ -2,11 +2,13 @@ import pytest
 
 from posetres import (FieldSpec, Poset, bar_reduce, betti_table,
                       conic_complex, conic_vs_simplicial, homogenize,
-                      supports_resolution)
-from posetres.conic import kernel_skeleton_check, skeleton_complex
-from posetres.errors import HypothesisFailed, NotAMorphism
+                      make_minimal_support_basis, minimize,
+                      supports_resolution, taylor_complex)
+from posetres.conic import (conic_coords, kernel_skeleton_check,
+                            skeleton_complex)
+from posetres.errors import HypothesisFailed, NotAMorphism, VerificationError
 from posetres.incidence import incidence_poset
-from conftest import load_fixture_complex
+from conftest import load_fixture_complex, random_corpus
 
 Q = FieldSpec(0)
 
@@ -133,3 +135,65 @@ def test_homogenized_conic_equals_fixture_betti():
     P = incidence_poset(C)
     H = homogenize(conic_complex(P, FieldSpec(2)), P.deg)
     assert betti_table(H).entries == betti_table(C).entries
+
+
+def planes_poset():
+    """Two cones t1, t2 over three points, under one top u: each of t1, t2
+    and u carries a plane of top cycles."""
+    atoms = ["a1", "a2", "a3"]
+    return Poset(atoms + ["t1", "t2", "u"],
+                 [(a, t) for a in atoms for t in ("t1", "t2")]
+                 + [("t1", "u"), ("t2", "u")])
+
+
+def _conic_posets():
+    """The planes poset, the incidence posets of the fixture resolutions and
+    those of the minimal-support bases of the corpus ideals, with the field
+    to take them over."""
+    for p in (0, 2, 3, 5):
+        yield planes_poset(), FieldSpec(p)
+    for name, p in (("pp_res.json", 2), ("two_res_a.json", 0),
+                    ("two_res_b.json", 0)):
+        yield incidence_poset(load_fixture_complex(name, p)), FieldSpec(p)
+    for k, I in enumerate(random_corpus(100)):
+        F = FieldSpec((0, 2, 3, 5)[k % 4])
+        C = make_minimal_support_basis(minimize(taylor_complex(I, F)))[0]
+        yield incidence_poset(C), F
+
+
+def test_conic_coords_rebuild_every_generator():
+    assert conic_complex(planes_poset(), Q).component_dims() == {
+        "a1": 1, "a2": 1, "a3": 1, "t1": 2, "t2": 2, "u": 2}
+    for P, F in _conic_posets():
+        CC = conic_complex(P, F)
+        for n, gens in CC.gens.items():
+            if n == 0:
+                continue
+            for g in gens:
+                coords = conic_coords(P, CC.cycles, CC.cycles[g], n - 1, F)
+                rebuilt = {}
+                for (c, i), s in coords.items():
+                    for f, v in CC.cycles[(c, i)].items():
+                        cone = (c,) + f
+                        rebuilt[cone] = F.add(rebuilt.get(cone, F.zero),
+                                              F.mul(s, v))
+                assert {f: v for f, v in rebuilt.items() if v} == CC.cycles[g]
+
+
+def test_conic_coords_rejects_chains_outside_the_basis():
+    P = koszul_poset()
+    CC = conic_complex(P, Q)
+    assert conic_coords(P, CC.cycles, {("b", "a1"): Q(1), ("b", "a2"): Q(-1)},
+                        1, Q) == {("b", 0): Q(1)}
+    # the cone over a single vertex: its component {a1} is not a 0-cycle
+    with pytest.raises(VerificationError, match="outside the cycle space"):
+        conic_coords(P, CC.cycles, {("b", "a1"): Q(1)}, 1, Q)
+    # a top vertex of dimension 1 in a degree-0 chain
+    with pytest.raises(VerificationError, match="dimension"):
+        conic_coords(P, CC.cycles, {("b", "a1"): Q(1)}, 0, Q)
+    # an apex with no cycle basis at all
+    chain = Poset([0, 1, 2], [(0, 1), (1, 2)])
+    cycles = conic_complex(chain, Q).cycles
+    assert not any(g[0] == 1 for g in cycles)
+    with pytest.raises(VerificationError, match="outside the cycle space"):
+        conic_coords(chain, cycles, {(1, 0): Q(1)}, 1, Q)

@@ -104,3 +104,20 @@ def test_solve_is_exact(n, flat, xs, p):
     x = solve(A, b, F)
     assert x is not None
     assert A.mul_vec(x, F) == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4),
+       st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+       st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+       st.sampled_from([0, 2, 3, 5]))
+def test_solve_fails_iff_rhs_raises_the_rank(r, c, flat, rhs, p):
+    F = FieldSpec(p)
+    dense = [[F(flat[i * 4 + j]) for j in range(c)] for i in range(r)]
+    b = [F(v) for v in rhs[:r]]
+    A = SparseMatrix.from_dense(dense)
+    Ab = SparseMatrix.from_dense([row + [v] for row, v in zip(dense, b)])
+    x = solve(A, b, F)
+    assert (x is None) == (rank(Ab, F) > rank(A, F))
+    if x is not None:
+        assert A.mul_vec(x, F) == b

@@ -1,12 +1,13 @@
 import pytest
 
-from posetres import (FieldSpec, bar_reduce, betti_table, boundary_support,
+from posetres import (FieldSpec, bar_reduce, kernel_basis, betti_table, boundary_support,
                       is_minimal_support_cycle, make_minimal_support_basis,
                       minimalize, minimize, noncomparable_supports,
                       taylor_complex)
 from posetres.errors import NotACycle, NotFound, NotMinimal
 from posetres.gradedcomplex import GradedFreeComplex
-from conftest import SQUAREFREE3, load_fixture_complex, random_corpus
+from conftest import (M_GENS, RP2_GENS, SQUAREFREE3, load_fixture_complex,
+                      random_corpus)
 
 Q = FieldSpec(0)
 
@@ -116,3 +117,30 @@ def test_bar_support_correspondence():
             upstairs = boundary_support(M, b)
             downstairs = {r for (r, c) in Cbar.diffs[n] if c == b}
             assert upstairs == downstairs
+
+
+def _circuit_by_deletion(Cbar, n, zd):
+    """Reference circuit test: no cycle lives on supp(zd) minus one id."""
+    S = list(zd)
+    return not any(kernel_basis(Cbar.matrix(n, cols=[b for b in S if b != c]),
+                                Cbar.field)
+                   for c in S)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_circuit_rank_count_matches_deletion_loop(p):
+    F = FieldSpec(p)
+    seen = {True: 0, False: 0}
+    for I in [minimalize(RP2_GENS), minimalize(M_GENS)] + random_corpus(100):
+        M = minimize(taylor_complex(I, F))
+        Cbar = bar_reduce(M)
+        for n in range(1, M.top + 1):
+            cols = [dict(M.column(b)) for b, _ in M.labels[n]]
+            sums = [{r: v for r in a.keys() | b.keys()
+                     if (v := F.add(a.get(r, F.zero), b.get(r, F.zero)))}
+                    for a, b in zip(cols, cols[1:])]
+            for z in cols + sums:
+                got = is_minimal_support_cycle(Cbar, n - 1, z)
+                assert got == _circuit_by_deletion(Cbar, n - 1, z)
+                seen[got] += 1
+    assert seen[True] and seen[False]
