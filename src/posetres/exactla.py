@@ -197,8 +197,9 @@ def echelon(A, F, rhs=None):
     n = A.cols
     if F.characteristic == 2:
         rows = [0] * A.rows
-        for (r, c) in A.entries:
-            rows[r] |= 1 << c
+        for (r, c), v in A.entries.items():
+            if F(v):
+                rows[r] |= 1 << c
         if rhs is not None:
             for r, v in enumerate(rhs):
                 if F(v):

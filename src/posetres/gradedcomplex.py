@@ -7,7 +7,8 @@ base, Taylor complex, minimization, bar reduction, graded strands and Betti
 tables all live here.
 """
 
-from itertools import combinations
+import heapq
+from math import lcm as lcm_ints
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
@@ -63,22 +64,30 @@ class ChainComplex:
         return SparseMatrix(len(rows), len(cols), entries)
 
     def check_complex(self):
-        """Raise NotAComplex unless every consecutive composite vanishes."""
-        F = self.field
-        for n in sorted(self.diffs):
-            if n + 1 not in self.diffs:
+        """Raise NotAComplex unless every consecutive composite vanishes.
+
+        Each differential is scaled by the lcm of its denominators, which
+        does not change whether a composite vanishes, and the composite is
+        summed in integers (reduced mod p at the end over GF(p))."""
+        p = self.field.characteristic
+        scaled = {}
+        for n, mat in self.diffs.items():
+            L = lcm_ints(*(v.denominator for v in mat.values()))
+            scaled[n] = {k: v.numerator * (L // v.denominator)
+                         for k, v in mat.items()}
+        for n in sorted(scaled):
+            if n + 1 not in scaled:
                 continue
             lower = {}
-            for (r, c), v in self.diffs[n].items():
+            for (r, c), v in scaled[n].items():
                 lower.setdefault(c, {})[r] = v
             comp = {}
-            for (mid, c), v in self.diffs[n + 1].items():
+            for (mid, c), v in scaled[n + 1].items():
                 for r, w in lower.get(mid, {}).items():
-                    comp[(r, c)] = F.add(comp.get((r, c), F.zero), F.mul(v, w))
-            bad = [(k, v) for k, v in comp.items() if v]
+                    comp[(r, c)] = comp.get((r, c), 0) + v * w
+            bad = [k for k, v in comp.items() if (v % p if p else v)]
             if bad:
-                raise NotAComplex(
-                    f"d_{n} o d_{n + 1} != 0, e.g. at {bad[0][0]}")
+                raise NotAComplex(f"d_{n} o d_{n + 1} != 0, e.g. at {bad[0]}")
 
     def homology_ranks(self):
         """Nonzero homology ranks per degree; includes degree -1 when
@@ -258,24 +267,20 @@ def taylor_complex(ideal, F):
     r = len(gens)
     if r > TAYLOR_CAP:
         raise TooLarge(f"{r} generators exceeds the Taylor cap {TAYLOR_CAP}")
-    labels = {}
+    sign = (F(1), F(-1))
+    # subset -> (id, lcm) for the subsets of one size; each subset of the
+    # next size extends one of them by a larger index, in lex order
+    prev = {(k,): (f"t{k}", g) for k, g in enumerate(gens)}
+    labels = {0: list(prev.values())}
     diffs = {}
-    for size in range(1, r + 1):
-        n = size - 1
-        labels[n] = []
-        for S in combinations(range(r), size):
-            deg = gens[S[0]]
-            for k in S[1:]:
-                deg = lcm(deg, gens[k])
-            labels[n].append(("t" + ".".join(map(str, S)), deg))
-        if n >= 1:
-            diffs[n] = {}
-            for S in combinations(range(r), size):
-                cid = "t" + ".".join(map(str, S))
-                for j in range(size):
-                    T = S[:j] + S[j + 1:]
-                    rid = "t" + ".".join(map(str, T))
-                    diffs[n][(rid, cid)] = F(-1 if j % 2 else 1)
+    for n in range(1, r):
+        cur = {S + (k,): (f"{sid}.{k}", lcm(deg, gens[k]))
+               for S, (sid, deg) in prev.items()
+               for k in range(S[-1] + 1, r)}
+        labels[n] = list(cur.values())
+        diffs[n] = {(prev[S[:j] + S[j + 1:]][0], cid): sign[j % 2]
+                    for S, (cid, _) in cur.items() for j in range(n + 1)}
+        prev = cur
     return GradedFreeComplex(ideal.num_vars, F, labels, diffs)
 
 
@@ -284,7 +289,9 @@ def minimize(C):
     complex with no invertible entries in any differential.
 
     Pivots are chosen deterministically: lowest homological degree first,
-    then row-major in the label order.
+    then row-major in the label order.  Within a degree the pending units
+    wait in a heap keyed by that order; an entry that stopped being a unit
+    stays in the heap and is skipped when popped.
     """
     C.check_complex()
     F = C.field
@@ -313,8 +320,12 @@ def minimize(C):
     for n in sorted(C.diffs):
         units = {(r, c) for c, colmap in col.get(n, {}).items()
                  for r in colmap if deg[r] == deg[c]}
-        while units:
-            r0, c0 = min(units, key=lambda rc: (pos[rc[0]], pos[rc[1]]))
+        heap = [(pos[r], pos[c], r, c) for r, c in units]
+        heapq.heapify(heap)
+        while heap:
+            *_, r0, c0 = heapq.heappop(heap)
+            if (r0, c0) not in units:
+                continue
             u = col[n][c0][r0]
             uinv = F.inv(u)
             other_cols = [c for c in row[n].get(r0, set()) if c != c0]
@@ -328,8 +339,9 @@ def minimize(C):
                     if new:
                         col[n].setdefault(c2, {})[r2] = new
                         row[n].setdefault(r2, set()).add(c2)
-                        if deg[r2] == deg[c2]:
+                        if deg[r2] == deg[c2] and (r2, c2) not in units:
                             units.add((r2, c2))
+                            heapq.heappush(heap, (pos[r2], pos[c2], r2, c2))
                     elif old:
                         drop_entry(n, r2, c2)
                         units.discard((r2, c2))

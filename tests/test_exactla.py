@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import _rank
 from posetres import FieldSpec, SparseMatrix, kernel_basis, rank, solve
 from posetres.errors import InvalidField, PosetresError, ShapeError
 
@@ -44,6 +45,7 @@ def test_rank_basics():
     I3 = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(I3, FieldSpec(2)) == 3
     assert rank(SparseMatrix.from_dense([[1, 1, 1]]), F) == 1
+    assert rank(SparseMatrix.from_dense([[2]]), FieldSpec(2)) == 0
 
 
 def test_kernel_echelon_convention():
@@ -121,3 +123,18 @@ def test_solve_fails_iff_rhs_raises_the_rank(r, c, flat, rhs, p):
     assert (x is None) == (rank(Ab, F) > rank(A, F))
     if x is not None:
         assert A.mul_vec(x, F) == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([2, 3, 5]),
+       st.data())
+def test_unreduced_entries_count_by_their_residue(r, c, p, data):
+    # Entries drawn from -2p..2p are stored as given; rank and kernel_basis
+    # both read them mod p, so their counts add up and agree with the
+    # oracle's rank of the reduced matrix.
+    F = FieldSpec(p)
+    dense = [[data.draw(st.integers(-2 * p, 2 * p)) for _ in range(c)]
+             for _ in range(r)]
+    A = SparseMatrix.from_dense(dense)
+    assert rank(A, F) + len(kernel_basis(A, F)) == c
+    assert rank(A, F) == _rank([[v % p for v in row] for row in dense], p)

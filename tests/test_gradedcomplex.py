@@ -1,14 +1,125 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from oracle import betti_numbers
-from posetres import (FieldSpec, GradedFreeComplex, bar_reduce, betti_table,
-                      is_resolution, minimalize, minimize, strand,
-                      taylor_complex)
+from posetres import (BarComplex, FieldSpec, GradedFreeComplex, bar_reduce,
+                      betti_table, is_resolution, lcm, minimalize, minimize,
+                      strand, taylor_complex)
 from posetres.errors import (NotAComplex, NotMinimal, ParseError,
-                             PosetresError, ShapeError, TooLarge)
-from conftest import SQUAREFREE3
+                             PosetresError, ShapeError, TooLarge,
+                             VerificationError)
+from posetres.gradedcomplex import TAYLOR_CAP
+from conftest import M_GENS, RP2_GENS, SQUAREFREE3, random_corpus
 
 Q = FieldSpec(0)
+FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5)]
+K6_EDGES = [tuple(int(v in e) for v in range(6))
+            for e in combinations(range(6), 2)]
+
+
+def taylor_reference(ideal, F):
+    """The Taylor complex built subset by subset from `combinations`, each
+    id joined and each lcm folded anew."""
+    gens = ideal.generators
+    r = len(gens)
+    labels = {}
+    diffs = {}
+    for size in range(1, r + 1):
+        n = size - 1
+        labels[n] = []
+        for S in combinations(range(r), size):
+            deg = gens[S[0]]
+            for k in S[1:]:
+                deg = lcm(deg, gens[k])
+            labels[n].append(("t" + ".".join(map(str, S)), deg))
+        if n >= 1:
+            diffs[n] = {}
+            for S in combinations(range(r), size):
+                cid = "t" + ".".join(map(str, S))
+                for j in range(size):
+                    T = S[:j] + S[j + 1:]
+                    rid = "t" + ".".join(map(str, T))
+                    diffs[n][(rid, cid)] = F(-1 if j % 2 else 1)
+    return GradedFreeComplex(ideal.num_vars, F, labels, diffs)
+
+
+def minimize_reference(C):
+    """minimize with each pivot found by a linear scan over the pending
+    units, in the same documented order."""
+    C.check_complex()
+    F = C.field
+    pos = {}
+    for n, labs in C.labels.items():
+        for k, (i, _) in enumerate(labs):
+            pos[i] = k
+    col = {n: {} for n in C.diffs}
+    row = {n: {} for n in C.diffs}
+    for n, mat in C.diffs.items():
+        for (r, c), v in mat.items():
+            col[n].setdefault(c, {})[r] = v
+            row[n].setdefault(r, set()).add(c)
+    alive = {i for i in C.degree_of}
+    deg = C.degree_of
+
+    def drop_entry(n, r, c):
+        col[n][c].pop(r, None)
+        if not col[n][c]:
+            col[n].pop(c)
+        if r in row[n]:
+            row[n][r].discard(c)
+            if not row[n][r]:
+                row[n].pop(r)
+
+    for n in sorted(C.diffs):
+        units = {(r, c) for c, colmap in col.get(n, {}).items()
+                 for r in colmap if deg[r] == deg[c]}
+        while units:
+            r0, c0 = min(units, key=lambda rc: (pos[rc[0]], pos[rc[1]]))
+            u = col[n][c0][r0]
+            uinv = F.inv(u)
+            other_cols = [c for c in row[n].get(r0, set()) if c != c0]
+            other_rows = [r for r in col[n].get(c0, {}) if r != r0]
+            for c2 in other_cols:
+                factor = F.mul(uinv, col[n][c2][r0])
+                for r2 in other_rows:
+                    delta = F.mul(col[n][c0][r2], factor)
+                    old = col[n].get(c2, {}).get(r2, F.zero)
+                    new = F.sub(old, delta)
+                    if new:
+                        col[n].setdefault(c2, {})[r2] = new
+                        row[n].setdefault(r2, set()).add(c2)
+                        if deg[r2] == deg[c2]:
+                            units.add((r2, c2))
+                    elif old:
+                        drop_entry(n, r2, c2)
+                        units.discard((r2, c2))
+            for c2 in list(row[n].get(r0, set())):
+                drop_entry(n, r0, c2)
+                units.discard((r0, c2))
+            for r2 in list(col[n].get(c0, {})):
+                drop_entry(n, r2, c0)
+                units.discard((r2, c0))
+            if n + 1 in col:
+                for c2 in list(row.get(n + 1, {}).get(c0, set())):
+                    drop_entry(n + 1, c0, c2)
+            if n - 1 in col and r0 in col[n - 1]:
+                for r2 in list(col[n - 1].get(r0, {})):
+                    drop_entry(n - 1, r2, r0)
+            alive.discard(r0)
+            alive.discard(c0)
+
+    labels = {n: [(i, d) for i, d in labs if i in alive]
+              for n, labs in C.labels.items()}
+    diffs = {n: {(r, c): v for c, colmap in col.get(n, {}).items()
+                 for r, v in colmap.items()}
+             for n in C.diffs}
+    out = GradedFreeComplex(C.num_vars, F, labels, diffs)
+    out.check_complex()
+    if not out.is_minimal():
+        raise VerificationError("minimization left a unit entry")
+    return out
 
 
 def koszul_xy():
@@ -28,9 +139,33 @@ def test_taylor_ranks_are_binomial():
 
 
 def test_taylor_cap():
-    gens = [tuple(1 if i == j else 0 for i in range(17)) for j in range(17)]
+    class Unused:
+        def __getattr__(self, name):
+            raise AssertionError("the field was used before the cap check")
+
+        def __call__(self, x):
+            raise AssertionError("the field was used before the cap check")
+
+    r = TAYLOR_CAP + 1
+    gens = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
     with pytest.raises(TooLarge):
-        taylor_complex(minimalize(gens), Q)
+        taylor_complex(minimalize(gens), Unused())
+
+
+def test_taylor_matches_reference():
+    ideals = ([minimalize(SQUAREFREE3), minimalize(M_GENS),
+               minimalize(K6_EDGES[:7]),
+               minimalize([(3, 0, 0), (2, 1, 0), (0, 2, 1), (1, 0, 2),
+                           (0, 3, 0), (0, 0, 3), (1, 1, 1)])]
+              + random_corpus(100))
+    assert {len(I.generators) for I in ideals} == set(range(1, 8))
+    for I in ideals:
+        for F in (Q, FieldSpec(3)):
+            T, R = taylor_complex(I, F), taylor_reference(I, F)
+            assert T.to_json() == R.to_json()
+            assert T.labels == R.labels
+            for n in R.diffs:
+                assert list(T.diffs[n].items()) == list(R.diffs[n].items())
 
 
 def test_homogeneity_enforced():
@@ -45,12 +180,48 @@ def test_not_a_complex_detected():
     (k, v), = [(k, v) for k, v in diffs[2].items()][:1]
     diffs[2][k] = Q.neg(v)
     bad = GradedFreeComplex(3, Q, T.labels, diffs)
-    with pytest.raises(NotAComplex):
+    with pytest.raises(NotAComplex) as exc:
         minimize(bad)
+    assert str(exc.value) == "d_1 o d_2 != 0, e.g. at ('t2', 't0.1.2')"
+
+
+def test_check_complex_exact_over_q():
+    # d_1 d_2 = 1/2 * 2 + 1/3 * (-3) vanishes only through the denominators.
+    basis = {0: ["a"], 1: ["b", "c"], 2: ["e"]}
+    d1 = {("a", "b"): Fraction(1, 2), ("a", "c"): Fraction(1, 3)}
+    BarComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(2),
+                                     ("c", "e"): Q(-3)}}).check_complex()
+    bad = BarComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(-2),
+                                           ("c", "e"): Q(-3)}})
+    with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
+        bad.check_complex()
+
+
+def test_check_complex_reduces_mod_p():
+    F = FieldSpec(3)
+    basis = {0: ["a"], 1: ["b", "c", "d"], 2: ["e"]}
+    d1 = {("a", x): 1 for x in "bcd"}
+    # The composite is 1 + 1 + 1 = 3 = 0 in GF(3), then 1 + 1 + 2 = 4 = 1.
+    BarComplex(F, basis, {1: d1, 2: {(x, "e"): 1 for x in "bcd"}}
+               ).check_complex()
+    d2 = {("b", "e"): 1, ("c", "e"): 1, ("d", "e"): 2}
+    with pytest.raises(NotAComplex):
+        BarComplex(F, basis, {1: d1, 2: d2}).check_complex()
 
 
 def test_minimize_koszul_unchanged():
     assert minimize(koszul_xy()).ranks() == (2, 1)
+
+
+def test_minimize_matches_linear_scan_reference():
+    ideals = ([minimalize(RP2_GENS), minimalize(M_GENS),
+               minimalize(K6_EDGES[:10])] + random_corpus(100))
+    for I in ideals:
+        for F in FIELDS:
+            M = minimize(taylor_complex(I, F))
+            assert M.to_json() == minimize_reference(
+                taylor_complex(I, F)).to_json()
+            assert minimize(M).to_json() == M.to_json()
 
 
 def test_minimize_squarefree_matches_oracle():
