@@ -102,7 +102,7 @@ def conic_coords(P, cycles, chain, n, F):
         if P.dim(c) != n:
             raise VerificationError(
                 f"chain top vertex {c!r} has dimension != {n}")
-        fix = P.filter_complex(c).face_index.get(n - 1, {})
+        fix = P.filter_complex(c).index.get(n - 1, {})
         rest = dict(zc)
         i = 0
         while (c, i) in cycles:
@@ -139,9 +139,7 @@ def conic_complex(P, F, augmented=False):
         for g in gens[n]:
             for c, s in conic_coords(P, cycles, cycles[g], n - 1, F).items():
                 diffs[n][(c, g)] = s
-    aug = {}
-    for g in gens.get(0, []):
-        aug[g] = cycles[g].get((), F.zero)
+    aug = {g: cycles[g].get((), F.zero) for g in gens.get(0, [])}
     C = ConicComplex(P, F, gens, cycles, diffs, aug, augmented)
     try:
         C.check_complex()

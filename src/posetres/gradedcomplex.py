@@ -12,7 +12,7 @@ from math import lcm as lcm_ints
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
-from .exactla import SparseMatrix, rank
+from .exactla import SparseMatrix, kernel_basis, rank, solve
 from .monomials import divides, join_closure, lcm
 
 TAYLOR_CAP = 16
@@ -25,6 +25,10 @@ class ChainComplex:
     diffs:     dict n -> {(row_id, col_id): scalar} for n >= 1
     aug:       dict degree-0 id -> scalar, the augmentation (may be empty)
     augmented: whether homology_ranks counts aug, giving degree -1
+
+    d_0 is the augmentation, onto one row with the id ().  Chains are
+    {id: scalar} dicts; an id outside its degree raises NotFound.  Methods
+    taking a field F default to the complex's own.
     """
 
     def __init__(self, field, basis, diffs, aug=None, augmented=False):
@@ -35,7 +39,15 @@ class ChainComplex:
         self.diffs = {n: m for n, m in self.diffs.items() if m}
         self.aug = dict(aug or {})
         self.augmented = augmented
-        self.hdeg_of = {i: n for n, ids in self.basis.items() for i in ids}
+
+    index = {}  # n -> {id: position in basis[n]}, kept by OrientedComplex
+
+    def _index(self, n, ids):
+        """{id: position} over ids; the kept one if ids is basis[n]."""
+        ix = self.index.get(n)
+        if ix is not None and ids is self.basis.get(n):
+            return ix
+        return {i: k for k, i in enumerate(ids)}
 
     @property
     def top(self):
@@ -44,24 +56,52 @@ class ChainComplex:
     def ranks(self):
         return tuple(len(self.basis.get(n, ())) for n in range(self.top + 1))
 
+    def _rows(self, n):
+        """Row ids of d_n; for n = 0 the augmentation target ()."""
+        if n or -1 in self.basis:
+            return self.basis.get(n - 1, [])
+        return [()] if self.aug or self.augmented else []
+
     def matrix(self, n, rows=None, cols=None):
         """d_n as a SparseMatrix on the given row and column ids (default:
         the whole basis of degrees n-1 and n); entries outside them are
         dropped.  n = 0 gives the augmentation row, if there is one."""
+        if rows is None:
+            rows = self._rows(n)
         if cols is None:
             cols = self.basis.get(n, [])
-        cix = {c: j for j, c in enumerate(cols)}
-        if n == 0:
-            entries = [(0, cix[c], v) for c, v in self.aug.items()
-                       if v and c in cix]
-            return SparseMatrix(1 if self.aug else 0, len(cols), entries)
-        if rows is None:
-            rows = self.basis.get(n - 1, [])
-        rix = {r: i for i, r in enumerate(rows)}
-        entries = [(rix[r], cix[c], v)
-                   for (r, c), v in self.diffs.get(n, {}).items()
-                   if c in cix and r in rix]
+        rix, cix = self._index(n - 1, rows), self._index(n, cols)
+        items = (self.diffs.get(n, {}).items() if n else
+                 [(((), c), v) for c, v in self.aug.items() if v])
+        entries = [(i, j, v) for (r, c), v in items
+                   if (j := cix.get(c)) is not None
+                   and (i := rix.get(r)) is not None]
         return SparseMatrix(len(rows), len(cols), entries)
+
+    def boundary(self, n, chain, F=None):
+        """d_n of an n-chain, as a chain on the row ids of d_n."""
+        F = F or self.field
+        x = _vector(self._index(n, self.basis.get(n, [])), chain, n, F)
+        y = self.matrix(n).mul_vec(x, F)
+        return {r: v for r, v in zip(self._rows(n), y) if v}
+
+    def kernel(self, n, cols=None, F=None):
+        """Basis of the n-cycles supported on `cols` (default: all of
+        degree n), echelonized as kernel_basis gives it."""
+        F = F or self.field
+        cols = self.basis.get(n, []) if cols is None else cols
+        return [{c: x for c, x in zip(cols, v) if x}
+                for v in kernel_basis(self.matrix(n, cols=cols), F)]
+
+    def preimage(self, n, chain, rows=None, cols=None, F=None):
+        """Some n-chain on `cols` whose d_n agrees with `chain` on `rows`
+        (defaults as for matrix), or None if there is none."""
+        F = F or self.field
+        rows = self._rows(n) if rows is None else rows
+        cols = self.basis.get(n, []) if cols is None else cols
+        b = _vector(self._index(n - 1, rows), chain, n - 1, F)
+        x = solve(self.matrix(n, rows, cols), b, F)
+        return None if x is None else {c: v for c, v in zip(cols, x) if v}
 
     def check_complex(self):
         """Raise NotAComplex unless every consecutive composite vanishes.
@@ -89,19 +129,18 @@ class ChainComplex:
             if bad:
                 raise NotAComplex(f"d_{n} o d_{n + 1} != 0, e.g. at {bad[0]}")
 
-    def homology_ranks(self):
-        """Nonzero homology ranks per degree; includes degree -1 when
-        augmented."""
-        F = self.field
-        rk = {n: rank(self.matrix(n), F) for n in range(1, self.top + 1)}
-        out = {}
-        if self.augmented:
-            rk[0] = rank(self.matrix(0), F)
-            out[-1] = 1 - rk[0]
-        for n in range(self.top + 1):
-            out[n] = (len(self.basis.get(n, ())) - rk.get(n, 0)
-                      - rk.get(n + 1, 0))
-        return {n: r for n, r in out.items() if r}
+    def homology_ranks(self, F=None):
+        """Nonzero homology ranks per degree; includes degree -1, spanned by
+        the augmentation target, when augmented."""
+        F = F or self.field
+        top, out, rk = self.top, {}, 0  # rk = rank of d_n
+        for n in range(-1 if self.augmented else 0, top + 1):
+            rk_up = rank(self.matrix(n + 1), F) if n < top else 0
+            h = len(self._rows(n + 1)) - rk - rk_up
+            if h:
+                out[n] = h
+            rk = rk_up
+        return out
 
     def is_exact(self):
         return not self.homology_ranks()
@@ -121,6 +160,16 @@ class ChainComplex:
         return BarComplex(self.field, basis, diffs, aug, self.augmented)
 
 
+def _vector(ix, chain, n, F):
+    """A chain of degree n as a list over the positions `ix` gives."""
+    x = [F.zero] * len(ix)
+    for i, v in chain.items():
+        if i not in ix:
+            raise NotFound(f"id {i!r} not in degree {n}")
+        x[ix[i]] = F(v)
+    return x
+
+
 class GradedFreeComplex(ChainComplex):
     """Chain complex of free Z^m-graded modules with a labeled basis.
 
@@ -135,6 +184,7 @@ class GradedFreeComplex(ChainComplex):
                        for n, labs in labels.items() if labs}
         super().__init__(field, {n: [i for i, _ in labs]
                                  for n, labs in self.labels.items()}, diffs)
+        self.hdeg_of = {i: n for n, ids in self.basis.items() for i in ids}
         self.degree_of = {}
         for labs in self.labels.values():
             for i, d in labs:

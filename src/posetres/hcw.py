@@ -3,8 +3,8 @@ filter becomes a homology sphere, and the end-to-end pipeline from a
 monomial ideal to an hcw-poset supporting its minimal resolution.
 """
 
-from .errors import HypothesisFailed, NotAMorphism, VerificationError
-from .exactla import solve
+from .errors import (HypothesisFailed, NotACycle, NotAMorphism,
+                     VerificationError)
 from .conic import (conic_complex, conic_coords, homogenize,
                     supports_resolution)
 from .gradedcomplex import betti_table, minimize, taylor_complex
@@ -15,24 +15,12 @@ from .posets import (Poset, cycle_space, is_homology_sphere_at,
                      reduced_homology)
 
 
-def _boundary_of_chain(K, n, chain, F):
-    """Simplicial boundary of a sparse n-chain of K."""
-    out = {}
-    for f, v in chain.items():
-        for i in range(len(f)):
-            sub = f[:i] + f[i + 1:]
-            s = F.mul(F(-1 if i % 2 else 1), v)
-            acc = F.add(out.get(sub, F.zero), s)
-            if acc:
-                out[sub] = acc
-            else:
-                out.pop(sub, None)
-    return out
-
-
 def antichain_form(P, a, w, m, F):
     """Rewrite an m-cycle of Delta(P_{<a}) as a homologous cycle all of whose
-    cone apexes have dimension exactly m (the antichain form)."""
+    cone apexes have dimension exactly m (the antichain form).  Faces outside
+    Delta(P_{<a}) raise NotFound, chains that are not cycles NotACycle."""
+    if P.filter_complex(a).boundary(m, w, F):
+        raise NotACycle(f"chain is not an {m}-cycle below {a!r}")
     for b in P.below[a]:
         if P.dim(b) > m and not is_homology_sphere_at(P, b, F):
             raise HypothesisFailed(f"filter below {b!r} is not a sphere")
@@ -45,32 +33,21 @@ def antichain_form(P, a, w, m, F):
                   if P.dim(e) == k and any(f[0] == e for f in w)]:
             wc = {f[1:]: v for f, v in w.items() if f[0] == c}
             K = P.filter_complex(c)
-            if any(_boundary_of_chain(K, m - 1, wc, F).values()):
+            if K.boundary(m - 1, wc, F):
                 raise VerificationError("top cone component is not a cycle")
             # fill w_c inside the sphere Delta(P_{<c})
-            faces_m = K.faces.get(m, [])
-            fix = {f: i for i, f in enumerate(K.faces.get(m - 1, []))}
-            A = K.boundary_matrix(m)
-            rhs = [F.zero] * A.rows
-            for f, v in wc.items():
-                rhs[fix[f]] = v
-            x = solve(A, rhs, F)
-            if x is None:
+            v_c = K.preimage(m, wc, F=F)
+            if v_c is None:
                 raise VerificationError(
                     f"cycle not fillable below {c!r} despite sphere hypothesis")
-            v_c = {f: s for f, s in zip(faces_m, x) if s}
             # w + d[c, v_c] = w + v_c - [c, w_c]
+            w = {f: v for f, v in w.items() if f[0] != c}
             for f, s in v_c.items():
-                acc = F.add(w.get(f, F.zero), s)
-                if acc:
-                    w[f] = acc
-                else:
-                    w.pop(f, None)
-            for f in [f for f in w if f[0] == c]:
-                del w[f]
+                w[f] = F.add(w.get(f, F.zero), s)
+            w = {f: v for f, v in w.items() if v}
     for c in {f[0] for f in w}:
         wc = {f[1:]: v for f, v in w.items() if f[0] == c}
-        if any(_boundary_of_chain(P.filter_complex(c), m - 1, wc, F).values()):
+        if P.filter_complex(c).boundary(m - 1, wc, F):
             raise VerificationError("antichain form component is not a cycle")
     return w
 
@@ -78,16 +55,11 @@ def antichain_form(P, a, w, m, F):
 def _solve_filling(C, alpha, n, zeta, excluded):
     """Solve conic d_{n+1} t = zeta over the deg <= alpha truncation, with
     the apexes in `excluded` forced out of the support."""
-    F = C.field
     deg = C.poset.deg
     cols = [g for g in C.gens.get(n + 1, [])
             if divides(deg[g[0]], alpha) and g[0] not in excluded]
     rows = [g for g in C.gens.get(n, []) if divides(deg[g[0]], alpha)]
-    rhs = [zeta.get(g, F.zero) for g in rows]
-    x = solve(C.matrix(n + 1, rows, cols), rhs, F)
-    if x is None:
-        return None
-    return {g: v for g, v in zip(cols, x) if v}
+    return C.preimage(n + 1, zeta, rows, cols)
 
 
 def fill_cavity(P, a, n, F):
@@ -122,18 +94,8 @@ def fill_cavity(P, a, n, F):
             raise HypothesisFailed(
                 f"H_{n} of the truncated conic complex at {alpha} is nonzero")
         # first homology class: first kernel vector that is not a boundary
-        zs = cycle_space(K, n, F)
-        bd = K.boundary_matrix(n + 1)
-        faces_n = K.faces.get(n, [])
-        fix = {f: i for i, f in enumerate(faces_n)}
-        h = None
-        for z in zs:
-            rhs = [F.zero] * len(faces_n)
-            for f, v in z.items():
-                rhs[fix[f]] = v
-            if solve(bd, rhs, F) is None:
-                h = z
-                break
+        h = next((z for z in cycle_space(K, n, F)
+                  if K.preimage(n + 1, z, F=F) is None), None)
         if h is None:
             raise VerificationError("positive homology rank but no class found")
         z = antichain_form(P, a, h, n, F)
@@ -141,21 +103,17 @@ def fill_cavity(P, a, n, F):
         t = _solve_filling(C, alpha, n, zeta, set())
         if t is None:
             raise VerificationError("conic filling system is inconsistent")
-        below_a = P.below[a]
         excluded = set()
         while True:
-            new_c = sorted({g[0] for g in t} - below_a, key=P.index.get)
-            progressed = False
+            new_c = sorted({g[0] for g in t} - P.below[a], key=P.index.get)
             for c in new_c:
                 t2 = _solve_filling(C, alpha, n, zeta, excluded | {c})
                 if t2 is not None:
                     excluded.add(c)
                     t = t2
-                    progressed = True
                     break
-            if not progressed:
+            else:
                 break
-        new_c = sorted({g[0] for g in t} - below_a, key=P.index.get)
         if not new_c:
             raise VerificationError(
                 "filling chain lies below the apex; class was a boundary")

@@ -7,7 +7,7 @@ lifted back upstairs with the monomial coefficients dictated by the degrees.
 
 from .errors import (NotACycle, NotFound, NotMinimal, ShapeError,
                      VerificationError)
-from .exactla import kernel_basis, rank, solve
+from .exactla import rank
 from .gradedcomplex import BarComplex, GradedFreeComplex, bar_reduce
 from .monomials import divides, lcm
 
@@ -22,32 +22,21 @@ def boundary_support(C, b):
     return frozenset(C.column(b))
 
 
-def _as_dict(Cbar, n, z):
-    if isinstance(z, dict):
-        bad = [b for b in z if Cbar.hdeg_of.get(b) != n]
-        if bad:
-            raise NotFound(f"id {bad[0]!r} not in degree {n}")
-        return {b: v for b, v in z.items() if v}
-    ids = Cbar.labels.get(n, [])
-    if len(z) != len(ids):
-        raise ShapeError(f"vector length {len(z)} != rank {len(ids)}")
-    return {b: v for b, v in zip(ids, z) if v}
-
-
 def is_minimal_support_cycle(Cbar, n, z):
     """Circuit test: no nonzero cycle has support strictly inside supp(z).
 
-    Cbar is a bar complex with its augmentation, as bar_reduce gives, so the
-    degree-0 cycles are the kernel of the augmentation.
+    z is a dict id -> scalar or a vector over the degree-n basis.  Cbar is a
+    bar complex with its augmentation, as bar_reduce gives, so the degree-0
+    cycles are the kernel of the augmentation.
     """
-    F = Cbar.field
-    zd = _as_dict(Cbar, n, z)
-    ids = Cbar.labels.get(n, [])
-    A = Cbar.matrix(n)
-    vec = [F(zd.get(i, F.zero)) for i in ids]
-    if any(A.mul_vec(vec, F)):
+    if not isinstance(z, dict):
+        ids = Cbar.labels.get(n, [])
+        if len(z) != len(ids):
+            raise ShapeError(f"vector length {len(z)} != rank {len(ids)}")
+        z = dict(zip(ids, z))
+    if Cbar.boundary(n, z):
         raise NotACycle(f"vector is not in the degree-{n} cycle space")
-    return _is_circuit(Cbar, n, zd)
+    return _is_circuit(Cbar, n, {b: v for b, v in z.items() if v})
 
 
 def _is_circuit(Cbar, n, zd):
@@ -67,9 +56,7 @@ def _shrink_to_minimal(Cbar, n, zd, pos):
     """
     shrunk = None
     while not _is_circuit(Cbar, n, zd):
-        S = sorted(zd, key=pos.get)[1:]
-        ker = kernel_basis(Cbar.matrix(n, cols=S), Cbar.field)
-        zd = shrunk = {b: v for b, v in zip(S, ker[0]) if v}
+        zd = shrunk = Cbar.kernel(n, cols=sorted(zd, key=pos.get)[1:])[0]
     return shrunk
 
 
@@ -140,12 +127,10 @@ def make_minimal_support_basis(C):
                     alpha = deg[b] if alpha is None else lcm(alpha, deg[b])
                 wcols = [i for i in C.basis.get(k1, [])
                          if divides(deg[i], alpha)]
-                rhs = [F(zp.get(i, F.zero)) for i in C.basis.get(k, [])]
-                x = solve(Cbar.matrix(k1, cols=wcols), rhs, F)
-                if x is None:
+                w = Cbar.preimage(k1, zp, cols=wcols)
+                if w is None:
                     raise VerificationError(
                         f"strand at {alpha} not exact; cannot lift cycle")
-                w = {i: v for i, v in zip(wcols, x) if v}
                 if bp in w:
                     expr = dict(w)  # case 1: replace b' by w
                     case = 1
@@ -156,7 +141,7 @@ def make_minimal_support_basis(C):
                     expr[bp] = F.add(expr.get(bp, F.zero), apb)
                     expr = {i: v for i, v in expr.items() if v}
                     case = 2
-                _apply_replacement(col, C, k1, bp, expr)
+                _apply_replacement(col, Cbar, k1, bp, expr)
                 items = sorted(expr.items(), key=lambda kv: pos[kv[0]])
                 exps = [tuple(y - x for x, y in zip(deg[i], deg[bp]))
                         for i, _ in items]
@@ -169,23 +154,15 @@ def make_minimal_support_basis(C):
     return out, log
 
 
-def _apply_replacement(col, C, k1, bp, expr):
+def _apply_replacement(col, Cbar, k1, bp, expr):
     """Replace basis element bp of degree k1 by sum expr (bar scalars).
 
-    Updates the column of bp in d_{k1} and the bp-row of d_{k1+1}.
+    Updates the column of bp in d_{k1} and the bp-row of d_{k1+1}; Cbar is
+    the bar complex of the columns before the replacement.
     """
-    F = C.field
+    F = Cbar.field
     t = expr[bp]
-    # new column: linear combination of the old columns
-    newcol = {}
-    for i, s in expr.items():
-        for r, v in col[k1].get(i, {}).items():
-            acc = F.add(newcol.get(r, F.zero), F.mul(s, v))
-            if acc:
-                newcol[r] = acc
-            else:
-                newcol.pop(r, None)
-    col[k1][bp] = newcol
+    col[k1][bp] = Cbar.boundary(k1, expr)
     # rewrite the bp-row of the next differential: old bp = (new - rest)/t
     up = col.get(k1 + 1)
     if up is None:

@@ -11,7 +11,8 @@ from graphlib import CycleError, TopologicalSorter
 
 from .errors import (NotAMorphism, NotFound, ShapeError, TooLarge,
                      VerificationError, malformed)
-from .exactla import SparseMatrix, kernel_basis, rank
+from .exactla import rank  # unused; perfbench's tracer rebinds posets.rank
+from .gradedcomplex import ChainComplex
 from .monomials import divides
 
 FACE_CAP = 2_000_000
@@ -126,6 +127,8 @@ class Poset:
 
     def filter_complex(self, a):
         """Order complex of the open filter P_{<a} (cached per element)."""
+        if a not in self.index:
+            raise NotFound(f"unknown element {a!r}")
         if a not in self._filter_cache:
             self._filter_cache[a] = self.subcomplex(self.below[a])
         return self._filter_cache[a]
@@ -178,63 +181,54 @@ class Poset:
         return "\n".join(lines)
 
 
-class OrientedComplex:
-    """Simplicial complex whose faces are tuples with a fixed vertex order.
+class OrientedComplex(ChainComplex):
+    """Simplicial complex whose faces are tuples with a fixed vertex order,
+    as an augmented chain complex over no fixed field.
 
     faces: dict dim -> list of tuples; dimension -1 holds the empty face.
-    The complex of only the empty face is the (-1)-sphere; a complex with no
+    The faces of each dimension are the basis; dropping vertex i of a face
+    has sign (-1)^i, and the augmentation sends every vertex to 1.  The
+    complex of only the empty face is the (-1)-sphere; a complex with no
     faces at all (void complex) has zero homology everywhere.
     """
 
     def __init__(self, faces):
-        self.faces = {d: list(fs) for d, fs in faces.items() if fs}
-        self.face_index = {d: {f: i for i, f in enumerate(fs)}
-                           for d, fs in self.faces.items()}
+        super().__init__(None, faces, {}, dict.fromkeys(faces.get(0, ()), 1),
+                         bool(faces.get(-1)))
+        faces = self.basis
+        self.index = {d: {f: i for i, f in enumerate(fs)}
+                      for d, fs in faces.items()}
+        if 0 in faces and -1 not in faces:
+            raise VerificationError("complex not closed: missing face ()")
+        # built in place, not copied; rows keyed by the complex's own faces
+        for n in range(1, self.top + 1):
+            rows, rix = faces.get(n - 1), self.index.get(n - 1, {})
+            self.diffs[n] = mat = {}
+            for f in faces.get(n, ()):
+                for i in range(len(f)):
+                    r = rix.get(f[:i] + f[i + 1:])
+                    if r is None:
+                        raise VerificationError(
+                            f"complex not closed: missing face {f[:i] + f[i + 1:]}")
+                    mat[(rows[r], f)] = -1 if i % 2 else 1
 
     @property
-    def dim(self):
-        return max(self.faces, default=-1)
+    def faces(self):
+        return self.basis
 
     def face_counts(self):
         return {d: len(fs) for d, fs in sorted(self.faces.items())}
 
-    def boundary_matrix(self, n):
-        """Boundary C_n -> C_{n-1} as a SparseMatrix with integer entries."""
-        cols = self.faces.get(n, [])
-        rows_ix = self.face_index.get(n - 1, {})
-        entries = []
-        for j, f in enumerate(cols):
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                r = rows_ix.get(sub)
-                if r is None:
-                    raise VerificationError(f"complex not closed: missing face {sub}")
-                entries.append((r, j, -1 if i % 2 else 1))
-        return SparseMatrix(len(rows_ix), len(cols), entries)
-
 
 def reduced_homology(K, F):
     """Reduced homology ranks of an OrientedComplex over F, per dimension."""
-    if not K.faces:
-        return {}
-    top = K.dim
-    ranks = {}
-    bd_rank = {}
-    for n in range(top + 2):
-        bd_rank[n] = rank(K.boundary_matrix(n), F) if n <= top else 0
-    for n in range(-1, top + 1):
-        cn = len(K.faces.get(n, []))
-        rn = bd_rank.get(n, 0) if n >= 0 else 0
-        h = cn - rn - bd_rank.get(n + 1, 0)
-        ranks[n] = h
-    return {n: r for n, r in ranks.items() if r}
+    return K.homology_ranks(F)
 
 
 def is_homology_sphere_at(P, a, F):
     """True iff Delta(P_{<a}) has the homology of a sphere of its dimension."""
     K = P.filter_complex(a)
-    h = reduced_homology(K, F)
-    return h == {K.dim: 1}
+    return reduced_homology(K, F) == {K.top: 1}
 
 
 def is_hcw(P, F):
@@ -244,6 +238,4 @@ def is_hcw(P, F):
 
 def cycle_space(K, n, F):
     """Echelonized basis of the n-cycles of K over F, as face->scalar dicts."""
-    cols = K.faces.get(n, [])
-    vecs = kernel_basis(K.boundary_matrix(n), F)
-    return [{f: v for f, v in zip(cols, vec) if v} for vec in vecs]
+    return K.kernel(n, F=F)

@@ -40,6 +40,18 @@ def _rank(M, p):
     return r
 
 
+def boundary_of_chain(chain, p):
+    """Simplicial boundary of a chain {face tuple: scalar} over GF(p) or Q:
+    dropping vertex i of a face has sign (-1)^i.  Zero terms are left out."""
+    out = {}
+    for f, v in chain.items():
+        for i in range(len(f)):
+            sub = f[:i] + f[i + 1:]
+            out[sub] = out.get(sub, 0) + (-v if i % 2 else v)
+    out = {f: v % p if p else v for f, v in out.items()}
+    return {f: v for f, v in out.items() if v}
+
+
 def _reduced_homology_ranks(facelist, p):
     """Reduced homology of a simplicial complex given as a set of faces
     (sorted tuples, including the empty tuple if nonvoid)."""

@@ -315,3 +315,58 @@ def test_json_rejects_bad_scalar():
         obj["differentials"][0][0]["scalar"] = bad
         with pytest.raises(PosetresError):
             GradedFreeComplex.from_json(obj)
+
+
+def degree_zero_complexes():
+    """A bar complex from bar_reduce, an augmented conic complex and an
+    order complex, each with its degree-0 ids and field."""
+    from posetres import Poset, conic_complex
+    B = bar_reduce(minimize(taylor_complex(minimalize(SQUAREFREE3), Q)))
+    P = Poset(["a", "b", "t"], [("a", "t"), ("b", "t")],
+              deg={"a": (1, 0), "b": (0, 1), "t": (1, 1)})
+    C = conic_complex(P, Q, augmented=True)
+    K = P.order_complex()
+    return [(B, Q), (C, Q), (K, FieldSpec(3))]
+
+
+def test_chain_helpers_read_degree_zero_as_the_augmentation():
+    for X, F in degree_zero_complexes():
+        ids = X.basis[0]
+        assert X.boundary(0, {ids[0]: 1}, F) == {(): F(1)}
+        assert X.boundary(0, {ids[0]: 1, ids[1]: -1}, F) == {}
+        pre = X.preimage(0, {(): 1}, F=F)
+        assert pre and X.boundary(0, pre, F) == {(): F(1)}
+        ker = X.kernel(0, F=F)
+        assert len(ker) == len(ids) - 1
+        assert all(z and not X.boundary(0, z, F) for z in ker)
+
+
+def test_boundary_of_a_preimage_is_the_chain():
+    for X, F in degree_zero_complexes():
+        for n in range(X.top + 1):
+            rows = X._rows(n)
+            targets = [{r: 1} for r in rows] + [dict.fromkeys(rows, 1)]
+            targets += [X.boundary(n, {c: 1}, F) for c in X.basis[n]]
+            found = 0
+            for x in targets:
+                pre = X.preimage(n, x, F=F)
+                if pre is not None:
+                    found += 1
+                    assert X.boundary(n, pre, F) == \
+                        {r: F(v) for r, v in x.items() if F(v)}
+            assert found >= len(X.basis[n])
+
+
+def test_chain_helpers_reject_ids_outside_the_basis():
+    from posetres.errors import NotFound
+    for X, F in degree_zero_complexes():
+        wrong = X.basis[1][0]  # a degree-1 id offered in degree 0
+        for call in (lambda: X.boundary(0, {wrong: 1}, F),
+                     lambda: X.boundary(1, {"nope": 0}, F),
+                     lambda: X.preimage(1, {wrong: 1}, F=F),
+                     lambda: X.preimage(0, {"nope": 1}, F=F)):
+            with pytest.raises(NotFound):
+                call()
+    B = degree_zero_complexes()[0][0]
+    with pytest.raises(NotFound):  # () is the augmentation row, no column
+        B.boundary(0, {(): 1})

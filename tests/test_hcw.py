@@ -1,12 +1,11 @@
 import pytest
 
-from oracle import betti_numbers
+from oracle import betti_numbers, boundary_of_chain
 from posetres import (FieldSpec, Poset, antichain_form, betti_table,
                       conic_complex, fill_cavity, hcw_support, hcwify,
                       incidence_poset, is_hcw, minimalize, minimize,
                       taylor_complex)
-from posetres.errors import HypothesisFailed
-from posetres.hcw import _boundary_of_chain
+from posetres.errors import HypothesisFailed, NotACycle, NotFound
 from posetres.posets import reduced_homology
 from conftest import M_GENS, RP2_GENS, load_fixture_complex, random_corpus
 
@@ -33,7 +32,7 @@ def test_antichain_form_identity_case():
     z = {("ab", "a"): Q(1), ("ab", "b"): Q(-1), ("bc", "b"): Q(1),
          ("bc", "c"): Q(-1), ("cd", "c"): Q(1), ("cd", "d"): Q(-1),
          ("da", "d"): Q(1), ("da", "a"): Q(-1)}
-    assert not _boundary_of_chain(K, 1, z, Q)
+    assert not boundary_of_chain(z, 0) and not K.boundary(1, z, Q)
     assert antichain_form(P, "t", dict(z), 1, Q) == z
 
 
@@ -55,7 +54,15 @@ def test_antichain_form_lowers_apex_dimension():
     rhs = [Q.zero] * len(faces0)
     for f, v in diff.items():
         rhs[fix[f]] = v
-    assert solve(K.boundary_matrix(1), rhs, Q) is not None
+    assert solve(K.matrix(1), rhs, Q) is not None
+
+
+def test_antichain_form_rejects_non_cycles():
+    P = hollow_square_poset()
+    with pytest.raises(NotACycle):  # augmentation 1: not a reduced cycle
+        antichain_form(P, "t", {("a",): 1}, 0, Q)
+    with pytest.raises(NotFound):  # ("t",) is not a face below t
+        antichain_form(P, "t", {("ab",): 1, ("t",): -1}, 0, Q)
 
 
 def test_fill_cavity_noop_when_no_cavity():

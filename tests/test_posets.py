@@ -1,9 +1,12 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from posetres import FieldSpec, Poset, reduced_homology
-from posetres.errors import NotAMorphism, NotFound, ParseError, ShapeError
+from oracle import _rank, _reduced_homology_ranks, boundary_of_chain
+from posetres import FieldSpec, OrientedComplex, Poset, reduced_homology
+from posetres.conic import skeleton_complex
+from posetres.errors import (NotAMorphism, NotFound, ParseError, ShapeError,
+                             VerificationError)
 from posetres.posets import cycle_space, is_hcw, is_homology_sphere_at
 
 Q = FieldSpec(0)
@@ -98,6 +101,57 @@ def test_empty_filter_is_minus_one_sphere():
     assert is_homology_sphere_at(P, "a", Q)
     K = P.filter_complex("a")
     assert reduced_homology(K, Q) == {-1: 1}
+
+
+def test_filter_complex_of_unknown_element_raises_not_found():
+    P = Poset(["a", "t"], [("a", "t")])
+    with pytest.raises(NotFound):
+        P.filter_complex("x")
+    with pytest.raises(NotFound):
+        is_homology_sphere_at(P, "x", Q)
+
+
+@st.composite
+def poset_complexes(draw):
+    """The order complex, every filter complex and every skeleton of a
+    random poset on at most 7 elements."""
+    n = draw(st.integers(0, 7))
+    pairs = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda p: p[0] < p[1] < n)
+    P = Poset(range(n), draw(st.lists(pairs, max_size=14)))
+    return ([P.order_complex()] + [P.filter_complex(a) for a in P.elements]
+            + [skeleton_complex(P, d) for d in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(poset_complexes(), st.sampled_from([0, 2, 3, 5]))
+@example([OrientedComplex({})], 0)
+@example([OrientedComplex({-1: [()]})], 2)
+def test_simplicial_homology_matches_oracle(complexes, p):
+    F = FieldSpec(p)
+    for K in complexes:
+        faces = K.faces
+        h = reduced_homology(K, F)
+        assert h == _reduced_homology_ranks(
+            [f for fs in faces.values() for f in fs], p)
+        if not faces:
+            assert h == {}
+        elif list(faces) == [-1]:
+            assert h == {-1: 1}
+        for n in range(-1, K.top + 1):
+            rows = faces.get(n - 1, [])
+            cols = [boundary_of_chain({f: 1}, p) for f in faces.get(n, [])]
+            M = [[col.get(r, 0) for col in cols] for r in rows]
+            cycles = cycle_space(K, n, F)
+            assert len(cycles) == len(cols) - _rank(M, p)
+            for z in cycles:
+                assert not K.boundary(n, z, F)
+                assert not boundary_of_chain(z, p)
+        if K.top >= 0:  # drop a facet of a top face: no longer closed
+            f = faces[K.top][0]
+            cut = {d: [g for g in fs if g != f[1:]] for d, fs in faces.items()}
+            with pytest.raises(VerificationError):
+                OrientedComplex(cut)
 
 
 def test_is_hcw_examples():
