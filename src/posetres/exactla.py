@@ -1,10 +1,10 @@
 """Exact scalar arithmetic (GF(p) and Q) and sparse exact linear algebra.
 
-Scalars over characteristic 0 are `fractions.Fraction`; over GF(p) they are
-plain ints in the range 0..p-1.  All routines are deterministic: pivoting
-always picks the first usable entry in row-major order, kernel vectors are
-listed by ascending free column and normalized so that their first nonzero
-coordinate is 1.
+Scalars over characteristic 0 are `int` when integral and `fractions.Fraction`
+otherwise; over GF(p) they are plain ints in the range 0..p-1.  All routines
+are deterministic: pivoting always picks the first usable entry in row-major
+order, kernel vectors are listed by ascending free column and normalized so
+that their first nonzero coordinate is 1.
 """
 
 from dataclasses import dataclass
@@ -26,11 +26,21 @@ def _is_prime(n):
     return True
 
 
+def _rational(x):
+    """A rational as an `int` when it is integral (denominator 1), else as it is."""
+    return x.numerator if x.denominator == 1 else x
+
+
+_is_int = int.__instancecheck__  # isinstance(v, int), for use with map
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """A prime field GF(p), or the rationals when characteristic == 0."""
 
     characteristic: int = 0
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         p = self.characteristic
@@ -42,49 +52,57 @@ class FieldSpec:
         return self.characteristic
 
     def __call__(self, x):
-        """Coerce an int / Fraction / 'a/b' string into the field.  Any other
-        value, or a denominator that vanishes in GF(p), raises InvalidField."""
+        """Coerce an int / Fraction / 'a/b' string into the field: over Q an
+        `int` when integral (a bool too) and a `Fraction` otherwise, over
+        GF(p) an int in 0..p-1.  Any other value, or a denominator that
+        vanishes in GF(p), raises InvalidField."""
         p = self.characteristic
         if isinstance(x, int):
-            return x % p if p else Fraction(x)
+            return x % p if p else int(x)
         try:
             y = Fraction(x) if isinstance(x, str) else x
             if isinstance(y, Fraction):
-                return y.numerator * pow(y.denominator, -1, p) % p if p else y
+                if p:
+                    return y.numerator * pow(y.denominator, -1, p) % p
+                return _rational(y)
         except (ValueError, ZeroDivisionError):
             pass
         raise InvalidField(f"{x!r} is not an element of the field of "
                            f"characteristic {p}")
 
-    @property
-    def zero(self):
-        return 0 if self.characteristic else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.characteristic else Fraction(1)
-
     def add(self, a, b):
-        return (a + b) % self.characteristic if self.characteristic else a + b
+        p = self.characteristic
+        return (a + b) % p if p else _rational(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.characteristic if self.characteristic else a - b
+        p = self.characteristic
+        return (a - b) % p if p else _rational(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.characteristic if self.characteristic else a * b
+        p = self.characteristic
+        return (a * b) % p if p else _rational(a * b)
 
     def neg(self, a):
-        return (-a) % self.characteristic if self.characteristic else -a
+        p = self.characteristic
+        return -a % p if p else _rational(-a)
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic:
             return pow(a, -1, self.characteristic)
-        return Fraction(1) / a
+        return _rational(Fraction(1, a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
+
+    def row_sub(self, x, f, y):
+        """The row x - f*y, entry by entry."""
+        p = self.characteristic
+        if p:
+            return [(a - f * b) % p for a, b in zip(x, y)]
+        row = [a - f * b for a, b in zip(x, y)]
+        return row if all(map(_is_int, row)) else list(map(_rational, row))
 
 
 class SparseMatrix:
@@ -150,8 +168,7 @@ def _rref(M, F, ncols):
         row = M[prow]
         for r in range(nrows):
             if r != prow and M[r][c]:
-                f = M[r][c]
-                M[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(M[r], row)]
+                M[r] = F.row_sub(M[r], M[r][c], row)
         pivots.append(c)
         prow += 1
         if prow == nrows:

@@ -29,13 +29,13 @@ def _report(num, name):
 @pytest.fixture(scope="module")
 def corpus_runs():
     """Pipeline artifacts for the paper ideals plus 100 random ideals,
-    in both characteristics, with the total wall time."""
+    over Q, GF(2), GF(3) and GF(5), with the total wall time."""
     ideals = [minimalize(g) for g in (RP2_GENS, M_GENS, SQUAREFREE3)]
     ideals += random_corpus(100)
     t0 = time.time()
     runs = []
     for I in ideals:
-        for p in (0, 2):
+        for p in (0, 2, 3, 5):
             F = FieldSpec(p)
             T = taylor_complex(I, F)
             M = minimize(T)

@@ -138,3 +138,69 @@ def test_unreduced_entries_count_by_their_residue(r, c, p, data):
     A = SparseMatrix.from_dense(dense)
     assert rank(A, F) + len(kernel_basis(A, F)) == c
     assert rank(A, F) == _rank([[v % p for v in row] for row in dense], p)
+
+
+# Over Q a scalar is an int exactly when it is integral.  Operands mix ints,
+# bools, integral and proper Fractions; 'a/b' strings go through F(x).
+_Q_VALUES = st.one_of(
+    st.integers(-30, 30), st.booleans(), st.integers(-30, 30).map(Fraction),
+    st.fractions(max_denominator=12).filter(lambda x: abs(x) <= 30))
+
+
+def _assert_q(value, expected):
+    assert value == expected
+    assert type(value) is (int if expected.denominator == 1 else Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_Q_VALUES, _Q_VALUES,
+       st.tuples(st.integers(-30, 30), st.integers(1, 12)))
+def test_q_scalars_are_ints_exactly_when_integral(a, b, ab):
+    F = FieldSpec(0)
+    _assert_q(F.zero, Fraction(0))
+    _assert_q(F.one, Fraction(1))
+    _assert_q(F(a), Fraction(a))
+    _assert_q(F(f"{ab[0]}/{ab[1]}"), Fraction(*ab))
+    fa, fb = Fraction(a), Fraction(b)
+    _assert_q(F.add(a, b), fa + fb)
+    _assert_q(F.sub(a, b), fa - fb)
+    _assert_q(F.mul(a, b), fa * fb)
+    _assert_q(F.neg(a), -fa)
+    if b:
+        _assert_q(F.inv(b), 1 / fb)
+        _assert_q(F.div(a, b), fa / fb)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(b)
+
+
+def test_q_integral_results_are_int():
+    F = FieldSpec(0)
+    half = Fraction(1, 2)
+    row = F.row_sub([half, 1, 3], half, [1, 2, half])
+    for value, expected in zip(row, [Fraction(0), Fraction(0), Fraction(11, 4)]):
+        _assert_q(value, expected)
+    assert list(map(type, F.row_sub([1, 2], -1, [1, 0]))) == [int, int]
+    _assert_q(F.inv(1), Fraction(1))
+    _assert_q(F.inv(-1), Fraction(-1))
+    _assert_q(F.inv(Fraction(1, 2)), Fraction(2))
+    _assert_q(F.inv(Fraction(-1, 7)), Fraction(-7))
+    _assert_q(F.inv(2), Fraction(1, 2))
+    _assert_q(F(True), Fraction(1))
+    _assert_q(F(Fraction(6, 3)), Fraction(2))
+    _assert_q(F("4/2"), Fraction(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5]), st.data())
+def test_row_sub_matches_entrywise_sub_mul(p, data):
+    F = FieldSpec(p)
+    values = _Q_VALUES if p == 0 else st.integers(-2 * p, 2 * p)
+    n = data.draw(st.integers(0, 6))
+    x = [F(v) for v in data.draw(st.lists(values, min_size=n, max_size=n))]
+    y = [F(v) for v in data.draw(st.lists(values, min_size=n, max_size=n))]
+    f = F(data.draw(values))
+    got = F.row_sub(x, f, y)
+    want = [F.sub(a, F.mul(f, b)) for a, b in zip(x, y)]
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
