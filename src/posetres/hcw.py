@@ -11,8 +11,7 @@ from .gradedcomplex import betti_table, minimize, taylor_complex
 from .incidence import incidence_poset
 from .minsupport import make_minimal_support_basis
 from .monomials import divides
-from .posets import (Poset, cycle_space, is_homology_sphere_at,
-                     reduced_homology)
+from .posets import cycle_space, is_homology_sphere_at, reduced_homology
 
 
 def antichain_form(P, a, w, m, F):
@@ -65,8 +64,11 @@ def _solve_filling(C, alpha, n, zeta, excluded):
 def fill_cavity(P, a, n, F):
     """Add down-edges (c, a) until H~_n of Delta(P_{<a}) vanishes.
 
-    Returns (new poset, list of added relations); verifies the conclusions
-    of the underlying lemma on the result.
+    Returns (new poset, list of added relations) and verifies the
+    conclusions of the underlying lemma on the result.  When nothing is
+    added it returns P itself, for which they hold trivially.  Each new
+    poset keeps the filter complexes, and their memos, of the elements not
+    above a (Poset.extend_below); conclusion (2) checks those filters.
     """
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
@@ -117,10 +119,10 @@ def fill_cavity(P, a, n, F):
         if not new_c:
             raise VerificationError(
                 "filling chain lies below the apex; class was a boundary")
-        rels = list(P.covers) + [(c, a) for c in new_c]
-        P = Poset(P.elements, rels, deg=P.deg)
+        P = P.extend_below(a, new_c)
         added.extend((c, a) for c in new_c)
-    _verify_fill(P0, P, a, n, F)
+    if added:
+        _verify_fill(P0, P, a, n, F)
     return P, added
 
 
@@ -195,7 +197,7 @@ def hcwify(P, F):
     verdicts_after = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
     if not all(verdicts_after.values()):
         raise VerificationError("hcwify result is not hcw")
-    if not conic_complex(before, F, True).same_matrices(
+    if added and not conic_complex(before, F, True).same_matrices(
             conic_complex(P, F, True)):
         raise VerificationError("hcwify changed the conic complex")
     return P, HcwReport(before, P, added, verdicts_before, verdicts_after)

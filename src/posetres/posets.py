@@ -95,6 +95,17 @@ class Poset:
         deg = {e: self.deg[e] for e in elems} if self.deg is not None else None
         return Poset(elems, rels, deg=deg)
 
+    def extend_below(self, a, lows):
+        """The poset with the relations (c, a), c in `lows`, added.  It takes
+        over the cached filter complexes of the elements not above a: the
+        new relations only put elements below those above a, so no other
+        filter, nor the order inside it, changes."""
+        P = Poset(self.elements, [*self.covers, *((c, a) for c in lows)],
+                  deg=self.deg)
+        P._filter_cache.update((c, K) for c, K in self._filter_cache.items()
+                               if not self.leq(a, c))
+        return P
+
     def order_complex(self):
         """All chains of the poset as an OrientedComplex (cached); more than
         FACE_CAP faces raise TooLarge."""
@@ -190,11 +201,15 @@ class OrientedComplex(ChainComplex):
     has sign (-1)^i, and the augmentation sends every vertex to 1.  The
     complex of only the empty face is the (-1)-sphere; a complex with no
     faces at all (void complex) has zero homology everywhere.
+
+    `reduced_homology` and `cycle_space` memoize their results on the
+    complex, keyed by the FieldSpec itself (class and characteristic).
     """
 
     def __init__(self, faces):
         super().__init__(None, faces, {}, dict.fromkeys(faces.get(0, ()), 1),
                          bool(faces.get(-1)))
+        self._homology, self._cycles = {}, {}
         faces = self.basis
         self.index = {d: {f: i for i, f in enumerate(fs)}
                       for d, fs in faces.items()}
@@ -221,8 +236,11 @@ class OrientedComplex(ChainComplex):
 
 
 def reduced_homology(K, F):
-    """Reduced homology ranks of an OrientedComplex over F, per dimension."""
-    return K.homology_ranks(F)
+    """Reduced homology ranks of an OrientedComplex over F, per dimension
+    (memoized on K per field; each call returns a fresh dict)."""
+    if F not in K._homology:
+        K._homology[F] = K.homology_ranks(F)
+    return dict(K._homology[F])
 
 
 def is_homology_sphere_at(P, a, F):
@@ -237,5 +255,8 @@ def is_hcw(P, F):
 
 
 def cycle_space(K, n, F):
-    """Echelonized basis of the n-cycles of K over F, as face->scalar dicts."""
-    return K.kernel(n, F=F)
+    """Echelonized basis of the n-cycles of K over F, as face->scalar dicts
+    (memoized on K per field and n; each call returns fresh dicts)."""
+    if (n, F) not in K._cycles:
+        K._cycles[(n, F)] = K.kernel(n, F=F)
+    return [dict(z) for z in K._cycles[(n, F)]]

@@ -1,0 +1,196 @@
+"""The memoized cavity filling against a rebuild from scratch.
+
+`reduced_homology` and `cycle_space` memoize on each OrientedComplex per
+FieldSpec, and `fill_cavity` carries the filter complexes of elements not
+above the filled apex into the new poset.  Every poset `hcwify` returns is
+rebuilt here from its elements and covers alone, and what its memos and
+carried complexes say must equal what the rebuild computes.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from posetres import (FieldSpec, OrientedComplex, Poset, conic_complex,
+                      fill_cavity, hcw, incidence_poset, is_hcw,
+                      make_minimal_support_basis, minimalize, minimize,
+                      reduced_homology, taylor_complex)
+from posetres.conic import ConicComplex
+from posetres.posets import cycle_space, is_homology_sphere_at
+from conftest import (M_GENS, RP2_GENS, load_fixture_complex,
+                      random_corpus)
+from test_q_reference import FractionField
+
+K6_EDGES = [tuple(int(v in e) for v in range(6))
+            for e in combinations(range(6), 2)]
+NAMED = {"rp2": RP2_GENS, "m": M_GENS, "k6-10": K6_EDGES[:10],
+         "k6-13": K6_EDGES[:13]}
+CASES = [("rp2", 0), ("rp2", 2), ("rp2", 3), ("m", 0), ("m", 2), ("m", 3),
+         ("k6-10", 2)]
+
+
+def _incidence(I, F):
+    M = minimize(taylor_complex(I, F))
+    return incidence_poset(make_minimal_support_basis(M)[0])
+
+
+def _assert_matches_rebuild(Q, report, F):
+    R = Poset(Q.elements, Q.covers, deg=Q.deg)
+    for a in Q.elements:
+        K, L = Q.filter_complex(a), R.filter_complex(a)
+        assert K.faces == L.faces, a
+        assert F in K._homology, a  # hcwify's last sphere test left it
+        assert reduced_homology(K, F) == reduced_homology(L, F), a
+    assert report.verdicts_after == {a: is_homology_sphere_at(R, a, F)
+                                     for a in R.elements}
+    assert is_hcw(Q, F) == is_hcw(R, F)
+    assert conic_complex(Q, F, True).same_matrices(
+        conic_complex(R, F, True))
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[f"{n}-{p}" for n, p in CASES])
+def test_memoized_hcwify_matches_rebuild(name, p):
+    F = FieldSpec(p)
+    Q, report = hcw.hcwify(_incidence(minimalize(NAMED[name]), F), F)
+    _assert_matches_rebuild(Q, report, F)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_memoized_hcwify_matches_rebuild_on_corpus(p):
+    F = FieldSpec(p)
+    for I in random_corpus(100):
+        Q, report = hcw.hcwify(_incidence(I, F), F)
+        _assert_matches_rebuild(Q, report, F)
+
+
+def test_cavity_fill_carries_only_untouched_filters():
+    F = FieldSpec(2)
+    P = incidence_poset(load_fixture_complex("pp_res.json", 2))
+    top = next(e for e in P.elements if P.dim(e) == 3)
+    # an element above the apex, whose filter the fill must change
+    P = Poset([*P.elements, "u"], [*P.covers, (top, "u")],
+              deg={**P.deg, "u": P.deg[top]})
+    for e in P.elements:
+        P.filter_complex(e)
+    P2, added = fill_cavity(P, top, 1, F)
+    assert added and P2 is not P
+    R = Poset(P2.elements, P2.covers, deg=P2.deg)
+    for c in P.elements:
+        K = P2.filter_complex(c)
+        assert (K is P.filter_complex(c)) == (not P.leq(top, c)), c
+        assert K.faces == R.filter_complex(c).faces, c
+
+
+# --- the checks still run on every fill that adds a relation -------------
+
+def _spy(monkeypatch):
+    """Record the calls of fill_cavity (inside hcwify), _verify_fill and
+    ConicComplex.same_matrices."""
+    fills, verified, compared = [], [], []
+    fill, verify = hcw.fill_cavity, hcw._verify_fill
+    same = ConicComplex.same_matrices
+
+    def spy_fill(P0, a, n, F):
+        out = fill(P0, a, n, F)
+        fills.append((P0, *out))
+        return out
+
+    def spy_verify(P0, P1, a, n, F):
+        verified.append((P0, P1))
+        return verify(P0, P1, a, n, F)
+
+    def spy_same(C, D):
+        compared.append((C.poset, D.poset))
+        return same(C, D)
+
+    monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
+    monkeypatch.setattr(hcw, "_verify_fill", spy_verify)
+    monkeypatch.setattr(ConicComplex, "same_matrices", spy_same)
+    return fills, verified, compared
+
+
+@pytest.mark.parametrize("name,n_adding", [("rp2", 1), ("k6-10", 0),
+                                            ("k6-13", 2)])
+def test_verify_fill_runs_once_per_adding_fill(monkeypatch, name, n_adding):
+    F = FieldSpec(2)
+    P = _incidence(minimalize(NAMED[name]), F)
+    fills, verified, compared = _spy(monkeypatch)
+    Q, report = hcw.hcwify(P, F)
+    adding = [(P0, P1) for P0, P1, new in fills if new]
+    assert len(adding) == n_adding and bool(report.added) == bool(n_adding)
+    assert len(verified) == len(adding)
+    assert all(v[0] is f[0] and v[1] is f[1] and v[0] is not v[1]
+               for v, f in zip(verified, adding))
+    assert all(P1 is P0 for P0, P1, new in fills if not new)
+    if adding:
+        # one comparison in each _verify_fill, then hcwify's own
+        assert len(compared) == len(adding) + 1
+        assert compared[-1][0] is P and compared[-1][1] is Q
+    else:
+        assert Q is P and compared == []
+    _assert_matches_rebuild(Q, report, F)
+
+
+def test_noop_fill_returns_same_poset_unverified(monkeypatch):
+    F = FieldSpec(0)
+    P = incidence_poset(load_fixture_complex("two_res_a.json", 0))
+    top = next(e for e in P.elements if P.dim(e) == 2)
+    fills, verified, compared = _spy(monkeypatch)
+    P2, added = fill_cavity(P, top, 0, F)
+    assert P2 is P and added == []
+    Q, report = hcw.hcwify(P, F)
+    assert Q is P and report.added == []
+    assert fills and all(P1 is P0 for P0, P1, _ in fills)
+    assert verified == [] and compared == []
+
+
+# --- memo isolation on one complex ----------------------------------------
+
+RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+def rp2_complex():
+    """The six-vertex triangulation of the real projective plane."""
+    faces = {-1: [()]}
+    for d in range(3):
+        faces[d] = sorted({c for f in RP2_FACETS
+                           for c in combinations(f, d + 1)})
+    return OrientedComplex(faces)
+
+
+@pytest.mark.parametrize("order", [(2, 0), (0, 2)])
+def test_homology_memo_is_per_field(order):
+    K = rp2_complex()
+    expected = {2: {1: 1, 2: 1}, 0: {}}
+    for _ in range(2):
+        for p in order:
+            assert reduced_homology(K, FieldSpec(p)) == expected[p]
+            assert len(cycle_space(K, 2, FieldSpec(p))) == (p == 2)
+
+
+@pytest.mark.parametrize("first", ["int", "fraction"])
+def test_memo_separates_fieldspec_from_fraction_field(first):
+    K = rp2_complex()
+    fields = {"int": FieldSpec(0), "fraction": FractionField(0)}
+    order = [first, *(k for k in fields if k != first)]
+    cycles = {k: cycle_space(K, 1, fields[k]) for k in order}
+    assert cycles["int"] == cycles["fraction"]
+    assert all(type(v) is int for z in cycles["int"] for v in z.values())
+    assert all(type(v) is Fraction
+               for z in cycles["fraction"] for v in z.values())
+    assert len(K._cycles) == 2
+
+
+def test_memo_returns_copies():
+    K, F = rp2_complex(), FieldSpec(2)
+    h, z = reduced_homology(K, F), cycle_space(K, 1, F)
+    h0, z0 = dict(h), [dict(c) for c in z]
+    h[0] = 7
+    del h[1]
+    z[0][(9,)] = 1
+    z[1].clear()
+    z.append({})
+    assert reduced_homology(K, F) == h0
+    assert cycle_space(K, 1, F) == z0
