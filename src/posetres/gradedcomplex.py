@@ -108,26 +108,27 @@ class ChainComplex:
 
         Each differential is scaled by the lcm of its denominators, which
         does not change whether a composite vanishes, and the composite is
-        summed in integers (reduced mod p at the end over GF(p))."""
+        summed in integers (reduced mod p at the end over GF(p)), one
+        column of d_{n+1} at a time."""
         p = self.field.characteristic
-        scaled = {}
+        by_col = {}  # n -> {column id: {row id: integer entry}}
         for n, mat in self.diffs.items():
             L = lcm_ints(*(v.denominator for v in mat.values()))
-            scaled[n] = {k: v.numerator * (L // v.denominator)
-                         for k, v in mat.items()}
-        for n in sorted(scaled):
-            if n + 1 not in scaled:
-                continue
-            lower = {}
-            for (r, c), v in scaled[n].items():
-                lower.setdefault(c, {})[r] = v
-            comp = {}
-            for (mid, c), v in scaled[n + 1].items():
-                for r, w in lower.get(mid, {}).items():
-                    comp[(r, c)] = comp.get((r, c), 0) + v * w
-            bad = [k for k, v in comp.items() if (v % p if p else v)]
-            if bad:
-                raise NotAComplex(f"d_{n} o d_{n + 1} != 0, e.g. at {bad[0]}")
+            cols = by_col[n] = {}
+            for (r, c), v in mat.items():
+                cols.setdefault(c, {})[r] = (
+                    v if L == 1 else v.numerator * (L // v.denominator))
+        for n in sorted(by_col):
+            lower = by_col[n]
+            for c, col in by_col.get(n + 1, {}).items():
+                comp = {}
+                for mid, v in col.items():
+                    for r, w in lower.get(mid, {}).items():
+                        comp[r] = comp.get(r, 0) + v * w
+                for r, v in comp.items():
+                    if v % p if p else v:
+                        raise NotAComplex(
+                            f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}")
 
     def homology_ranks(self, F=None):
         """Nonzero homology ranks per degree; includes degree -1, spanned by
@@ -193,14 +194,17 @@ class GradedFreeComplex(ChainComplex):
                 if len(d) != num_vars:
                     raise ShapeError(f"label degree length != num_vars for {i!r}")
                 self.degree_of[i] = d
+        homogeneous = set()  # (row degree, column degree) pairs checked
         for n, mat in self.diffs.items():
-            for (r, c), _ in mat.items():
+            for r, c in mat:
                 if self.hdeg_of.get(c) != n or self.hdeg_of.get(r) != n - 1:
                     raise ShapeError(f"entry ({r},{c}) misplaced in degree {n}")
-                dr, dc = self.degree_of[r], self.degree_of[c]
-                if not divides(dr, dc):
-                    raise ShapeError(
-                        f"inhomogeneous entry ({r},{c}): deg {dc} - {dr} < 0")
+                degs = self.degree_of[r], self.degree_of[c]
+                if degs not in homogeneous:
+                    if not divides(*degs):
+                        raise ShapeError(f"inhomogeneous entry ({r},{c}): "
+                                         f"deg {degs[1]} - {degs[0]} < 0")
+                    homogeneous.add(degs)
 
     def exponent(self, r, c):
         """Monomial exponent of the entry at (row r, column c)."""

@@ -13,7 +13,14 @@ from .posets import Poset
 
 def incidence_poset(C):
     """Poset on the basis ids generated by row < column over the nonzero
-    differential entries, graded by homological degree."""
+    differential entries, graded by homological degree.
+
+    The poset is memoized on C, so every caller shares one Poset with its
+    filter complexes and their homology memos; complexes are not mutated
+    after construction.  A build that raises is not stored."""
+    P = getattr(C, "_incidence_poset", None)
+    if P is not None:
+        return P
     for n in range(1, C.top + 1):
         with_entries = {c for (_, c) in C.diffs.get(n, {})}
         for b, _ in C.labels.get(n, []):
@@ -27,6 +34,7 @@ def incidence_poset(C):
         if P.dim(b) != C.hdeg_of[b]:
             raise VerificationError(
                 f"poset dimension of {b!r} differs from homological degree")
+    C._incidence_poset = P
     return P
 
 

@@ -64,18 +64,13 @@ def lcm_lattice(ideal):
 
 
 def join_closure(degrees):
-    """Closure of an arbitrary set of multidegrees under pairwise join."""
-    degrees = set(tuple(d) for d in degrees)
-    if not degrees:
-        return frozenset()
-    frontier = set(degrees)
+    """Closure of an arbitrary set of multidegrees under pairwise join.
+
+    The join of a subset is reached by adding one input degree at a time,
+    so each round joins only the new degrees with the inputs."""
+    inputs = {tuple(d) for d in degrees}
+    closure, frontier = set(inputs), inputs
     while frontier:
-        new = set()
-        for a in frontier:
-            for b in degrees:
-                j = lcm(a, b)
-                if j not in degrees and j not in new:
-                    new.add(j)
-        degrees |= new
-        frontier = new
-    return frozenset(degrees)
+        frontier = {lcm(a, b) for a in frontier for b in inputs} - closure
+        closure |= frontier
+    return frozenset(closure)

@@ -60,7 +60,7 @@ class Poset:
                     if not divides(self.deg[x], self.deg[e]):
                         raise NotAMorphism(
                             f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
-        self._order_complex = None
+        self._order_complex = self._chain_count = None
         self._filter_cache = {}
 
     def __len__(self):
@@ -106,27 +106,40 @@ class Poset:
                                if not self.leq(a, c))
         return P
 
+    def chain_count(self):
+        """Number of faces of the order complex, the empty face included:
+        1 + sum of N(e) over the elements, N(e) = 1 + sum of N(x), x < e,
+        being the number of chains with largest vertex e (cached)."""
+        if self._chain_count is None:
+            n = {}
+            for e in sorted(self.elements, key=self._dims.get):
+                n[e] = 1 + sum(n[x] for x in self.below[e])
+            self._chain_count = 1 + sum(n.values())
+        return self._chain_count
+
+    def _chain_complex(self, tops):
+        """OrientedComplex of the empty face and every chain whose largest
+        vertex lies in `tops`, each dimension sorted by the vertex indices.
+        More than FACE_CAP faces in the whole order complex raise TooLarge,
+        with FACE_CAP read at call time."""
+        if self.chain_count() > FACE_CAP:
+            raise TooLarge(f"order complex exceeds {FACE_CAP} faces")
+        key = self.index
+        faces = {-1: [()]}
+        stack = [(e,) for e in tops]
+        while stack:
+            chain = stack.pop()
+            faces.setdefault(len(chain) - 1, []).append(chain)
+            stack.extend(chain + (x,) for x in self.below[chain[-1]])
+        for fs in faces.values():
+            fs.sort(key=lambda f: tuple(key[v] for v in f))
+        return OrientedComplex(faces)
+
     def order_complex(self):
         """All chains of the poset as an OrientedComplex (cached); more than
         FACE_CAP faces raise TooLarge."""
-        if self._order_complex is not None:
-            return self._order_complex
-        key = {e: i for i, e in enumerate(self.elements)}
-        faces = {-1: [()]}
-        count = 1
-        stack = [(e,) for e in self.elements]
-        while stack:
-            chain = stack.pop()
-            d = len(chain) - 1
-            faces.setdefault(d, []).append(chain)
-            count += 1
-            if count > FACE_CAP:
-                raise TooLarge(f"order complex exceeds {FACE_CAP} faces")
-            for x in self.below[chain[-1]]:
-                stack.append(chain + (x,))
-        for d in faces:
-            faces[d].sort(key=lambda f: tuple(key[v] for v in f))
-        self._order_complex = OrientedComplex(faces)
+        if self._order_complex is None:
+            self._order_complex = self._chain_complex(self.elements)
         return self._order_complex
 
     def subcomplex(self, tops):
@@ -137,11 +150,14 @@ class Poset:
         return OrientedComplex({-1: [()], **faces})
 
     def filter_complex(self, a):
-        """Order complex of the open filter P_{<a} (cached per element)."""
+        """Order complex of the open filter P_{<a} (cached per element),
+        enumerated from the chains below a; its faces are those of
+        subcomplex(below[a]), in the same order, and it raises TooLarge
+        exactly when order_complex would."""
         if a not in self.index:
             raise NotFound(f"unknown element {a!r}")
         if a not in self._filter_cache:
-            self._filter_cache[a] = self.subcomplex(self.below[a])
+            self._filter_cache[a] = self._chain_complex(self.below[a])
         return self._filter_cache[a]
 
     def maximal_elements(self):

@@ -1,10 +1,13 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import posetres.cli
 import posetres.gradedcomplex
 import posetres.posets
+import posetres.rigidity
 from posetres import Poset
 from posetres.cli import main, parse_ideal_file
 from posetres.errors import ParseError, TooLarge, VerificationError
@@ -142,6 +145,40 @@ def test_verify_all_pass(capsys):
     out = capsys.readouterr().out
     assert "fail" not in out
     assert "rigid: false" in out and "betti_poset_hcw: false" in out
+
+
+VERIFY_STAGES = ("complex", "resolution", "minimal_support", "conic_iso",
+                 "support_criterion", "hcw")
+
+
+@pytest.mark.parametrize("name,p,rigid", [
+    ("rp2", 0, True), ("rp2", 2, False), ("rp2", 3, True),
+    ("m", 0, False), ("m", 2, False), ("m", 3, False), ("k6-10", 2, False)])
+def test_verify_stdout(tmp_path, capsys, name, p, rigid):
+    if name == "k6-10":
+        path = tmp_path / "k6-10.ideal"
+        edges = list(combinations(range(6), 2))[:10]
+        path.write_text("".join(" ".join(str(int(v in e)) for v in range(6))
+                                + "\n" for e in edges))
+    else:
+        path = FIXTURES / f"{name}.ideal"
+    assert main(["verify", str(path), "--char", str(p)]) == 0
+    flag = str(rigid).lower()
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{s}: pass" for s in VERIFY_STAGES), f"rigid: {flag}",
+        f"betti_poset_hcw: {flag}", "rigid_iff_hcw: pass"]
+
+
+def test_verify_resolves_once(monkeypatch, capsys):
+    calls = []
+    minimize = posetres.cli.minimize
+    monkeypatch.setattr(posetres.cli, "minimize",
+                        lambda C: calls.append(C) or minimize(C))
+    monkeypatch.setattr(posetres.rigidity, "minimize",
+                        lambda C: calls.append(C) or minimize(C))
+    assert main(["verify", RP2, "--char", "3"]) == 0
+    assert "rigid_iff_hcw: pass" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_verify_reports_stage_failures(monkeypatch, capsys):

@@ -1,0 +1,118 @@
+"""Filter complexes enumerated from their own chains.
+
+`Poset.filter_complex(a)` walks the chains of P_{<a} directly instead of
+slicing the whole order complex.  Its faces must be those of
+`subcomplex(below[a])`, in the same order, and it must raise TooLarge
+exactly when the whole order complex has more than FACE_CAP faces.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import posetres.posets
+from posetres import FieldSpec, Poset, hcw, minimalize
+from posetres.errors import TooLarge
+from conftest import M_GENS, RP2_GENS, random_corpus
+from test_hcw_memo import K6_EDGES, _incidence
+
+NAMED = {"rp2": RP2_GENS, "m": M_GENS, "k6-10": K6_EDGES[:10],
+         "k6-13": K6_EDGES[:13]}
+
+
+def _assert_filters_match(P):
+    for a in P.elements:
+        assert P.filter_complex(a).faces == P.subcomplex(P.below[a]).faces, a
+
+
+def _brute_faces(P, tops):
+    """Every subset of the elements that is a chain with its largest vertex
+    in `tops`, written in decreasing order, sorted by vertex indices."""
+    faces = {-1: [()]}
+    for k in range(1, len(P) + 1):
+        for S in combinations(P.elements, k):
+            if all(P.less(x, y) or P.less(y, x) for x, y in combinations(S, 2)):
+                chain = tuple(sorted(S, key=P.dim, reverse=True))
+                if chain[0] in tops:
+                    faces.setdefault(k - 1, []).append(chain)
+    for fs in faces.values():
+        fs.sort(key=lambda f: [P.index[v] for v in f])
+    return faces
+
+
+@st.composite
+def posets(draw):
+    """A random poset on at most 7 elements whose list order is shuffled,
+    so that index order and element order differ."""
+    n = draw(st.integers(0, 7))
+    pairs = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda p: p[0] < p[1] < n)
+    return Poset(draw(st.permutations(range(n))),
+                 draw(st.lists(pairs, max_size=14)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets())
+def test_filter_complex_matches_brute_force(P):
+    for a in P.elements:
+        assert P.filter_complex(a).faces == _brute_faces(P, P.below[a])
+    _assert_filters_match(P)
+    assert P.order_complex().faces == _brute_faces(P, P.elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets())
+def test_chain_count_is_order_complex_size(P):
+    faces = P.order_complex().faces
+    assert P.chain_count() == sum(len(fs) for fs in faces.values())
+    assert P.chain_count() == sum(map(len, _brute_faces(P, P.elements).values()))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_filter_complex_matches_on_corpus_incidence_posets(p):
+    F = FieldSpec(p)
+    for I in random_corpus(100):
+        _assert_filters_match(_incidence(I, F))
+
+
+@pytest.mark.parametrize("name", list(NAMED))
+def test_filter_complex_matches_on_hcwify_posets(monkeypatch, name):
+    F = FieldSpec(2)
+    returned = []
+    fill = hcw.fill_cavity
+
+    def spy_fill(P0, a, n, F):
+        out = fill(P0, a, n, F)
+        returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
+    Q, _ = hcw.hcwify(_incidence(minimalize(NAMED[name]), F), F)
+    assert returned and returned[-1] is Q
+    for P in {id(P): P for P in returned}.values():
+        _assert_filters_match(P)  # carried filters included
+        _assert_filters_match(Poset(P.elements, P.covers, deg=P.deg))
+
+
+def test_face_cap_is_the_whole_order_complex_size(monkeypatch):
+    def vee():  # (), a, b, t, (t, a), (t, b): six faces
+        return Poset(["a", "b", "t"], [("a", "t"), ("b", "t")])
+
+    monkeypatch.setattr(posetres.posets, "FACE_CAP", 6)
+    P = vee()
+    assert P.chain_count() == 6
+    assert len(P.filter_complex("t").faces[0]) == 2
+    assert sum(P.order_complex().face_counts().values()) == 6
+    monkeypatch.setattr(posetres.posets, "FACE_CAP", 5)
+    P = vee()
+    # the filter below a minimal element is one face, but the cap is on
+    # the whole order complex
+    for a in P.elements:
+        with pytest.raises(TooLarge, match="exceeds 5 faces"):
+            P.filter_complex(a)
+    with pytest.raises(TooLarge):
+        P.order_complex()
+    # the cap is read at call time
+    monkeypatch.setattr(posetres.posets, "FACE_CAP", 6)
+    assert P.filter_complex("a").faces == {-1: [()]}

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle import betti_numbers
 from posetres import (BarComplex, FieldSpec, GradedFreeComplex, bar_reduce,
@@ -207,6 +208,58 @@ def test_check_complex_reduces_mod_p():
     d2 = {("b", "e"): 1, ("c", "e"): 1, ("d", "e"): 2}
     with pytest.raises(NotAComplex):
         BarComplex(F, basis, {1: d1, 2: d2}).check_complex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 2, 3]), st.data())
+def test_check_complex_matches_dense_composite(p, data):
+    """d_1 o d_2 on random sparse entries (fractions over Q) vanishes exactly
+    when check_complex passes."""
+    F = FieldSpec(p)
+    sizes = [data.draw(st.integers(1, 3)) for _ in range(3)]
+    basis = {n: [f"{n}.{i}" for i in range(k)] for n, k in enumerate(sizes)}
+    values = (st.fractions(-2, 2, max_denominator=3) if p == 0
+              else st.integers(0, p - 1))
+    diffs = {n: {(r, c): F(data.draw(values))
+                 for r in basis[n - 1] for c in basis[n]
+                 if data.draw(st.booleans())} for n in (1, 2)}
+    dense = {(r, c): sum(Fraction(diffs[1].get((r, m), 0))
+                         * Fraction(diffs[2].get((m, c), 0))
+                         for m in basis[1])
+             for r in basis[0] for c in basis[2]}
+    vanishes = all(v % p == 0 if p else v == 0 for v in dense.values())
+    X = BarComplex(F, basis, diffs)
+    if vanishes:
+        X.check_complex()
+    else:
+        with pytest.raises(NotAComplex) as exc:
+            X.check_complex()
+        bad = [k for k, v in dense.items() if (v % p if p else v)]
+        assert str(exc.value) in {f"d_1 o d_2 != 0, e.g. at {k}" for k in bad}
+
+
+def test_check_complex_reads_every_row_of_a_column():
+    # column e of the composite is 0 at a and 1 at b over GF(2)
+    F = FieldSpec(2)
+    basis = {0: ["a", "b"], 1: ["x", "y"], 2: ["e"]}
+    d1 = {("a", "x"): 1, ("a", "y"): 1, ("b", "x"): 1}
+    with pytest.raises(NotAComplex, match=r"at \('b', 'e'\)"):
+        BarComplex(F, basis, {1: d1, 2: {("x", "e"): 1, ("y", "e"): 1}}
+                   ).check_complex()
+
+
+def test_homogeneity_checked_for_every_degree_pair():
+    labels = {0: [("a", (1, 0)), ("b", (0, 1))],
+              1: [("c", (1, 1)), ("e", (1, 0)), ("f", (1, 0))]}
+    GradedFreeComplex(2, Q, labels, {1: {("a", "c"): 1, ("b", "c"): 1,
+                                         ("a", "e"): 1, ("a", "f"): 1}})
+    # the pair (deg b, deg e) is new although both degrees were seen
+    with pytest.raises(ShapeError, match="inhomogeneous entry"):
+        GradedFreeComplex(2, Q, labels, {1: {("a", "c"): 1, ("b", "c"): 1,
+                                             ("a", "e"): 1, ("b", "e"): 1}})
+    # placement is checked for every entry, also on a degree pair seen before
+    with pytest.raises(ShapeError, match="misplaced"):
+        GradedFreeComplex(2, Q, labels, {1: {("a", "c"): 1, ("f", "c"): 1}})
 
 
 def test_minimize_koszul_unchanged():

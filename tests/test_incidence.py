@@ -5,7 +5,7 @@ from posetres import (FieldSpec, conic_iso_check, incidence_poset,
                       poset_isomorphic, taylor_complex, verify_mfr_support)
 from posetres.errors import DegenerateColumn, NotMinimalSupport
 from posetres.gradedcomplex import GradedFreeComplex
-from conftest import SQUAREFREE3, load_fixture_complex
+from conftest import SQUAREFREE3, load_fixture_complex, random_corpus
 
 Q = FieldSpec(0)
 GF2 = FieldSpec(2)
@@ -83,3 +83,32 @@ def test_verify_mfr_support_end_to_end():
     assert verify_mfr_support(m, load_fixture_complex("two_res_b.json", 0), Q)
     # wrong ideal: degree-0 labels disagree
     assert not verify_mfr_support(rp2, C, Q)
+
+
+def test_incidence_poset_is_memoized_on_the_complex():
+    C = load_fixture_complex("pp_res.json", 2)
+    P = incidence_poset(C)
+    assert incidence_poset(C) is P
+    assert conic_iso_check(C).poset is P
+    # a copy of C is another complex with its own, equal poset
+    D = GradedFreeComplex.from_json(C.to_json(), GF2)
+    assert incidence_poset(D) is not P
+    assert incidence_poset(D).to_json() == P.to_json()
+
+
+def test_incidence_memo_is_per_complex():
+    posets = []
+    for I in random_corpus(100):
+        C = make_minimal_support_basis(minimize(taylor_complex(I, GF2)))[0]
+        fresh = GradedFreeComplex.from_json(C.to_json(), GF2)
+        P = incidence_poset(C)
+        assert P.to_json() == incidence_poset(fresh).to_json()
+        posets.append(P)
+    assert len({id(P) for P in posets}) == len(posets)
+
+
+def test_failed_incidence_poset_is_not_memoized():
+    C = GradedFreeComplex(1, Q, {0: [("a", (1,))], 1: [("b", (2,))]}, {1: {}})
+    for _ in range(2):
+        with pytest.raises(DegenerateColumn):
+            incidence_poset(C)

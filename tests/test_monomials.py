@@ -1,4 +1,8 @@
+from functools import reduce
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetres import divides, join_closure, lcm, lcm_lattice, minimalize
 from posetres.errors import EmptyIdeal, ShapeError
@@ -38,3 +42,17 @@ def test_join_closure_is_closed():
     for a in L:
         for b in L:
             assert lcm(a, b) in L
+
+
+@st.composite
+def degree_sets(draw):
+    m = draw(st.integers(1, 4))
+    return draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree_sets())
+def test_join_closure_is_every_subset_lcm(degs):
+    brute = {reduce(lcm, S) for k in range(1, len(degs) + 1)
+             for S in combinations(degs, k)}
+    assert join_closure(degs) == frozenset(brute)
