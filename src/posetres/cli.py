@@ -233,7 +233,8 @@ def cmd_verify(args):
     check("minimal_support", minimal_support)
     check("conic_iso", lambda: conic_iso_check(basis()) is not None)
     check("support_criterion", lambda: verify_mfr_support(ideal, basis(), F))
-    check("hcw", lambda: is_hcw(hcwify(incidence_poset(basis()), F)[0], F))
+    check("hcw", lambda: all(
+        hcwify(incidence_poset(basis()), F)[1].verdicts_after.values()))
     T = betti_table(C)
     rigid, _ = is_rigid(T)
     print(f"rigid: {str(rigid).lower()}")

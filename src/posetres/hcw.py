@@ -10,7 +10,6 @@ from .conic import (conic_complex, conic_coords, homogenize,
 from .gradedcomplex import betti_table, minimize, taylor_complex
 from .incidence import incidence_poset
 from .minsupport import make_minimal_support_basis
-from .monomials import divides
 from .posets import cycle_space, is_homology_sphere_at, reduced_homology
 
 
@@ -51,16 +50,6 @@ def antichain_form(P, a, w, m, F):
     return w
 
 
-def _solve_filling(C, alpha, n, zeta, excluded):
-    """Solve conic d_{n+1} t = zeta over the deg <= alpha truncation, with
-    the apexes in `excluded` forced out of the support."""
-    deg = C.poset.deg
-    cols = [g for g in C.gens.get(n + 1, [])
-            if divides(deg[g[0]], alpha) and g[0] not in excluded]
-    rows = [g for g in C.gens.get(n, []) if divides(deg[g[0]], alpha)]
-    return C.preimage(n + 1, zeta, rows, cols)
-
-
 def fill_cavity(P, a, n, F):
     """Add down-edges (c, a) until H~_n of Delta(P_{<a}) vanishes.
 
@@ -69,6 +58,11 @@ def fill_cavity(P, a, n, F):
     added it returns P itself, for which they hold trivially.  Each new
     poset keeps the filter complexes, and their memos, of the elements not
     above a (Poset.extend_below); conclusion (2) checks those filters.
+
+    The augmented conic complex C of P is built once, and every filling is
+    solved on its deg <= deg(a) truncation.  That reads conic degrees n-1
+    to n+1 only, whose apexes have dimension < d(a) and so are not above
+    a: every poset of the loop gives the same matrices there.
     """
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
@@ -78,23 +72,17 @@ def fill_cavity(P, a, n, F):
     for b in P.elements:
         if P.dim(b) < da and not is_homology_sphere_at(P, b, F):
             raise HypothesisFailed(f"filter below {b!r} is not a sphere")
-    alpha = P.deg[a]
-    added = []
-    P0 = P
-    r_prev = None
-    while True:
-        K = P.filter_complex(a)
-        r = reduced_homology(K, F).get(n, 0)
-        if r == 0:
-            break
-        if r_prev is not None and r >= r_prev:
-            raise VerificationError("cavity rank failed to decrease")
-        r_prev = r
-        C = conic_complex(P, F, augmented=True)
-        sub = C.restrict_deg_leq(alpha)
-        if sub.homology_ranks().get(n, 0):
-            raise HypothesisFailed(
-                f"H_{n} of the truncated conic complex at {alpha} is nonzero")
+    K = P.filter_complex(a)
+    r = reduced_homology(K, F).get(n, 0)
+    if not r:
+        return P, []
+    C = conic_complex(P, F, augmented=True)
+    sub = C.restrict_deg_leq(P.deg[a])
+    if sub.homology_ranks().get(n, 0):
+        raise HypothesisFailed(
+            f"H_{n} of the truncated conic complex at {P.deg[a]} is nonzero")
+    P0, added = P, []
+    while r:
         # first homology class: first kernel vector that is not a boundary
         h = next((z for z in cycle_space(K, n, F)
                   if K.preimage(n + 1, z, F=F) is None), None)
@@ -102,14 +90,16 @@ def fill_cavity(P, a, n, F):
             raise VerificationError("positive homology rank but no class found")
         z = antichain_form(P, a, h, n, F)
         zeta = conic_coords(P, C.cycles, z, n, F)
-        t = _solve_filling(C, alpha, n, zeta, set())
+        t = sub.preimage(n + 1, zeta)
         if t is None:
             raise VerificationError("conic filling system is inconsistent")
         excluded = set()
         while True:
             new_c = sorted({g[0] for g in t} - P.below[a], key=P.index.get)
             for c in new_c:
-                t2 = _solve_filling(C, alpha, n, zeta, excluded | {c})
+                t2 = sub.preimage(n + 1, zeta, cols=[
+                    g for g in sub.basis.get(n + 1, [])
+                    if g[0] not in excluded and g[0] != c])
                 if t2 is not None:
                     excluded.add(c)
                     t = t2
@@ -121,13 +111,17 @@ def fill_cavity(P, a, n, F):
                 "filling chain lies below the apex; class was a boundary")
         P = P.extend_below(a, new_c)
         added.extend((c, a) for c in new_c)
-    if added:
-        _verify_fill(P0, P, a, n, F)
+        K = P.filter_complex(a)
+        r, r_prev = reduced_homology(K, F).get(n, 0), r
+        if r >= r_prev:
+            raise VerificationError("cavity rank failed to decrease")
+    _verify_fill(P0, P, a, n, F, C)
     return P, added
 
 
-def _verify_fill(P0, P1, a, n, F):
-    """Machine-check the lemma's conclusions (1)-(6)."""
+def _verify_fill(P0, P1, a, n, F, C0):
+    """Machine-check the lemma's conclusions (1)-(6); C0 is the augmented
+    conic complex of P0."""
     for lo, hi in P0.covers:
         if not P1.leq(lo, hi):
             raise VerificationError("order extension lost a relation")
@@ -136,7 +130,7 @@ def _verify_fill(P0, P1, a, n, F):
             raise VerificationError(f"filter of untouched element {c!r} changed")
         if P0.dim(c) != P1.dim(c):
             raise VerificationError(f"dimension of {c!r} changed")
-    if not conic_complex(P0, F, True).same_matrices(conic_complex(P1, F, True)):
+    if not C0.same_matrices(conic_complex(P1, F, True)):
         raise VerificationError("conic complex changed by cavity filling")
     h0 = reduced_homology(P0.filter_complex(a), F)
     h1 = reduced_homology(P1.filter_complex(a), F)
@@ -175,10 +169,8 @@ def hcwify(P, F):
     """Apply cavity filling over all elements until the poset is hcw."""
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
-    homology = {}
     for a in P.elements:
-        homology[a] = reduced_homology(P.filter_complex(a), F)
-        r = homology[a].get(P.dim(a) - 1, 0)
+        r = reduced_homology(P.filter_complex(a), F).get(P.dim(a) - 1, 0)
         if r != 1:
             raise HypothesisFailed(
                 f"top filter homology below {a!r} has rank {r}, expected 1")
@@ -187,19 +179,16 @@ def hcwify(P, F):
         raise HypothesisFailed(
             f"truncated conic complex at {alpha} is not exact")
     before = P
-    # Delta(P_{<a}) has dimension d(a) - 1: as in is_homology_sphere_at
-    verdicts_before = {a: h == {P.dim(a) - 1: 1} for a, h in homology.items()}
+    verdicts_before = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
     added = []
     for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
         for n in range(P.dim(a) - 2, -1, -1):
             P, new = fill_cavity(P, a, n, F)
             added.extend(new)
+    # each adding fill compared the conic complexes of its input and output
     verdicts_after = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
     if not all(verdicts_after.values()):
         raise VerificationError("hcwify result is not hcw")
-    if added and not conic_complex(before, F, True).same_matrices(
-            conic_complex(P, F, True)):
-        raise VerificationError("hcwify changed the conic complex")
     return P, HcwReport(before, P, added, verdicts_before, verdicts_after)
 
 

@@ -17,6 +17,7 @@ from posetres import (FieldSpec, OrientedComplex, Poset, conic_complex,
                       make_minimal_support_basis, minimalize, minimize,
                       reduced_homology, taylor_complex)
 from posetres.conic import ConicComplex
+from posetres.errors import HypothesisFailed
 from posetres.posets import cycle_space, is_homology_sphere_at
 from conftest import (M_GENS, RP2_GENS, load_fixture_complex,
                       random_corpus)
@@ -35,18 +36,24 @@ def _incidence(I, F):
     return incidence_poset(make_minimal_support_basis(M)[0])
 
 
-def _assert_matches_rebuild(Q, report, F):
+def _assert_poset_matches_rebuild(Q, F):
+    """Q against its rebuild R from elements and covers; returns R."""
     R = Poset(Q.elements, Q.covers, deg=Q.deg)
     for a in Q.elements:
         K, L = Q.filter_complex(a), R.filter_complex(a)
         assert K.faces == L.faces, a
-        assert F in K._homology, a  # hcwify's last sphere test left it
+        assert F in K._homology, a  # the last sphere test left it
         assert reduced_homology(K, F) == reduced_homology(L, F), a
-    assert report.verdicts_after == {a: is_homology_sphere_at(R, a, F)
-                                     for a in R.elements}
     assert is_hcw(Q, F) == is_hcw(R, F)
     assert conic_complex(Q, F, True).same_matrices(
         conic_complex(R, F, True))
+    return R
+
+
+def _assert_matches_rebuild(Q, report, F):
+    R = _assert_poset_matches_rebuild(Q, F)
+    assert report.verdicts_after == {a: is_homology_sphere_at(R, a, F)
+                                     for a in R.elements}
 
 
 @pytest.mark.parametrize("name,p", CASES, ids=[f"{n}-{p}" for n, p in CASES])
@@ -85,29 +92,34 @@ def test_cavity_fill_carries_only_untouched_filters():
 # --- the checks still run on every fill that adds a relation -------------
 
 def _spy(monkeypatch):
-    """Record the calls of fill_cavity (inside hcwify), _verify_fill and
-    ConicComplex.same_matrices."""
-    fills, verified, compared = [], [], []
+    """Record the calls of fill_cavity (inside hcwify), _verify_fill,
+    ConicComplex.same_matrices and conic_complex (inside hcw)."""
+    fills, verified, compared, built = [], [], [], []
     fill, verify = hcw.fill_cavity, hcw._verify_fill
-    same = ConicComplex.same_matrices
+    same, conic = ConicComplex.same_matrices, hcw.conic_complex
 
     def spy_fill(P0, a, n, F):
         out = fill(P0, a, n, F)
         fills.append((P0, *out))
         return out
 
-    def spy_verify(P0, P1, a, n, F):
+    def spy_verify(P0, P1, a, n, F, C0):
         verified.append((P0, P1))
-        return verify(P0, P1, a, n, F)
+        return verify(P0, P1, a, n, F, C0)
 
     def spy_same(C, D):
         compared.append((C.poset, D.poset))
         return same(C, D)
 
+    def spy_conic(P, F, augmented=False):
+        built.append(P)
+        return conic(P, F, augmented)
+
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
     monkeypatch.setattr(hcw, "_verify_fill", spy_verify)
     monkeypatch.setattr(ConicComplex, "same_matrices", spy_same)
-    return fills, verified, compared
+    monkeypatch.setattr(hcw, "conic_complex", spy_conic)
+    return fills, verified, compared, built
 
 
 @pytest.mark.parametrize("name,n_adding", [("rp2", 1), ("k6-10", 0),
@@ -115,20 +127,24 @@ def _spy(monkeypatch):
 def test_verify_fill_runs_once_per_adding_fill(monkeypatch, name, n_adding):
     F = FieldSpec(2)
     P = _incidence(minimalize(NAMED[name]), F)
-    fills, verified, compared = _spy(monkeypatch)
+    fills, verified, compared, built = _spy(monkeypatch)
     Q, report = hcw.hcwify(P, F)
     adding = [(P0, P1) for P0, P1, new in fills if new]
+    # each fill starts from the previous one's result
+    assert fills[0][0] is P and fills[-1][1] is Q
+    assert all(fills[i + 1][0] is fills[i][1] for i in range(len(fills) - 1))
     assert len(adding) == n_adding and bool(report.added) == bool(n_adding)
     assert len(verified) == len(adding)
     assert all(v[0] is f[0] and v[1] is f[1] and v[0] is not v[1]
                for v, f in zip(verified, adding))
     assert all(P1 is P0 for P0, P1, new in fills if not new)
-    if adding:
-        # one comparison in each _verify_fill, then hcwify's own
-        assert len(compared) == len(adding) + 1
-        assert compared[-1][0] is P and compared[-1][1] is Q
-    else:
-        assert Q is P and compared == []
+    # one comparison in each _verify_fill, of the fill's input and output,
+    # and one conic complex built for each; by the chain above they compose
+    # to P against Q
+    assert compared == adding
+    assert built == [Pi for P0, P1 in adding for Pi in (P0, P1)]
+    if not adding:
+        assert Q is P
     _assert_matches_rebuild(Q, report, F)
 
 
@@ -136,13 +152,56 @@ def test_noop_fill_returns_same_poset_unverified(monkeypatch):
     F = FieldSpec(0)
     P = incidence_poset(load_fixture_complex("two_res_a.json", 0))
     top = next(e for e in P.elements if P.dim(e) == 2)
-    fills, verified, compared = _spy(monkeypatch)
+    fills, verified, compared, built = _spy(monkeypatch)
     P2, added = fill_cavity(P, top, 0, F)
     assert P2 is P and added == []
     Q, report = hcw.hcwify(P, F)
     assert Q is P and report.added == []
     assert fills and all(P1 is P0 for P0, P1, _ in fills)
-    assert verified == [] and compared == []
+    assert verified == [] and compared == [] and built == []
+
+
+def chain_poset(edges=("e1", "e2", "e3", "e4", "e5")):
+    """Six unit-degree vertices x, y, z, u, v, w, the edges among e1 = xy,
+    e2 = yz, e3 = uv, e4 = zu, e5 = vw at their lcm degrees, and an apex a
+    of the full degree above e3, x, y, z and w.  Delta(P_{<a}) has five
+    components; each class of H~_0 the fill picks is filled by one edge."""
+    ends = {"e1": "xy", "e2": "yz", "e3": "uv", "e4": "zu", "e5": "vw"}
+    deg = {v: tuple(int(i == j) for j in range(6))
+           for i, v in enumerate("xyzuvw")}
+    rels = [(b, "a") for b in ["e3", *"xyzw"]]
+    for e in edges:
+        deg[e] = tuple(map(max, *(deg[v] for v in ends[e])))
+        rels += [(v, e) for v in ends[e]]
+    deg["a"] = (1,) * 6
+    return Poset([*"xyzuvw", *edges, "a"], rels, deg=deg)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_fill_that_loops_builds_two_conic_complexes(monkeypatch, p):
+    F, P = FieldSpec(p), chain_poset()
+    extended = []
+    extend = Poset.extend_below
+
+    def spy_extend(self, a, lows):
+        extended.append(list(lows))
+        return extend(self, a, lows)
+
+    monkeypatch.setattr(Poset, "extend_below", spy_extend)
+    fills, verified, compared, built = _spy(monkeypatch)
+    Q, added = fill_cavity(P, "a", 0, F)
+    assert extended == [["e1"], ["e2"], ["e4"], ["e5"]]  # four iterations
+    assert added == [("e1", "a"), ("e2", "a"), ("e4", "a"), ("e5", "a")]
+    assert verified == compared == [(P, Q)] and built == [P, Q]
+    _assert_poset_matches_rebuild(Q, F)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_fill_checks_truncated_conic_hypothesis(p):
+    # without e4 the truncated conic complex has H_0 = 1: {x,y,z}, {u,v,w}
+    P = chain_poset(("e1", "e2", "e3", "e5"))
+    with pytest.raises(HypothesisFailed, match="truncated conic complex"):
+        fill_cavity(P, "a", 0, FieldSpec(p))
 
 
 # --- memo isolation on one complex ----------------------------------------
