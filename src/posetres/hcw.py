@@ -5,18 +5,18 @@ monomial ideal to an hcw-poset supporting its minimal resolution.
 
 from .errors import (HypothesisFailed, NotACycle, NotAMorphism,
                      VerificationError)
-from .conic import (conic_complex, conic_coords, homogenize,
-                    supports_resolution)
+from .conic import conic_complex, homogenize, supports_resolution
 from .gradedcomplex import betti_table, minimize, taylor_complex
 from .incidence import incidence_poset
 from .minsupport import make_minimal_support_basis
-from .posets import cycle_space, is_homology_sphere_at, reduced_homology
+from .posets import is_homology_sphere_at, reduced_homology
 
 
 def antichain_form(P, a, w, m, F):
     """Rewrite an m-cycle of Delta(P_{<a}) as a homologous cycle all of whose
     cone apexes have dimension exactly m (the antichain form).  Faces outside
-    Delta(P_{<a}) raise NotFound, chains that are not cycles NotACycle."""
+    Delta(P_{<a}) raise NotFound, chains that are not cycles NotACycle.
+    Kept as public API; fill_cavity finds its classes as conic cycles."""
     if P.filter_complex(a).boundary(m, w, F):
         raise NotACycle(f"chain is not an {m}-cycle below {a!r}")
     for b in P.below[a]:
@@ -60,9 +60,12 @@ def fill_cavity(P, a, n, F):
     above a (Poset.extend_below); conclusion (2) checks those filters.
 
     The augmented conic complex C of P is built once, and every filling is
-    solved on its deg <= deg(a) truncation.  That reads conic degrees n-1
-    to n+1 only, whose apexes have dimension < d(a) and so are not above
-    a: every poset of the loop gives the same matrices there.
+    solved on its deg <= deg(a) truncation.  Each class is found in R, that
+    truncation on the apexes below a, which computes H~(Delta(P_{<a})) (see
+    conic_vs_simplicial) as every element of dimension < d(a) is checked to
+    be a sphere first.  extend_below only puts elements of dimension n + 1
+    below a and changes no filter of an apex in conic degrees n-1 to n+1
+    (all the solves read): this holds for each later R, and C is kept.
     """
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
@@ -72,8 +75,7 @@ def fill_cavity(P, a, n, F):
     for b in P.elements:
         if P.dim(b) < da and not is_homology_sphere_at(P, b, F):
             raise HypothesisFailed(f"filter below {b!r} is not a sphere")
-    K = P.filter_complex(a)
-    r = reduced_homology(K, F).get(n, 0)
+    r = reduced_homology(P.filter_complex(a), F).get(n, 0)
     if not r:
         return P, []
     C = conic_complex(P, F, augmented=True)
@@ -83,19 +85,20 @@ def fill_cavity(P, a, n, F):
             f"H_{n} of the truncated conic complex at {P.deg[a]} is nonzero")
     P0, added = P, []
     while r:
-        # first homology class: first kernel vector that is not a boundary
-        h = next((z for z in cycle_space(K, n, F)
-                  if K.preimage(n + 1, z, F=F) is None), None)
-        if h is None:
+        # first class: first conic n-cycle below a that bounds nothing there
+        below = P.below[a]
+        R = sub.restrict(g for gs in sub.basis.values() for g in gs
+                         if g[0] in below)
+        zeta = next((z for z in R.kernel(n)
+                     if R.preimage(n + 1, z) is None), None)
+        if zeta is None:
             raise VerificationError("positive homology rank but no class found")
-        z = antichain_form(P, a, h, n, F)
-        zeta = conic_coords(P, C.cycles, z, n, F)
         t = sub.preimage(n + 1, zeta)
         if t is None:
             raise VerificationError("conic filling system is inconsistent")
         excluded = set()
         while True:
-            new_c = sorted({g[0] for g in t} - P.below[a], key=P.index.get)
+            new_c = sorted({g[0] for g in t} - below, key=P.index.get)
             for c in new_c:
                 t2 = sub.preimage(n + 1, zeta, cols=[
                     g for g in sub.basis.get(n + 1, [])
@@ -111,8 +114,7 @@ def fill_cavity(P, a, n, F):
                 "filling chain lies below the apex; class was a boundary")
         P = P.extend_below(a, new_c)
         added.extend((c, a) for c in new_c)
-        K = P.filter_complex(a)
-        r, r_prev = reduced_homology(K, F).get(n, 0), r
+        r, r_prev = reduced_homology(P.filter_complex(a), F).get(n, 0), r
         if r >= r_prev:
             raise VerificationError("cavity rank failed to decrease")
     _verify_fill(P0, P, a, n, F, C)

@@ -191,11 +191,31 @@ def test_verify_reports_stage_failures(monkeypatch, capsys):
     assert "hcw: fail (boom)" in lines
     assert lines[-1] == "rigid_iff_hcw: pass"
     monkeypatch.setattr("posetres.cli.make_minimal_support_basis", boom)
-    assert main(["verify", M]) == 4
+    assert main(["verify", M]) == 1  # four failed checks, no cap exceeded
     out = capsys.readouterr().out
     for name in ("minimal_support", "conic_iso", "support_criterion", "hcw"):
         assert f"{name}: fail (boom)" in out
     assert "rigid_iff_hcw: pass" in out
+
+
+def test_verify_exits_3_when_a_check_exceeds_a_cap(monkeypatch, capsys):
+    def too_large(*args):
+        raise TooLarge("cap")
+
+    def boom(*args):
+        raise VerificationError("boom")
+
+    monkeypatch.setattr("posetres.cli.hcwify", too_large)
+    assert main(["verify", M]) == 3
+    out = capsys.readouterr().out
+    assert "hcw: fail (cap)" in out and "rigid_iff_hcw: pass" in out
+    # a cap beats any number of other failed checks
+    monkeypatch.setattr("posetres.cli.verify_mfr_support", boom)
+    monkeypatch.setattr("posetres.cli.conic_iso_check", boom)
+    assert main(["verify", M]) == 3
+    out = capsys.readouterr().out
+    assert "conic_iso: fail (boom)" in out
+    assert "support_criterion: fail (boom)" in out
 
 
 def test_rigid_and_betti_poset(capsys):

@@ -8,6 +8,7 @@ from posetres import (FieldSpec, Poset, antichain_form, betti_table,
 from posetres.errors import HypothesisFailed, NotACycle, NotFound
 from posetres.posets import reduced_homology
 from conftest import M_GENS, RP2_GENS, load_fixture_complex, random_corpus
+from test_hcw_memo import K6_EDGES, _incidence
 
 Q = FieldSpec(0)
 GF2 = FieldSpec(2)
@@ -149,3 +150,25 @@ def test_hcw_support_matches_oracle_in_odd_characteristic(p):
         Qp, deg, H = hcw_support(I, F)
         assert is_hcw(Qp, F)
         assert betti_table(H).entries == betti_numbers(I.generators, p)
+
+
+# the relations hcwify adds over GF(2): they depend on which class each fill
+# picks, so they pin the class search
+ADDED_GF2 = {
+    "rp2": [("t6.8.9", "t6.7.8.9")],
+    "k6-13": [("t9.11.12", "t7.9.10.12"), ("t10.11.12", "t7.9.10.12"),
+              ("t9.10.11.12", "t7.8.9.10.12")],
+    "k6-14": [("t9.12.13", "t8.9.11.13"), ("t11.12.13", "t8.9.11.13"),
+              ("t10.12.13", "t8.10.11.13"), ("t11.12.13", "t8.10.11.13"),
+              ("t9.10.11.12", "t8.9.10.11.13"),
+              ("t9.11.12.13", "t8.9.10.11.13"),
+              ("t10.11.12.13", "t8.9.10.11.13")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADDED_GF2))
+def test_hcwify_pins_added_relations_over_gf2(name):
+    gens = {"rp2": RP2_GENS, "k6-13": K6_EDGES[:13], "k6-14": K6_EDGES[:14]}
+    Qp, report = hcwify(_incidence(minimalize(gens[name]), GF2), GF2)
+    assert report.added == ADDED_GF2[name]
+    assert is_hcw(Qp, GF2)

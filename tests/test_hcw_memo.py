@@ -204,6 +204,49 @@ def test_fill_checks_truncated_conic_hypothesis(p):
         fill_cavity(P, "a", 0, FieldSpec(p))
 
 
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_fill_checks_lower_filters_are_spheres(p):
+    # b lies over the three points x, y, z only: H~_0 below b has rank 2
+    P = chain_poset()
+    P = Poset([*P.elements, "b"], [*P.covers, *((v, "b") for v in "xyz")],
+              deg={**P.deg, "b": (1, 1, 1, 0, 0, 0)})
+    with pytest.raises(HypothesisFailed,
+                       match="filter below 'b' is not a sphere"):
+        fill_cavity(P, "a", 0, FieldSpec(p))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_conic_cavity_matches_simplicial_cavity(monkeypatch, p):
+    """Every filter below a is a sphere at the input and output of every
+    fill that hcwify makes (fill_cavity checks it), and there the augmented
+    conic complex on the apexes below a has the homology of Delta(P_{<a})."""
+    F = FieldSpec(p)
+    calls, fill = [], hcw.fill_cavity
+
+    def spy_fill(P0, a, n, F):
+        P1, added = fill(P0, a, n, F)
+        calls.append((P0, P1, a, n))
+        return P1, added
+
+    monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
+    ideals = [minimalize(NAMED[name]) for name in ("rp2", "m", "k6-13")]
+    for I in ideals + random_corpus(100):
+        hcw.hcwify(_incidence(I, F), F)
+    spy_fill(chain_poset(), "a", 0, F)  # a fill that loops
+    conics = {}  # id -> (poset, its augmented conic complex)
+    for P0, P1, a, n in calls:
+        for P in {id(P0): P0, id(P1): P1}.values():
+            assert all(is_homology_sphere_at(P, b, F) for b in P.below[a])
+            if id(P) not in conics:
+                conics[id(P)] = P, conic_complex(P, F, True)
+            C = conics[id(P)][1]
+            R = C.restrict(g for gs in C.gens.values() for g in gs
+                           if g[0] in P.below[a])
+            assert (R.homology_ranks()
+                    == reduced_homology(P.filter_complex(a), F)), (a, n)
+    assert any(P1 is not P0 for P0, P1, _, _ in calls)
+
+
 # --- memo isolation on one complex ----------------------------------------
 
 RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
