@@ -7,27 +7,30 @@ is written [a, z]; its differential is z re-expressed in the degree-(n-1)
 cycle bases, grouping the faces of z by their top vertex.
 """
 
-from .errors import (HypothesisFailed, NotAComplex, NotAMorphism,
+from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
 from .exactla import rank
-from .gradedcomplex import ChainComplex, GradedFreeComplex
-from .monomials import divides, join_closure
+from .gradedcomplex import ChainComplex, GradedFreeComplex, is_resolution
+from .monomials import divides
 from .posets import cycle_space, reduced_homology
 
 
 class ConicComplex(ChainComplex):
     """Field chain complex with one component per poset element.
 
-    gens:   dict n -> ordered list of (apex, index) pairs, the basis ids
-    cycles: dict (apex, index) -> sparse cycle {face: scalar}
-    diffs:  dict n -> {((apex_r, i_r), (apex_c, i_c)): scalar} for n >= 1
-    aug:    dict (apex, index) -> scalar, the augmentation on degree 0
+    gens:      dict n -> ordered list of (apex, index) pairs, the basis ids
+    cycles:    dict (apex, index) -> sparse cycle {face: scalar}
+    diffs:     dict n -> {((apex_r, i_r), (apex_c, i_c)): scalar} for n >= 1
+    aug:       dict (apex, index) -> scalar, the augmentation on degree 0
+    degree_of: dict (apex, index) -> deg of the apex ({} without P.deg)
     """
 
     def __init__(self, poset, field, gens, cycles, diffs, aug, augmented):
         super().__init__(field, gens, diffs, aug, augmented)
         self.poset = poset
         self.cycles = dict(cycles)
+        self.degree_of = {g: poset.deg[g[0]] for gs in self.basis.values()
+                          for g in gs} if poset.deg else {}
 
     @property
     def gens(self):
@@ -39,20 +42,6 @@ class ConicComplex(ChainComplex):
             for a, _ in gs:
                 dims[a] = dims.get(a, 0) + 1
         return dims
-
-    def restrict_deg_leq(self, alpha):
-        """Field complex on the generators whose apex has deg <= alpha.
-
-        It is the conic complex of the subposet on {a : deg a <= alpha},
-        because open filters inside that subposet coincide with the filters
-        taken in the whole poset (deg is monotone), so all cycle bases are
-        shared.
-        """
-        deg = self.poset.deg
-        if deg is None:
-            raise NotAMorphism("poset has no degree map")
-        return self.restrict(g for gs in self.gens.values() for g in gs
-                             if divides(deg[g[0]], alpha))
 
     def same_matrices(self, other):
         """Entry-wise equality of generators, cycles and differentials."""
@@ -189,6 +178,8 @@ def homogenize(C, deg=None):
     for lo, hi in P.covers:
         if not divides(deg[lo], deg[hi]):
             raise NotAMorphism(f"deg not monotone on {lo} < {hi}")
+    if not deg:
+        raise ShapeError("cannot homogenize an empty poset")
     num_vars = len(next(iter(deg.values())))
 
     def gid(g):
@@ -202,14 +193,15 @@ def homogenize(C, deg=None):
 
 
 def supports_resolution(P, F):
-    """Exactness of the augmented conic complex of every degree-truncation.
+    """Whether P supports a resolution along its degree map: is_resolution
+    of the (unaugmented) conic complex, which checks the strand of every
+    truncation P_{<=alpha} at a join of the generator degrees.
 
-    Returns (ok, witness alpha or None).
+    Returns (ok, the first alpha whose strand is not {0: 1} or None).
     """
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
-    C = conic_complex(P, F, augmented=True)
-    for alpha in sorted(join_closure(P.deg.values())):
-        if not C.restrict_deg_leq(alpha).is_exact():
-            return False, alpha
-    return True, None
+    if not P.elements:
+        return True, None
+    ok, report = is_resolution(conic_complex(P, F))
+    return ok, next((a for a, h in report.items() if h != {0: 1}), None)

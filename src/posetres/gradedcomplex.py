@@ -437,7 +437,8 @@ def bar_reduce(C):
 
 
 def strand(C, alpha):
-    """Homogeneous strand of degree alpha, as a field complex."""
+    """Homogeneous strand of degree alpha, as a field complex: the basis
+    ids whose degree_of divides alpha, with the entries among them."""
     return C.restrict(i for i, d in C.degree_of.items() if divides(d, alpha))
 
 
@@ -453,19 +454,18 @@ def betti_table(C):
 
 
 def is_resolution(C):
-    """Strand-wise exactness test at every lcm-lattice degree of the resolved
-    ideal (the degree-0 labels).  Returns (ok, report)."""
+    """Strand-wise exactness test of a complex with a degree_of: every
+    strand at a join of basis degrees must have homology {0: 1}.  The joins
+    are those of the degree-0 labels, widened to all basis degrees when a
+    label lies off that lattice.  Returns (ok, report), the report mapping
+    each checked degree, in sorted order, to its strand's homology."""
     C.check_complex()
-    deg0 = [d for _, d in C.labels.get(0, [])]
+    deg0 = [C.degree_of[i] for i in C.basis.get(0, []) if i in C.degree_of]
     if not deg0:
-        raise ShapeError("no degree-0 basis")
-    lattice = sorted(join_closure(deg0))
-    report = {}
-    ok = True
-    for alpha in lattice:
-        S = strand(C, alpha)
-        h = S.homology_ranks()
-        good = h.get(0, 0) == 1 and all(v == 0 for n, v in h.items() if n >= 1)
-        report[alpha] = h
-        ok = ok and good
-    return ok, report
+        raise ShapeError("no degree-0 basis with a degree")
+    lattice = join_closure(deg0)
+    if not lattice.issuperset(C.degree_of.values()):
+        lattice = join_closure(C.degree_of.values())
+    report = {alpha: strand(C, alpha).homology_ranks()
+              for alpha in sorted(lattice)}
+    return all(h == {0: 1} for h in report.values()), report

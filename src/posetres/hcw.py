@@ -6,7 +6,7 @@ monomial ideal to an hcw-poset supporting its minimal resolution.
 from .errors import (HypothesisFailed, NotACycle, NotAMorphism,
                      VerificationError)
 from .conic import conic_complex, homogenize, supports_resolution
-from .gradedcomplex import betti_table, minimize, taylor_complex
+from .gradedcomplex import betti_table, minimize, strand, taylor_complex
 from .incidence import incidence_poset
 from .minsupport import make_minimal_support_basis
 from .posets import is_homology_sphere_at, reduced_homology
@@ -60,8 +60,9 @@ def fill_cavity(P, a, n, F):
     above a (Poset.extend_below); conclusion (2) checks those filters.
 
     The augmented conic complex C of P is built once, and every filling is
-    solved on its deg <= deg(a) truncation.  Each class is found in R, that
-    truncation on the apexes below a, which computes H~(Delta(P_{<a})) (see
+    solved on sub = strand(C, deg(a)), the conic complex of the truncation
+    P_{<=deg(a)} (the apexes of degree <= deg(a)).  Each class is found in
+    R, sub on the apexes below a, which computes H~(Delta(P_{<a})) (see
     conic_vs_simplicial) as every element of dimension < d(a) is checked to
     be a sphere first.  extend_below only puts elements of dimension n + 1
     below a and changes no filter of an apex in conic degrees n-1 to n+1
@@ -79,7 +80,7 @@ def fill_cavity(P, a, n, F):
     if not r:
         return P, []
     C = conic_complex(P, F, augmented=True)
-    sub = C.restrict_deg_leq(P.deg[a])
+    sub = strand(C, P.deg[a])
     if sub.homology_ranks().get(n, 0):
         raise HypothesisFailed(
             f"H_{n} of the truncated conic complex at {P.deg[a]} is nonzero")

@@ -9,8 +9,8 @@ is rank 1 in dimension -1.
 
 from graphlib import CycleError, TopologicalSorter
 
-from .errors import (NotAMorphism, NotFound, ShapeError, TooLarge,
-                     VerificationError, malformed)
+from .errors import (NotAMorphism, NotFound, ParseError, ShapeError,
+                     TooLarge, VerificationError, malformed)
 from .exactla import rank  # unused; perfbench's tracer rebinds posets.rank
 from .gradedcomplex import ChainComplex
 from .monomials import divides
@@ -23,7 +23,7 @@ class Poset:
 
     `relations` may be any set of (lower, upper) pairs; the order they
     generate is taken.  An optional `deg` map id -> multidegree tuple must
-    be monotone.
+    be monotone, its tuples all of one length.
     """
 
     def __init__(self, elements, relations, deg=None):
@@ -55,6 +55,8 @@ class Poset:
         self.deg = None
         if deg is not None:
             self.deg = {e: tuple(deg[e]) for e in self.elements}
+            if len({len(d) for d in self.deg.values()}) > 1:
+                raise ShapeError("degree tuples of unequal length")
             for e in self.elements:
                 for x in self.below[e]:
                     if not divides(self.deg[x], self.deg[e]):
@@ -186,7 +188,9 @@ class Poset:
     def from_json(cls, obj):
         elements = [e["id"] for e in obj["elements"]]
         deg = None
-        if obj["elements"] and "deg" in obj["elements"][0]:
+        if any("deg" in e for e in obj["elements"]):
+            if not all("deg" in e for e in obj["elements"]):
+                raise ParseError("deg given for only some elements")
             deg = {e["id"]: tuple(e["deg"]) for e in obj["elements"]}
         return cls(elements, [tuple(c) for c in obj["covers"]], deg=deg)
 

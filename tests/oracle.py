@@ -2,7 +2,9 @@
 
 Deliberately self-contained: its own field arithmetic, its own dense
 elimination, and its own simplicial homology, so that agreement with the
-minimization pipeline is a genuine cross-check.
+minimization pipeline is a genuine cross-check.  The one exception is
+`supports_resolution_loop`, a reference kept from an earlier posetres that
+runs on posetres complexes.
 """
 
 from fractions import Fraction
@@ -124,3 +126,22 @@ def betti_numbers(gens, p):
         for n, h in _reduced_homology_ranks(K, p).items():
             table[(n + 1, alpha)] = h
     return table
+
+
+def supports_resolution_loop(P, F):
+    """supports_resolution as a loop over every alpha in the join closure of
+    all element degrees, in sorted order: the augmented conic complex
+    restricted to the apexes of degree <= alpha must be exact.  Returns
+    (ok, the first alpha where it is not, or None)."""
+    from posetres import conic_complex, join_closure
+    from posetres.errors import NotAMorphism
+    from posetres.monomials import divides
+    if P.deg is None:
+        raise NotAMorphism("poset has no degree map")
+    C = conic_complex(P, F, augmented=True)
+    for alpha in sorted(join_closure(P.deg.values())):
+        sub = C.restrict(g for gs in C.basis.values() for g in gs
+                         if divides(P.deg[g[0]], alpha))
+        if not sub.is_exact():
+            return False, alpha
+    return True, None

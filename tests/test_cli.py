@@ -99,6 +99,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("cmd", ["conic", "hcwify"])
+def test_malformed_poset_degrees_exit_2(tmp_path, capsys, cmd):
+    """Degree tuples of unequal length, and deg on only some elements, in
+    either order, are malformed poset files."""
+    p = tmp_path / "bad.json"
+    for elements, message in (
+            ([{"id": "a", "deg": [1]}, {"id": "b", "deg": [1, 1]}],
+             "unequal length"),
+            ([{"id": "a", "deg": [1, 0]}, {"id": "b"}], "only some"),
+            ([{"id": "a"}, {"id": "b", "deg": [1, 1]}], "only some")):
+        for covers in ([["a", "b"]], []):
+            p.write_text(json.dumps({"elements": elements,
+                                     "covers": covers}))
+            assert main([cmd, str(p), "--poset"]) == 2
+            assert message in capsys.readouterr().err
+
+
 def test_cap_exit_code(tmp_path, monkeypatch):
     gens = "\n".join(" ".join("1" if i == j else "0" for i in range(17))
                      for j in range(17))

@@ -1,15 +1,22 @@
-import pytest
+import random
+from functools import reduce
 
-from oracle import boundary_of_chain
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracle import boundary_of_chain, supports_resolution_loop
 from posetres import (FieldSpec, Poset, bar_reduce, betti_table,
-                      conic_complex, conic_vs_simplicial, homogenize,
-                      make_minimal_support_basis, minimize,
-                      supports_resolution, taylor_complex)
+                      conic_complex, conic_vs_simplicial, hcw, homogenize,
+                      is_resolution, lcm, make_minimal_support_basis,
+                      minimalize, minimize, strand, supports_resolution,
+                      taylor_complex)
 from posetres.conic import (conic_coords, kernel_skeleton_check,
                             skeleton_complex)
-from posetres.errors import HypothesisFailed, NotAMorphism, VerificationError
+from posetres.errors import (HypothesisFailed, NotAMorphism, PosetresError,
+                             ShapeError, VerificationError)
 from posetres.incidence import incidence_poset
-from conftest import load_fixture_complex, random_corpus
+from conftest import M_GENS, RP2_GENS, load_fixture_complex, random_corpus
+from test_hcw_memo import K6_EDGES, _incidence
 
 Q = FieldSpec(0)
 
@@ -102,8 +109,101 @@ def test_supports_resolution_failure_witness():
     ok, witness = supports_resolution(P, Q)
     assert not ok and witness == (0, 1, 1)
     from posetres import conic_complex
-    sub = conic_complex(P, Q, augmented=True).restrict_deg_leq(witness)
+    sub = strand(conic_complex(P, Q, augmented=True), witness)
     assert not sub.is_exact()
+
+
+def test_conic_degree_of_is_the_apex_degree():
+    P = koszul_poset()
+    C = conic_complex(P, Q, augmented=True)
+    assert C.degree_of == {g: P.deg[g[0]] for gs in C.gens.values()
+                           for g in gs}
+    S = strand(C, (1, 0))
+    assert S.basis == {0: [("a1", 0)]} and S.augmented and S.is_exact()
+    C = conic_complex(Poset(P.elements, P.covers), Q)
+    assert C.degree_of == {}
+    with pytest.raises(ShapeError):
+        is_resolution(C)
+
+
+def test_homogenize_rejects_an_empty_poset():
+    with pytest.raises(ShapeError):
+        homogenize(conic_complex(Poset([], [], deg={}), Q))
+
+
+# --- supports_resolution against the per-truncation loop ----------------
+
+def _assert_matches_loop(P, F):
+    """supports_resolution(P, F) returns what supports_resolution_loop
+    does, or raises the same exception type; returns the loop's ok, or
+    None if it raised."""
+    try:
+        want = supports_resolution_loop(P, F)
+    except PosetresError as exc:
+        with pytest.raises(type(exc)):
+            supports_resolution(P, F)
+        return None
+    assert supports_resolution(P, F) == want
+    return want[0]
+
+
+def test_supports_resolution_edge_cases():
+    assert supports_resolution(Poset([], [], deg={}), Q) == (True, None)
+    with pytest.raises(NotAMorphism):
+        supports_resolution(Poset(["a"], []), Q)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_supports_resolution_matches_loop_on_corpus(p):
+    F = FieldSpec(p)
+    for I in random_corpus(100):
+        assert _assert_matches_loop(_incidence(I, F), F)
+
+
+def test_supports_resolution_matches_loop_on_hcwify_posets(monkeypatch):
+    """Every poset that hcwify visits over GF(2) supports a resolution."""
+    F, seen, fill = FieldSpec(2), {}, hcw.fill_cavity
+
+    def spy_fill(P0, a, n, F):
+        P1, added = fill(P0, a, n, F)
+        seen.update({id(P0): P0, id(P1): P1})
+        return P1, added
+
+    monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
+    for gens in (RP2_GENS, M_GENS, K6_EDGES[:13]):
+        hcw.hcwify(_incidence(minimalize(gens), F), F)
+    assert len(seen) > 3
+    for P in seen.values():
+        assert _assert_matches_loop(P, F)
+
+
+def random_graded_poset(rng):
+    """A poset on at most 7 elements with degrees in 1 to 3 variables: each
+    degree is the join of random base degrees over the elements up to it,
+    so it is monotone."""
+    size, m = rng.randint(1, 7), rng.randint(1, 3)
+    P = Poset(range(size), [(i, j) for j in range(size) for i in range(j)
+                            if rng.random() < 0.4])
+    base = [tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(size)]
+    deg = {e: reduce(lcm, (base[x] for x in (e, *P.below[e])))
+           for e in P.elements}
+    return Poset(P.elements, P.covers, deg=deg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+@example(random.Random(0))
+def test_supports_resolution_matches_loop_on_random_posets(rng):
+    _assert_matches_loop(random_graded_poset(rng), FieldSpec(rng.choice(
+        [0, 2, 3, 5])))
+
+
+def test_random_graded_posets_have_failing_truncations():
+    rng = random.Random(20261018)
+    verdicts = [_assert_matches_loop(random_graded_poset(rng),
+                                     FieldSpec(p))
+                for _ in range(100) for p in (0, 2)]
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20
 
 
 def test_kernel_skeleton_equality():

@@ -327,6 +327,18 @@ def test_is_resolution_taylor():
     assert all(h.get(0) == 1 for h in report.values())
 
 
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_is_resolution_checks_labels_off_the_degree_zero_lattice(p):
+    """S f -> S e with deg e = x, deg f = xy and d f = y e: xy is no join of
+    the degree-0 labels, yet its strand, the unit e <- f, has no homology."""
+    F = FieldSpec(p)
+    C = GradedFreeComplex(2, F, {0: [("e", (1, 0))], 1: [("f", (1, 1))]},
+                          {1: {("e", "f"): F(1)}})
+    ok, report = is_resolution(C)
+    assert not ok and report[(1, 1)] == {}
+    assert report[(1, 0)] == {0: 1}
+
+
 def test_no_zero_bar_columns_after_minimize():
     I = minimalize([(2, 1, 0), (0, 1, 2), (1, 0, 1)])
     M = minimize(taylor_complex(I, Q))

@@ -72,6 +72,12 @@ def test_deg_monotonicity_enforced():
         Poset(["a", "b"], [("a", "b")], deg={"a": (1, 0), "b": (0, 1)})
 
 
+def test_deg_tuples_of_unequal_length_rejected():
+    for rels in ([("a", "b")], []):
+        with pytest.raises(ShapeError, match="unequal length"):
+            Poset(["a", "b"], rels, deg={"a": (1,), "b": (1, 1)})
+
+
 def test_down_set_and_restrict():
     P = Poset("abcd", [("a", "c"), ("b", "c"), ("c", "d")])
     assert sorted(P.down_set("c").elements) == ["a", "b"]
@@ -188,6 +194,8 @@ def test_poset_json_rejects_malformed_structure():
                 {"elements": [{"id": 1}, {"id": 2}], "covers": [[1]]},
                 {"elements": [{"id": 1}, {"id": 2}], "covers": [3]},
                 {"elements": [{"id": 1, "deg": [0]}, {"id": 2}],
+                 "covers": []},
+                {"elements": [{"id": 1}, {"id": 2, "deg": [0]}],
                  "covers": []},
                 {"elements": 5, "covers": []}):
         with pytest.raises(ParseError):
