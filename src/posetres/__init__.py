@@ -7,7 +7,7 @@ filling to homology-CW posets, and rigidity checks.
 from .exactla import FieldSpec, SparseMatrix, kernel_basis, rank, solve
 from .monomials import MonomialIdeal, divides, join_closure, lcm, lcm_lattice, minimalize
 from .posets import Poset, OrientedComplex, is_hcw, reduced_homology
-from .gradedcomplex import (BarComplex, BettiTable, GradedFreeComplex,
+from .gradedcomplex import (BettiTable, ChainComplex, GradedFreeComplex,
                             bar_reduce, betti_table, is_resolution, minimize,
                             strand, taylor_complex)
 from .minsupport import (BasisChangeLog, boundary_support,
@@ -25,7 +25,7 @@ __all__ = [
     "MonomialIdeal", "divides", "join_closure", "lcm", "lcm_lattice",
     "minimalize",
     "Poset", "OrientedComplex", "is_hcw", "reduced_homology",
-    "BarComplex", "BettiTable", "GradedFreeComplex", "bar_reduce",
+    "ChainComplex", "BettiTable", "GradedFreeComplex", "bar_reduce",
     "betti_table", "is_resolution", "minimize", "strand", "taylor_complex",
     "BasisChangeLog", "boundary_support", "is_minimal_support_cycle",
     "make_minimal_support_basis", "noncomparable_supports",

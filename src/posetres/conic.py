@@ -11,7 +11,6 @@ from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
 from .exactla import rank
 from .gradedcomplex import ChainComplex, GradedFreeComplex, is_resolution
-from .monomials import divides
 from .posets import cycle_space, reduced_homology
 
 
@@ -91,7 +90,8 @@ def conic_coords(P, cycles, chain, n, F):
         if P.dim(c) != n:
             raise VerificationError(
                 f"chain top vertex {c!r} has dimension != {n}")
-        fix = P.filter_complex(c).index.get(n - 1, {})
+        K = P.filter_complex(c)
+        fix = K._index(n - 1, K.basis.get(n - 1, []))
         rest = dict(zc)
         i = 0
         while (c, i) in cycles:
@@ -167,17 +167,12 @@ def conic_vs_simplicial(P, F):
     return hc == hs
 
 
-def homogenize(C, deg=None):
-    """Lift a conic complex to a Z^m-graded free complex along deg."""
-    P = C.poset
+def homogenize(C):
+    """Lift a conic complex to a Z^m-graded free complex along its poset's
+    (monotone) degree map; without one NotAMorphism, if empty ShapeError."""
+    deg = C.poset.deg
     if deg is None:
-        deg = P.deg
-    if deg is None:
-        raise NotAMorphism("no degree map supplied")
-    deg = {a: tuple(deg[a]) for a in P.elements}
-    for lo, hi in P.covers:
-        if not divides(deg[lo], deg[hi]):
-            raise NotAMorphism(f"deg not monotone on {lo} < {hi}")
+        raise NotAMorphism("poset has no degree map")
     if not deg:
         raise ShapeError("cannot homogenize an empty poset")
     num_vars = len(next(iter(deg.values())))

@@ -44,7 +44,7 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
-        if p != 0 and not _is_prime(p):
+        if type(p) is not int or p != 0 and not _is_prime(p):
             raise InvalidField(f"characteristic must be 0 or prime, got {p}")
 
     @property

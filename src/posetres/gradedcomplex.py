@@ -39,15 +39,16 @@ class ChainComplex:
         self.diffs = {n: m for n, m in self.diffs.items() if m}
         self.aug = dict(aug or {})
         self.augmented = augmented
-
-    index = {}  # n -> {id: position in basis[n]}, kept by OrientedComplex
+        self.index = {}  # n -> {id: position in basis[n]}, filled by _index
+        self._is_complex = False  # set once check_complex has passed
 
     def _index(self, n, ids):
-        """{id: position} over ids; the kept one if ids is basis[n]."""
-        ix = self.index.get(n)
-        if ix is not None and ids is self.basis.get(n):
-            return ix
-        return {i: k for k, i in enumerate(ids)}
+        """{id: position} over ids, kept in index[n] if ids is basis[n]."""
+        if ids is not self.basis.get(n):
+            return {i: k for k, i in enumerate(ids)}
+        if n not in self.index:
+            self.index[n] = {i: k for k, i in enumerate(ids)}
+        return self.index[n]
 
     @property
     def top(self):
@@ -109,7 +110,10 @@ class ChainComplex:
         Each differential is scaled by the lcm of its denominators, which
         does not change whether a composite vanishes, and the composite is
         summed in integers (reduced mod p at the end over GF(p)), one
-        column of d_{n+1} at a time."""
+        column of d_{n+1} at a time.  Complexes are not mutated, so a pass
+        is recorded and a later call returns at once."""
+        if self._is_complex:
+            return
         p = self.field.characteristic
         by_col = {}  # n -> {column id: {row id: integer entry}}
         for n, mat in self.diffs.items():
@@ -129,6 +133,7 @@ class ChainComplex:
                     if v % p if p else v:
                         raise NotAComplex(
                             f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}")
+        self._is_complex = True
 
     def homology_ranks(self, F=None):
         """Nonzero homology ranks per degree; includes degree -1, spanned by
@@ -147,7 +152,7 @@ class ChainComplex:
         return not self.homology_ranks()
 
     def restrict(self, keep):
-        """Field complex (a BarComplex) on the basis ids in `keep`, with the
+        """Plain ChainComplex on the basis ids in `keep`, with the
         differential and augmentation entries among them.  It is a
         subcomplex when `keep` contains the boundary support of each of
         its ids, e.g. every degree truncation of a homogeneous complex."""
@@ -158,7 +163,7 @@ class ChainComplex:
                      if c in keep and r in keep}
                  for n, mat in self.diffs.items()}
         aug = {i: v for i, v in self.aug.items() if i in keep}
-        return BarComplex(self.field, basis, diffs, aug, self.augmented)
+        return ChainComplex(self.field, basis, diffs, aug, self.augmented)
 
 
 def _vector(ix, chain, n, F):
@@ -248,6 +253,9 @@ class GradedFreeComplex(ChainComplex):
         F = field if field is not None else FieldSpec(obj.get("characteristic", 0))
         labels = {n: [(e["id"], tuple(e["degree"])) for e in labs]
                   for n, labs in enumerate(obj["basis"])}
+        if any(type(x) is not int or x < 0
+               for labs in labels.values() for _, d in labs for x in d):
+            raise ShapeError("degree entries must be integers >= 0")
         diffs = {}
         for k, mat in enumerate(obj.get("differentials", [])):
             n = k + 1
@@ -275,15 +283,6 @@ def _scalar_json(v):
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else str(v)
     return int(v)
-
-
-class BarComplex(ChainComplex):
-    """Field chain complex obtained by erasing the monomial factors;
-    labels is the basis, dict n -> ordered list of ids."""
-
-    @property
-    def labels(self):
-        return self.basis
 
 
 class BettiTable:
@@ -430,15 +429,15 @@ def minimize(C):
 
 
 def bar_reduce(C):
-    """Tensor with k[x]/(x_1-1,...,x_m-1): keep scalars, drop monomials.
-    The augmentation sends every degree-0 basis element to 1."""
+    """Tensor with k[x]/(x_1-1,...,x_m-1): a plain ChainComplex of the
+    scalars.  The augmentation sends every degree-0 basis element to 1."""
     aug = dict.fromkeys(C.basis.get(0, []), C.field.one)
-    return BarComplex(C.field, C.basis, C.diffs, aug)
+    return ChainComplex(C.field, C.basis, C.diffs, aug)
 
 
 def strand(C, alpha):
-    """Homogeneous strand of degree alpha, as a field complex: the basis
-    ids whose degree_of divides alpha, with the entries among them."""
+    """Homogeneous strand of degree alpha, as a plain ChainComplex: the
+    basis ids whose degree_of divides alpha, with the entries among them."""
     return C.restrict(i for i, d in C.degree_of.items() if divides(d, alpha))
 
 

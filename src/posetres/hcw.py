@@ -172,17 +172,21 @@ def hcwify(P, F):
     """Apply cavity filling over all elements until the poset is hcw."""
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
+    # the filter complex below a has top dimension d(a) - 1, so it is a
+    # sphere iff its homology is {d(a) - 1: 1}
+    verdicts_before = {}
     for a in P.elements:
-        r = reduced_homology(P.filter_complex(a), F).get(P.dim(a) - 1, 0)
+        h = reduced_homology(P.filter_complex(a), F)
+        r = h.get(P.dim(a) - 1, 0)
         if r != 1:
             raise HypothesisFailed(
                 f"top filter homology below {a!r} has rank {r}, expected 1")
+        verdicts_before[a] = h == {P.dim(a) - 1: 1}
     ok, alpha = supports_resolution(P, F)
     if not ok:
         raise HypothesisFailed(
             f"truncated conic complex at {alpha} is not exact")
     before = P
-    verdicts_before = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
     added = []
     for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
         for n in range(P.dim(a) - 2, -1, -1):
@@ -203,7 +207,7 @@ def hcw_support(I, F):
     M2, _ = make_minimal_support_basis(M)
     P = incidence_poset(M2)
     Q, _report = hcwify(P, F)
-    H = homogenize(conic_complex(Q, F), Q.deg)
+    H = homogenize(conic_complex(Q, F))
     if betti_table(H).entries != betti_table(M2).entries:
         raise VerificationError(
             "homogenized conic complex has a different Betti table")

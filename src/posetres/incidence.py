@@ -117,7 +117,7 @@ def verify_mfr_support(I, C, F):
     if sorted(d for _, d in C.labels.get(0, [])) != sorted(I.generators):
         return False
     P = incidence_poset(C)
-    H = homogenize(conic_complex(P, F), P.deg)
+    H = homogenize(conic_complex(P, F))
     if betti_table(H).entries != betti_table(C).entries:
         return False
     ok, _ = is_resolution(H)

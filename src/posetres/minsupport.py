@@ -8,7 +8,7 @@ lifted back upstairs with the monomial coefficients dictated by the degrees.
 from .errors import (NotACycle, NotFound, NotMinimal, ShapeError,
                      VerificationError)
 from .exactla import rank
-from .gradedcomplex import BarComplex, GradedFreeComplex, bar_reduce
+from .gradedcomplex import ChainComplex, GradedFreeComplex, bar_reduce
 from .monomials import divides, lcm
 
 
@@ -25,15 +25,10 @@ def boundary_support(C, b):
 def is_minimal_support_cycle(Cbar, n, z):
     """Circuit test: no nonzero cycle has support strictly inside supp(z).
 
-    z is a dict id -> scalar or a vector over the degree-n basis.  Cbar is a
-    bar complex with its augmentation, as bar_reduce gives, so the degree-0
-    cycles are the kernel of the augmentation.
+    z is a chain {id: scalar} of degree n.  Cbar is a bar complex with its
+    augmentation, as bar_reduce gives, so the degree-0 cycles are the
+    kernel of the augmentation.
     """
-    if not isinstance(z, dict):
-        ids = Cbar.labels.get(n, [])
-        if len(z) != len(ids):
-            raise ShapeError(f"vector length {len(z)} != rank {len(ids)}")
-        z = dict(zip(ids, z))
     if Cbar.boundary(n, z):
         raise NotACycle(f"vector is not in the degree-{n} cycle space")
     return _is_circuit(Cbar, n, {b: v for b, v in z.items() if v})
@@ -106,7 +101,7 @@ def make_minimal_support_basis(C):
     def bar_view():
         diffs = {n: {(r, c): v for c, cm in col.get(n, {}).items()
                      for r, v in cm.items()} for n in col}
-        return BarComplex(F, C.basis, diffs, aug)
+        return ChainComplex(F, C.basis, diffs, aug)
 
     log = BasisChangeLog()
     for k1 in sorted(C.diffs):  # k1 = k+1, columns live here, cycles in k1-1

@@ -23,7 +23,7 @@ class Poset:
 
     `relations` may be any set of (lower, upper) pairs; the order they
     generate is taken.  An optional `deg` map id -> multidegree tuple must
-    be monotone, its tuples all of one length.
+    be monotone, its tuples all of one length with entries ints >= 0.
     """
 
     def __init__(self, elements, relations, deg=None):
@@ -55,6 +55,9 @@ class Poset:
         self.deg = None
         if deg is not None:
             self.deg = {e: tuple(deg[e]) for e in self.elements}
+            if any(type(x) is not int or x < 0
+                   for d in self.deg.values() for x in d):
+                raise ShapeError("degree entries must be integers >= 0")
             if len({len(d) for d in self.deg.values()}) > 1:
                 raise ShapeError("degree tuples of unequal length")
             for e in self.elements:
@@ -119,11 +122,15 @@ class Poset:
             self._chain_count = 1 + sum(n.values())
         return self._chain_count
 
-    def _chain_complex(self, tops):
-        """OrientedComplex of the empty face and every chain whose largest
-        vertex lies in `tops`, each dimension sorted by the vertex indices.
-        More than FACE_CAP faces in the whole order complex raise TooLarge,
-        with FACE_CAP read at call time."""
+    def subcomplex(self, tops):
+        """The empty face and every chain whose largest vertex lies in the
+        down-set `tops`, found depth-first from them, each dimension sorted
+        by the vertex indices.  Unknown tops raise NotFound.  More than
+        FACE_CAP faces in the whole order complex raise TooLarge, with
+        FACE_CAP read at call time."""
+        tops = set(tops)
+        if not tops <= self.index.keys():
+            raise NotFound(f"unknown elements {tops - self.index.keys()}")
         if self.chain_count() > FACE_CAP:
             raise TooLarge(f"order complex exceeds {FACE_CAP} faces")
         key = self.index
@@ -141,25 +148,17 @@ class Poset:
         """All chains of the poset as an OrientedComplex (cached); more than
         FACE_CAP faces raise TooLarge."""
         if self._order_complex is None:
-            self._order_complex = self._chain_complex(self.elements)
+            self._order_complex = self.subcomplex(self.elements)
         return self._order_complex
 
-    def subcomplex(self, tops):
-        """Subcomplex of the order complex: the empty face and every chain
-        whose largest vertex lies in `tops`."""
-        faces = {d: [f for f in fs if f[0] in tops]
-                 for d, fs in self.order_complex().faces.items() if d >= 0}
-        return OrientedComplex({-1: [()], **faces})
-
     def filter_complex(self, a):
-        """Order complex of the open filter P_{<a} (cached per element),
-        enumerated from the chains below a; its faces are those of
-        subcomplex(below[a]), in the same order, and it raises TooLarge
-        exactly when order_complex would."""
+        """Order complex of the open filter P_{<a}: subcomplex(below[a]),
+        cached per element.  It raises TooLarge exactly when order_complex
+        would."""
         if a not in self.index:
             raise NotFound(f"unknown element {a!r}")
         if a not in self._filter_cache:
-            self._filter_cache[a] = self._chain_complex(self.below[a])
+            self._filter_cache[a] = self.subcomplex(self.below[a])
         return self._filter_cache[a]
 
     def maximal_elements(self):
@@ -231,13 +230,12 @@ class OrientedComplex(ChainComplex):
                          bool(faces.get(-1)))
         self._homology, self._cycles = {}, {}
         faces = self.basis
-        self.index = {d: {f: i for i, f in enumerate(fs)}
-                      for d, fs in faces.items()}
         if 0 in faces and -1 not in faces:
             raise VerificationError("complex not closed: missing face ()")
         # built in place, not copied; rows keyed by the complex's own faces
         for n in range(1, self.top + 1):
-            rows, rix = faces.get(n - 1), self.index.get(n - 1, {})
+            rows = faces.get(n - 1, [])
+            rix = self._index(n - 1, rows)
             self.diffs[n] = mat = {}
             for f in faces.get(n, ()):
                 for i in range(len(f)):

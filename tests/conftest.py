@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from posetres import FieldSpec, GradedFreeComplex, minimalize
 
@@ -66,3 +67,15 @@ def random_corpus(count=100, seed=20250823):
 @pytest.fixture(scope="session")
 def corpus():
     return random_corpus()
+
+
+def json_values(keys=("x",)):
+    """JSON-shaped values: None, bools, small ints (a large prime
+    characteristic would make FieldSpec's trial division slow), floats and
+    short strings, nested in lists and in dicts keyed by `keys`."""
+    leaves = (st.none() | st.booleans() | st.integers(-2, 7) | st.floats()
+              | st.text("abt/1", max_size=3))
+    return st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(keys), inner, max_size=3),
+        max_leaves=10)

@@ -2,9 +2,9 @@
 
 Deliberately self-contained: its own field arithmetic, its own dense
 elimination, and its own simplicial homology, so that agreement with the
-minimization pipeline is a genuine cross-check.  The one exception is
-`supports_resolution_loop`, a reference kept from an earlier posetres that
-runs on posetres complexes.
+minimization pipeline is a genuine cross-check.  The exceptions are
+`supports_resolution_loop` and `sliced_subcomplex`, references kept from an
+earlier posetres that run on posetres complexes.
 """
 
 from fractions import Fraction
@@ -145,3 +145,13 @@ def supports_resolution_loop(P, F):
         if not sub.is_exact():
             return False, alpha
     return True, None
+
+
+def sliced_subcomplex(P, tops):
+    """Poset.subcomplex as it once was: the faces of the whole order complex
+    whose largest vertex lies in `tops`, with the empty face, in the order
+    complex's own order."""
+    from posetres import OrientedComplex
+    faces = {d: [f for f in fs if f[0] in tops]
+             for d, fs in P.order_complex().faces.items() if d >= 0}
+    return OrientedComplex({-1: [()], **faces})

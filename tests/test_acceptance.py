@@ -100,8 +100,8 @@ def test_criterion_4_rp2_hcwify():
     assert is_hcw(Q, GF2)
     assert conic_complex(P, GF2, True).same_matrices(
         conic_complex(Q, GF2, True))
-    HP = homogenize(conic_complex(P, GF2), P.deg)
-    HQ = homogenize(conic_complex(Q, GF2), Q.deg)
+    HP = homogenize(conic_complex(P, GF2))
+    HQ = homogenize(conic_complex(Q, GF2))
     assert betti_table(HP).entries == betti_table(HQ).entries
     _report(4, "RP2 incidence poset: one added relation makes it hcw")
 
@@ -142,7 +142,7 @@ def test_criterion_7_structural_suite(corpus_runs):
         assert ok
         CC = conic_complex(run["poset"], F)
         assert kernel_skeleton_check(CC)
-        B = bar_reduce(homogenize(CC, run["poset"].deg))
+        B = bar_reduce(homogenize(CC))
         split = lambda k: (k.rsplit("#", 1)[0], int(k.rsplit("#", 1)[1]))
         assert {(split(r), split(c)): v
                 for n, m in B.diffs.items() for (r, c), v in m.items()} == \

@@ -7,7 +7,7 @@ PUBLIC = [
     "MonomialIdeal", "divides", "join_closure", "lcm", "lcm_lattice",
     "minimalize",
     "Poset", "OrientedComplex", "is_hcw", "reduced_homology",
-    "BarComplex", "BettiTable", "GradedFreeComplex", "bar_reduce",
+    "ChainComplex", "BettiTable", "GradedFreeComplex", "bar_reduce",
     "betti_table", "is_resolution", "minimize", "strand", "taylor_complex",
     "BasisChangeLog", "boundary_support", "is_minimal_support_cycle",
     "make_minimal_support_basis", "noncomparable_supports",

@@ -116,6 +116,20 @@ def test_malformed_poset_degrees_exit_2(tmp_path, capsys, cmd):
             assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["conic", "hcwify"])
+def test_poset_degree_entries_must_be_naturals_exit_2(tmp_path, capsys, cmd):
+    """A degree entry that is not an int >= 0 (a list, a string, a float, a
+    negative int or a bool) makes a malformed poset file, not a traceback
+    or a result."""
+    p = tmp_path / "bad.json"
+    for d in ([[1], 0], ["x", "y"], [1.5, 0], [-1, 0], [True, 0]):
+        p.write_text(json.dumps({
+            "elements": [{"id": e, "deg": d} for e in "abt"],
+            "covers": [["a", "t"], ["b", "t"]]}))
+        assert main([cmd, str(p), "--poset"]) == 2
+        assert "integers >= 0" in capsys.readouterr().err
+
+
 def test_cap_exit_code(tmp_path, monkeypatch):
     gens = "\n".join(" ".join("1" if i == j else "0" for i in range(17))
                      for j in range(17))

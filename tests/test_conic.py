@@ -6,10 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracle import boundary_of_chain, supports_resolution_loop
 from posetres import (FieldSpec, Poset, bar_reduce, betti_table,
-                      conic_complex, conic_vs_simplicial, hcw, homogenize,
-                      is_resolution, lcm, make_minimal_support_basis,
-                      minimalize, minimize, strand, supports_resolution,
-                      taylor_complex)
+                      conic_complex, conic_vs_simplicial, gradedcomplex, hcw,
+                      homogenize, is_resolution, lcm,
+                      make_minimal_support_basis, minimalize, minimize,
+                      strand, supports_resolution, taylor_complex)
 from posetres.conic import (conic_coords, kernel_skeleton_check,
                             skeleton_complex)
 from posetres.errors import (HypothesisFailed, NotAMorphism, PosetresError,
@@ -73,17 +73,19 @@ def test_homogenize_koszul():
 
 
 def test_homogenize_requires_monotone_deg():
+    # homogenize reads the poset's own degree map, which Poset checks
     P = Poset(["a", "b"], [("a", "b")])
-    C = conic_complex(P, Q)
-    with pytest.raises(NotAMorphism):
-        homogenize(C, {"a": (1, 0), "b": (0, 2)})
+    with pytest.raises(NotAMorphism, match="no degree map"):
+        homogenize(conic_complex(P, Q))
+    with pytest.raises(NotAMorphism, match="not monotone"):
+        Poset(P.elements, P.covers, deg={"a": (1, 0), "b": (0, 2)})
 
 
 def test_bar_homogenize_round_trip():
     C = load_fixture_complex("pp_res.json", 2)
     P = incidence_poset(C)
     CC = conic_complex(P, FieldSpec(2))
-    B = bar_reduce(homogenize(CC, P.deg))
+    B = bar_reduce(homogenize(CC))
     remap = {(r, c): v for (r, c), v in
              ((tuple(k.split("#")[0] for k in key), v)
               for n, m in B.diffs.items() for key, v in m.items())}
@@ -98,6 +100,24 @@ def test_supports_resolution_fixtures():
     P = incidence_poset(C)
     ok, witness = supports_resolution(P, FieldSpec(2))
     assert ok and witness is None
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_supports_resolution_checks_each_conic_complex_once(monkeypatch, p):
+    """conic_complex checks d o d; is_resolution finds the pass recorded.
+    A pass takes one lcm of denominators per differential."""
+    F = FieldSpec(p)
+    P = _incidence(minimalize(RP2_GENS), F)
+    lcms, lcm_ints = [], gradedcomplex.lcm_ints
+    monkeypatch.setattr(gradedcomplex, "lcm_ints",
+                        lambda *a: lcms.append(a) or lcm_ints(*a))
+    C = conic_complex(P, F)
+    assert len(lcms) == len(C.diffs) > 1
+    C.check_complex()
+    assert len(lcms) == len(C.diffs)
+    lcms.clear()
+    assert supports_resolution(P, F) == (True, None)
+    assert len(lcms) == len(C.diffs)
 
 
 def test_supports_resolution_failure_witness():
@@ -234,7 +254,7 @@ def test_conic_generators_have_cycle_boundaries():
 def test_homogenized_conic_equals_fixture_betti():
     C = load_fixture_complex("pp_res.json", 2)
     P = incidence_poset(C)
-    H = homogenize(conic_complex(P, FieldSpec(2)), P.deg)
+    H = homogenize(conic_complex(P, FieldSpec(2)))
     assert betti_table(H).entries == betti_table(C).entries
 
 

@@ -16,6 +16,10 @@ def test_fieldspec_validation():
         FieldSpec(4)
     with pytest.raises(InvalidField):
         FieldSpec(-3)
+    # not an int: infinity once looped forever in the primality test
+    for p in (float("inf"), float("nan"), 2.0, True, "3"):
+        with pytest.raises(InvalidField):
+            FieldSpec(p)
 
 
 def test_fieldspec_coercion():

@@ -1,19 +1,23 @@
-"""Filter complexes enumerated from their own chains.
+"""Subcomplexes of order complexes enumerated from their own chains.
 
-`Poset.filter_complex(a)` walks the chains of P_{<a} directly instead of
-slicing the whole order complex.  Its faces must be those of
-`subcomplex(below[a])`, in the same order, and it must raise TooLarge
-exactly when the whole order complex has more than FACE_CAP faces.
+`Poset.subcomplex(tops)`, and with it `filter_complex(a)`, walks the chains
+below `tops` directly instead of slicing the whole order complex.  Its faces
+must be those of the slice (`oracle.sliced_subcomplex`), in the same order,
+and it must raise TooLarge exactly when the whole order complex has more
+than FACE_CAP faces.
 """
 
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import posetres.posets
+from oracle import sliced_subcomplex
 from posetres import FieldSpec, Poset, hcw, minimalize
-from posetres.errors import TooLarge
+from posetres.conic import skeleton_complex
+from posetres.errors import NotFound, TooLarge, VerificationError
 from conftest import M_GENS, RP2_GENS, random_corpus
 from test_hcw_memo import K6_EDGES, _incidence
 
@@ -23,7 +27,8 @@ NAMED = {"rp2": RP2_GENS, "m": M_GENS, "k6-10": K6_EDGES[:10],
 
 def _assert_filters_match(P):
     for a in P.elements:
-        assert P.filter_complex(a).faces == P.subcomplex(P.below[a]).faces, a
+        assert (P.filter_complex(a).faces
+                == sliced_subcomplex(P, P.below[a]).faces), a
 
 
 def _brute_faces(P, tops):
@@ -59,6 +64,38 @@ def test_filter_complex_matches_brute_force(P):
         assert P.filter_complex(a).faces == _brute_faces(P, P.below[a])
     _assert_filters_match(P)
     assert P.order_complex().faces == _brute_faces(P, P.elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(posets(), st.data())
+def test_subcomplex_matches_brute_force_on_any_tops(P, data):
+    """Random tops, repeats allowed: their down-closure, which need not be
+    a filter, gives the brute-force faces, and tops that are not a down-set
+    give an unclosed complex, sliced or not.  Then the skeleton sets
+    {e : d(e) <= n} that skeleton_complex takes."""
+    tops = data.draw(st.lists(st.sampled_from(P.elements), max_size=9)
+                     if P.elements else st.just([]))
+    down = set(tops).union(*(P.below[t] for t in tops))
+    faces = P.subcomplex([*tops, *down]).faces
+    assert faces == _brute_faces(P, down)
+    assert faces == sliced_subcomplex(P, down).faces
+    if down != set(tops):
+        for build in (P.subcomplex, partial(sliced_subcomplex, P)):
+            with pytest.raises(VerificationError, match="not closed"):
+                build(tops)
+    for n in range(-1, max(map(P.dim, P.elements), default=-1) + 1):
+        skeleton = {e for e in P.elements if P.dim(e) <= n}
+        assert skeleton_complex(P, n).faces == _brute_faces(P, skeleton)
+
+
+def test_subcomplex_tops_unknown_or_repeated():
+    P = Poset(["a", "b", "t"], [("a", "t"), ("b", "t")])
+    with pytest.raises(NotFound, match="'x'"):
+        P.subcomplex(["a", "b", "t", "x"])
+    once = {-1: [()], 0: [("a",), ("b",), ("t",)],
+            1: [("t", "a"), ("t", "b")]}
+    assert P.subcomplex(["t", "a", "b", "t", "a"]).faces == once
+    assert P.subcomplex(("b", "a", "t")).faces == once
 
 
 @settings(max_examples=150, deadline=None)

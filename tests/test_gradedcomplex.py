@@ -2,17 +2,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracle import betti_numbers
-from posetres import (BarComplex, FieldSpec, GradedFreeComplex, bar_reduce,
+from posetres import (ChainComplex, FieldSpec, GradedFreeComplex, bar_reduce,
                       betti_table, is_resolution, lcm, minimalize, minimize,
                       strand, taylor_complex)
 from posetres.errors import (NotAComplex, NotMinimal, ParseError,
                              PosetresError, ShapeError, TooLarge,
                              VerificationError)
 from posetres.gradedcomplex import TAYLOR_CAP
-from conftest import M_GENS, RP2_GENS, SQUAREFREE3, random_corpus
+from conftest import M_GENS, RP2_GENS, SQUAREFREE3, json_values, random_corpus
 
 Q = FieldSpec(0)
 FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5)]
@@ -190,12 +190,13 @@ def test_check_complex_exact_over_q():
     # d_1 d_2 = 1/2 * 2 + 1/3 * (-3) vanishes only through the denominators.
     basis = {0: ["a"], 1: ["b", "c"], 2: ["e"]}
     d1 = {("a", "b"): Fraction(1, 2), ("a", "c"): Fraction(1, 3)}
-    BarComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(2),
+    ChainComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(2),
                                      ("c", "e"): Q(-3)}}).check_complex()
-    bad = BarComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(-2),
+    bad = ChainComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(-2),
                                            ("c", "e"): Q(-3)}})
-    with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
-        bad.check_complex()
+    for _ in range(2):  # a failed check records nothing
+        with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
+            bad.check_complex()
 
 
 def test_check_complex_reduces_mod_p():
@@ -203,11 +204,11 @@ def test_check_complex_reduces_mod_p():
     basis = {0: ["a"], 1: ["b", "c", "d"], 2: ["e"]}
     d1 = {("a", x): 1 for x in "bcd"}
     # The composite is 1 + 1 + 1 = 3 = 0 in GF(3), then 1 + 1 + 2 = 4 = 1.
-    BarComplex(F, basis, {1: d1, 2: {(x, "e"): 1 for x in "bcd"}}
+    ChainComplex(F, basis, {1: d1, 2: {(x, "e"): 1 for x in "bcd"}}
                ).check_complex()
     d2 = {("b", "e"): 1, ("c", "e"): 1, ("d", "e"): 2}
     with pytest.raises(NotAComplex):
-        BarComplex(F, basis, {1: d1, 2: d2}).check_complex()
+        ChainComplex(F, basis, {1: d1, 2: d2}).check_complex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,7 +229,7 @@ def test_check_complex_matches_dense_composite(p, data):
                          for m in basis[1])
              for r in basis[0] for c in basis[2]}
     vanishes = all(v % p == 0 if p else v == 0 for v in dense.values())
-    X = BarComplex(F, basis, diffs)
+    X = ChainComplex(F, basis, diffs)
     if vanishes:
         X.check_complex()
     else:
@@ -244,7 +245,7 @@ def test_check_complex_reads_every_row_of_a_column():
     basis = {0: ["a", "b"], 1: ["x", "y"], 2: ["e"]}
     d1 = {("a", "x"): 1, ("a", "y"): 1, ("b", "x"): 1}
     with pytest.raises(NotAComplex, match=r"at \('b', 'e'\)"):
-        BarComplex(F, basis, {1: d1, 2: {("x", "e"): 1, ("y", "e"): 1}}
+        ChainComplex(F, basis, {1: d1, 2: {("x", "e"): 1, ("y", "e"): 1}}
                    ).check_complex()
 
 
@@ -370,6 +371,40 @@ def test_json_rejects_malformed_structure():
     del obj["basis"][0][0]["degree"]
     with pytest.raises(ParseError):
         GradedFreeComplex.from_json(obj)
+
+
+def test_json_rejects_degree_entries_that_are_not_naturals():
+    M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
+    for bad in (-1, 1.5, True, "1", [1]):
+        obj = M.to_json()
+        obj["basis"][0][0]["degree"][0] = bad
+        with pytest.raises(ShapeError, match="integers >= 0"):
+            GradedFreeComplex.from_json(obj)
+
+
+_VALUE = json_values(("num_vars", "characteristic", "basis", "differentials",
+                      "id", "degree", "row_id", "col_id", "scalar",
+                      "exponent"))
+_ID = st.sampled_from("abc") | _VALUE
+_DEGREE = st.lists(st.integers(-1, 2), max_size=2) | _VALUE
+_ENTRY = st.fixed_dictionaries(
+    {"row_id": _ID, "col_id": _ID, "scalar": _VALUE},
+    optional={"exponent": _DEGREE})
+
+
+@settings(max_examples=300, deadline=None)
+@example({"characteristic": float("inf"), "num_vars": 0, "basis": []})
+@given(st.one_of(_VALUE, st.fixed_dictionaries({
+    "num_vars": st.integers(0, 2) | _VALUE,
+    "basis": st.lists(st.lists(st.fixed_dictionaries(
+        {"id": _ID, "degree": _DEGREE}), max_size=3), max_size=3),
+    "differentials": st.lists(st.lists(_ENTRY, max_size=3), max_size=2)},
+    optional={"characteristic": st.sampled_from([0, 2, 3]) | _VALUE})))
+def test_from_json_raises_only_posetres_errors(obj):
+    try:
+        GradedFreeComplex.from_json(obj)
+    except PosetresError:
+        pass
 
 
 def test_json_rejects_bad_scalar():

@@ -5,9 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import _rank, _reduced_homology_ranks, boundary_of_chain
 from posetres import FieldSpec, OrientedComplex, Poset, reduced_homology
 from posetres.conic import skeleton_complex
-from posetres.errors import (NotAMorphism, NotFound, ParseError, ShapeError,
-                             VerificationError)
+from posetres.errors import (NotAMorphism, NotFound, ParseError,
+                             PosetresError, ShapeError, VerificationError)
 from posetres.posets import cycle_space, is_hcw, is_homology_sphere_at
+from conftest import json_values
 
 Q = FieldSpec(0)
 
@@ -200,6 +201,27 @@ def test_poset_json_rejects_malformed_structure():
                 {"elements": 5, "covers": []}):
         with pytest.raises(ParseError):
             Poset.from_json(bad)
+
+
+def test_deg_entries_must_be_naturals():
+    for d in ((-1, 0), (1.5, 0), (True, 0), ("x", 0), ((1,), 0)):
+        with pytest.raises(ShapeError, match="integers >= 0"):
+            Poset(["a", "t"], [("a", "t")], deg={"a": d, "t": d})
+
+
+_VALUE = json_values(("id", "deg", "elements", "covers"))
+_ELEMENT = st.fixed_dictionaries({"id": _VALUE}, optional={"deg": _VALUE})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_VALUE, st.fixed_dictionaries({
+    "elements": st.lists(_ELEMENT, max_size=4),
+    "covers": st.lists(st.lists(_VALUE, max_size=3), max_size=4)})))
+def test_poset_from_json_raises_only_posetres_errors(obj):
+    try:
+        Poset.from_json(obj)
+    except PosetresError:
+        pass
 
 
 def test_to_dot_mentions_edges():
