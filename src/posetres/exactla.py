@@ -1,10 +1,12 @@
 """Exact scalar arithmetic (GF(p) and Q) and sparse exact linear algebra.
 
 Scalars over characteristic 0 are `int` when integral and `fractions.Fraction`
-otherwise; over GF(p) they are plain ints in the range 0..p-1.  All routines
-are deterministic: pivoting always picks the first usable entry in row-major
-order, kernel vectors are listed by ascending free column and normalized so
-that their first nonzero coordinate is 1.
+otherwise; over GF(p) they are plain ints in the range 0..p-1.  Elimination
+runs on sparse rows ({col: nonzero scalar} dicts, or bitmasks over GF(2)).
+All routines are deterministic: columns are pivoted in ascending order, each
+on the first unused row with an entry there, kernel vectors are listed by
+ascending free column and normalized so that their first nonzero coordinate
+is 1.
 """
 
 from dataclasses import dataclass
@@ -14,24 +16,23 @@ from .errors import InvalidField, ShapeError
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the first twelve primes: exact for every n < 2**64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    for a in bases:
+        xs = [pow(a, (n - 1) >> s, n)]  # a**d, a**(2d), ..., a**(2**(s-1) d)
+        for _ in range(s - 1):
+            xs.append(xs[-1] * xs[-1] % n)
+        if xs[0] != 1 and n - 1 not in xs:
             return False
-        d += 2
     return True
 
 
 def _rational(x):
     """A rational as an `int` when it is integral (denominator 1), else as it is."""
     return x.numerator if x.denominator == 1 else x
-
-
-_is_int = int.__instancecheck__  # isinstance(v, int), for use with map
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
-        if type(p) is not int or p != 0 and not _is_prime(p):
-            raise InvalidField(f"characteristic must be 0 or prime, got {p}")
+        if type(p) is not int or p != 0 and not (p < 2**64 and _is_prime(p)):
+            raise InvalidField(
+                f"characteristic must be 0 or a prime below 2**64, got {p}")
 
     @property
     def p(self):
@@ -97,12 +99,16 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def row_sub(self, x, f, y):
-        """The row x - f*y, entry by entry."""
+        """x -= f*y in place on {col: nonzero scalar} rows: only the columns
+        of y are touched, and entries that become zero are dropped."""
         p = self.characteristic
-        if p:
-            return [(a - f * b) % p for a, b in zip(x, y)]
-        row = [a - f * b for a, b in zip(x, y)]
-        return row if all(map(_is_int, row)) else list(map(_rational, row))
+        get = x.get
+        for j, b in y.items():
+            v = (get(j, 0) - f * b) % p if p else _rational(get(j, 0) - f * b)
+            if v:
+                x[j] = v
+            else:
+                x.pop(j, None)
 
 
 class SparseMatrix:
@@ -129,12 +135,6 @@ class SparseMatrix:
         return cls(rows, cols, [(r, c, v) for r, row in enumerate(dense)
                                 for c, v in enumerate(row) if v])
 
-    def to_dense(self, F):
-        M = [[F.zero] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            M[r][c] = F(v)
-        return M
-
     def mul_vec(self, x, F):
         if len(x) != self.cols:
             raise ShapeError("vector length mismatch")
@@ -148,31 +148,28 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _rref(M, F, ncols):
-    """In-place reduced row echelon form.  Returns the list of pivot columns."""
+def _rref(rows, F, ncols):
+    """In-place reduced row echelon form of rows stored as {col: nonzero
+    scalar} dicts, pivot rows first.  Returns the list of pivot columns."""
     pivots = []
-    prow = 0
-    nrows = len(M)
+    nrows = len(rows)
     for c in range(ncols):
-        pr = None
-        for r in range(prow, nrows):
-            if M[r][c]:
-                pr = r
-                break
+        k = len(pivots)
+        if k == nrows:
+            break
+        pr = next((r for r in range(k, nrows) if c in rows[r]), None)
         if pr is None:
             continue
-        M[prow], M[pr] = M[pr], M[prow]
-        inv = F.inv(M[prow][c])
+        rows[k], rows[pr] = rows[pr], rows[k]
+        row = rows[k]
+        inv = F.inv(row[c])
         if inv != F.one:
-            M[prow] = [F.mul(inv, v) for v in M[prow]]
-        row = M[prow]
-        for r in range(nrows):
-            if r != prow and M[r][c]:
-                M[r] = F.row_sub(M[r], M[r][c], row)
+            for j, v in row.items():
+                row[j] = F.mul(inv, v)
+        for x in rows:
+            if x is not row and c in x:
+                F.row_sub(x, x[c], row)
         pivots.append(c)
-        prow += 1
-        if prow == nrows:
-            break
     return pivots
 
 
@@ -209,26 +206,25 @@ def echelon(A, F, rhs=None):
     Returns (pivots, column): the pivot columns in ascending order, and a
     function giving column j of the reduced matrix as a list over the rows
     (j = A.cols is the reduced rhs).  This is the one place that picks the
-    GF(2) bitmask kernel or the dense kernel.
+    GF(2) bitmask kernel or the sparse-row kernel.
     """
     n = A.cols
+    entries = [(r, c, F(v)) for (r, c), v in A.entries.items()]
+    if rhs is not None:
+        entries += [(r, n, F(v)) for r, v in enumerate(rhs)]
     if F.characteristic == 2:
         rows = [0] * A.rows
-        for (r, c), v in A.entries.items():
-            if F(v):
+        for r, c, v in entries:
+            if v:
                 rows[r] |= 1 << c
-        if rhs is not None:
-            for r, v in enumerate(rhs):
-                if F(v):
-                    rows[r] |= 1 << n
         pivots = _rref_gf2(rows, n)
         return pivots, lambda j: [(row >> j) & 1 for row in rows]
-    M = A.to_dense(F)
-    if rhs is not None:
-        for row, v in zip(M, rhs):
-            row.append(F(v))
-    pivots = _rref(M, F, n)
-    return pivots, lambda j: [row[j] for row in M]
+    rows = [{} for _ in range(A.rows)]
+    for r, c, v in entries:
+        if v:
+            rows[r][c] = v
+    pivots = _rref(rows, F, n)
+    return pivots, lambda j: [row.get(j, F.zero) for row in rows]
 
 
 def rank(A, F):

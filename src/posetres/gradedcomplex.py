@@ -253,9 +253,9 @@ class GradedFreeComplex(ChainComplex):
         F = field if field is not None else FieldSpec(obj.get("characteristic", 0))
         labels = {n: [(e["id"], tuple(e["degree"])) for e in labs]
                   for n, labs in enumerate(obj["basis"])}
-        if any(type(x) is not int or x < 0
-               for labs in labels.values() for _, d in labs for x in d):
-            raise ShapeError("degree entries must be integers >= 0")
+        if any(type(x) is not int or x < 0 for x in [obj["num_vars"], *(
+                x for labs in labels.values() for _, d in labs for x in d)]):
+            raise ShapeError("num_vars and degree entries must be integers >= 0")
         diffs = {}
         for k, mat in enumerate(obj.get("differentials", [])):
             n = k + 1

@@ -125,12 +125,14 @@ class Poset:
     def subcomplex(self, tops):
         """The empty face and every chain whose largest vertex lies in the
         down-set `tops`, found depth-first from them, each dimension sorted
-        by the vertex indices.  Unknown tops raise NotFound.  More than
-        FACE_CAP faces in the whole order complex raise TooLarge, with
-        FACE_CAP read at call time."""
+        by the vertex indices.  Unknown tops raise NotFound, tops that are
+        not a down-set ShapeError.  More than FACE_CAP faces in the whole
+        order complex raise TooLarge, with FACE_CAP read at call time."""
         tops = set(tops)
         if not tops <= self.index.keys():
             raise NotFound(f"unknown elements {tops - self.index.keys()}")
+        if any(not self.below[t] <= tops for t in tops):
+            raise ShapeError("tops are not a down-set")
         if self.chain_count() > FACE_CAP:
             raise TooLarge(f"order complex exceeds {FACE_CAP} faces")
         key = self.index

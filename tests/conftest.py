@@ -70,10 +70,12 @@ def corpus():
 
 
 def json_values(keys=("x",)):
-    """JSON-shaped values: None, bools, small ints (a large prime
-    characteristic would make FieldSpec's trial division slow), floats and
-    short strings, nested in lists and in dicts keyed by `keys`."""
-    leaves = (st.none() | st.booleans() | st.integers(-2, 7) | st.floats()
+    """JSON-shaped values: None, bools, ints of any size (with primes below
+    and above 2**64 among them), floats and short strings, nested in lists
+    and in dicts keyed by `keys`."""
+    ints = (st.integers(-2, 7) | st.integers()
+            | st.sampled_from([2**61 - 1, 2**64 - 59, 2**89 - 1]))
+    leaves = (st.none() | st.booleans() | ints | st.floats()
               | st.text("abt/1", max_size=3))
     return st.recursive(
         leaves, lambda inner: st.lists(inner, max_size=3)

@@ -3,8 +3,8 @@
 Deliberately self-contained: its own field arithmetic, its own dense
 elimination, and its own simplicial homology, so that agreement with the
 minimization pipeline is a genuine cross-check.  The exceptions are
-`supports_resolution_loop` and `sliced_subcomplex`, references kept from an
-earlier posetres that run on posetres complexes.
+`supports_resolution_loop`, `sliced_subcomplex` and `dense_rref`, references
+kept from an earlier posetres that run on posetres complexes and fields.
 """
 
 from fractions import Fraction
@@ -155,3 +155,29 @@ def sliced_subcomplex(P, tops):
     faces = {d: [f for f in fs if f[0] in tops]
              for d, fs in P.order_complex().faces.items() if d >= 0}
     return OrientedComplex({-1: [()], **faces})
+
+
+def dense_rref(M, F, ncols):
+    """exactla._rref as it once was: in-place reduced row echelon form of
+    the dense rows M over the FieldSpec F.  Returns the pivot columns."""
+    pivots = []
+    prow = 0
+    nrows = len(M)
+    for c in range(ncols):
+        pr = next((r for r in range(prow, nrows) if M[r][c]), None)
+        if pr is None:
+            continue
+        M[prow], M[pr] = M[pr], M[prow]
+        inv = F.inv(M[prow][c])
+        if inv != F.one:
+            M[prow] = [F.mul(inv, v) for v in M[prow]]
+        row = M[prow]
+        for r in range(nrows):
+            if r != prow and M[r][c]:
+                f = M[r][c]
+                M[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(M[r], row)]
+        pivots.append(c)
+        prow += 1
+        if prow == nrows:
+            break
+    return pivots

@@ -81,7 +81,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
     p.write_text("1 2\n1 2 3\n")
     assert main(["resolve", str(p)]) == 2
     assert main(["resolve", str(tmp_path / "missing.ideal")]) == 2
-    for char in ("4", "1", "-2"):
+    # 2**89 - 1 is prime, but no characteristic of 2**64 or more is taken
+    for char in ("4", "1", "-2", str(2**64), str(2**89 - 1)):
         assert main(["resolve", M, "--char", char]) == 2
     capsys.readouterr()
     # a superscript digit, an exponent past int()'s digit limit, not UTF-8

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import _rank
+from oracle import _rank, dense_rref
 from posetres import FieldSpec, SparseMatrix, kernel_basis, rank, solve
+from posetres.exactla import echelon
 from posetres.errors import InvalidField, PosetresError, ShapeError
 
 
@@ -20,6 +23,32 @@ def test_fieldspec_validation():
     for p in (float("inf"), float("nan"), 2.0, True, "3"):
         with pytest.raises(InvalidField):
             FieldSpec(p)
+
+
+def _accepts(p):
+    try:
+        FieldSpec(p)
+    except InvalidField:
+        return False
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    # trial division, as FieldSpec once tested primality, is the reference
+    for n in range(1, 10**4):
+        assert _accepts(n) == (n >= 2 and all(n % d for d in
+                                               range(2, isqrt(n) + 1))), n
+
+
+def test_large_characteristics():
+    start = time.perf_counter()
+    for p in (2**61 - 1, 2**64 - 59):  # 2**64 - 59 is the last prime < 2**64
+        assert FieldSpec(p).p == p
+    assert time.perf_counter() - start < 1
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5, 7 and one
+    # to every prime base up to 23; then a prime and a power of two >= 2**64
+    for n in (561, 3215031751, 3825123056546413051, 2**89 - 1, 2**64):
+        assert not _accepts(n), n
 
 
 def test_fieldspec_coercion():
@@ -181,10 +210,13 @@ def test_q_scalars_are_ints_exactly_when_integral(a, b, ab):
 def test_q_integral_results_are_int():
     F = FieldSpec(0)
     half = Fraction(1, 2)
-    row = F.row_sub([half, 1, 3], half, [1, 2, half])
-    for value, expected in zip(row, [Fraction(0), Fraction(0), Fraction(11, 4)]):
-        _assert_q(value, expected)
-    assert list(map(type, F.row_sub([1, 2], -1, [1, 0]))) == [int, int]
+    row = {0: half, 1: 1, 2: 3}
+    F.row_sub(row, half, {0: 1, 1: 2, 2: half})
+    assert row == {2: Fraction(11, 4)}  # the entries that vanish are dropped
+    _assert_q(row[2], Fraction(11, 4))
+    row = {0: Fraction(1, 2), 1: 2}
+    F.row_sub(row, Fraction(-1, 2), {0: 1, 2: 4})
+    assert list(map(type, row.values())) == [int, int, int]
     _assert_q(F.inv(1), Fraction(1))
     _assert_q(F.inv(-1), Fraction(-1))
     _assert_q(F.inv(Fraction(1, 2)), Fraction(2))
@@ -198,13 +230,73 @@ def test_q_integral_results_are_int():
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0, 2, 3, 5]), st.data())
 def test_row_sub_matches_entrywise_sub_mul(p, data):
+    # rows are {col: nonzero scalar}; row_sub updates x in place
     F = FieldSpec(p)
     values = _Q_VALUES if p == 0 else st.integers(-2 * p, 2 * p)
-    n = data.draw(st.integers(0, 6))
-    x = [F(v) for v in data.draw(st.lists(values, min_size=n, max_size=n))]
-    y = [F(v) for v in data.draw(st.lists(values, min_size=n, max_size=n))]
+
+    def row():
+        d = data.draw(st.dictionaries(st.integers(0, 5), values, max_size=6))
+        return {j: F(v) for j, v in d.items() if F(v)}
+    x, y = row(), row()
     f = F(data.draw(values))
-    got = F.row_sub(x, f, y)
-    want = [F.sub(a, F.mul(f, b)) for a, b in zip(x, y)]
+    want = {j: F.sub(x.get(j, F.zero), F.mul(f, y.get(j, F.zero)))
+            for j in x.keys() | y.keys()}
+    want = {j: v for j, v in want.items() if v}
+    got = dict(x)
+    F.row_sub(got, f, y)
     assert got == want
-    assert list(map(type, got)) == list(map(type, want))
+    assert {j: type(v) for j, v in got.items()} == {
+        j: type(v) for j, v in want.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5]), st.integers(0, 6), st.integers(0, 6),
+       st.booleans(), st.data())
+def test_echelon_matches_dense_reference(p, r, c, with_rhs, data):
+    """The sparse-row and bitmask kernels against the dense RREF they
+    replaced: the same pivots, the same reduced matrix row by row (the rhs
+    included), and the kernel_basis and solve that matrix gives.  Some rows
+    are combinations of two earlier ones, so that rows cancel."""
+    F = FieldSpec(p)
+    values = (st.integers(-3, 3) | st.fractions(max_denominator=4)
+              if p == 0 else st.integers(-2 * p, 2 * p))
+    entry = st.just(0) | values
+    rows = [data.draw(st.lists(entry, min_size=c, max_size=c))
+            for _ in range(r)]
+    for i in range(2, r):
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.lists(st.integers(0, i - 1), min_size=2,
+                                      max_size=2))
+            f = F(data.draw(values))
+            rows[i] = [F.add(F(x), F.mul(f, F(y)))
+                       for x, y in zip(rows[a], rows[b])]
+    A = SparseMatrix(r, c, [(i, j, v) for i, row in enumerate(rows)
+                            for j, v in enumerate(row) if v])
+    rhs = data.draw(st.lists(values, min_size=r, max_size=r)) if with_rhs else None
+    M = [[F(v) for v in row] + ([F(rhs[i])] if with_rhs else [])
+         for i, row in enumerate(rows)]
+    pivots = dense_rref(M, F, c)
+    got, column = echelon(A, F, rhs)
+    assert got == pivots
+    for j in range(c + with_rhs):
+        want = [row[j] for row in M]
+        assert column(j) == want
+        assert list(map(type, column(j))) == list(map(type, want))
+    k = len(pivots)
+    basis = []
+    for j in sorted(set(range(c)) - set(pivots)):
+        v = [F.zero] * c
+        v[j] = F.one
+        for pc, row in zip(pivots, M):
+            v[pc] = F.neg(row[j])
+        lead = F.inv(next(x for x in v if x))
+        basis.append([F.mul(lead, x) for x in v])
+    assert kernel_basis(A, F) == basis
+    if with_rhs:
+        assert any(column(c)[k:]) == any(row[c] for row in M[k:])
+        x = None
+        if not any(row[c] for row in M[k:]):
+            x = [F.zero] * c
+            for pc, row in zip(pivots, M):
+                x[pc] = row[c]
+        assert solve(A, rhs, F) == x

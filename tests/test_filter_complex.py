@@ -7,7 +7,6 @@ and it must raise TooLarge exactly when the whole order complex has more
 than FACE_CAP faces.
 """
 
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -17,7 +16,7 @@ import posetres.posets
 from oracle import sliced_subcomplex
 from posetres import FieldSpec, Poset, hcw, minimalize
 from posetres.conic import skeleton_complex
-from posetres.errors import NotFound, TooLarge, VerificationError
+from posetres.errors import NotFound, ShapeError, TooLarge, VerificationError
 from conftest import M_GENS, RP2_GENS, random_corpus
 from test_hcw_memo import K6_EDGES, _incidence
 
@@ -70,9 +69,9 @@ def test_filter_complex_matches_brute_force(P):
 @given(posets(), st.data())
 def test_subcomplex_matches_brute_force_on_any_tops(P, data):
     """Random tops, repeats allowed: their down-closure, which need not be
-    a filter, gives the brute-force faces, and tops that are not a down-set
-    give an unclosed complex, sliced or not.  Then the skeleton sets
-    {e : d(e) <= n} that skeleton_complex takes."""
+    a filter, gives the brute-force faces.  Tops that are not a down-set
+    raise ShapeError, and give an unclosed complex when sliced.  Then the
+    skeleton sets {e : d(e) <= n} that skeleton_complex takes."""
     tops = data.draw(st.lists(st.sampled_from(P.elements), max_size=9)
                      if P.elements else st.just([]))
     down = set(tops).union(*(P.below[t] for t in tops))
@@ -80,9 +79,10 @@ def test_subcomplex_matches_brute_force_on_any_tops(P, data):
     assert faces == _brute_faces(P, down)
     assert faces == sliced_subcomplex(P, down).faces
     if down != set(tops):
-        for build in (P.subcomplex, partial(sliced_subcomplex, P)):
-            with pytest.raises(VerificationError, match="not closed"):
-                build(tops)
+        with pytest.raises(ShapeError, match="not a down-set"):
+            P.subcomplex(tops)
+        with pytest.raises(VerificationError, match="not closed"):
+            sliced_subcomplex(P, tops)
     for n in range(-1, max(map(P.dim, P.elements), default=-1) + 1):
         skeleton = {e for e in P.elements if P.dim(e) <= n}
         assert skeleton_complex(P, n).faces == _brute_faces(P, skeleton)

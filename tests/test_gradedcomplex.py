@@ -371,6 +371,10 @@ def test_json_rejects_malformed_structure():
     del obj["basis"][0][0]["degree"]
     with pytest.raises(ParseError):
         GradedFreeComplex.from_json(obj)
+    # num_vars is checked even when the basis is empty
+    for bad in ("x", -1, True, 1.5):
+        with pytest.raises(ShapeError, match="integers >= 0"):
+            GradedFreeComplex.from_json({"num_vars": bad, "basis": []})
 
 
 def test_json_rejects_degree_entries_that_are_not_naturals():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from oracle import betti_numbers, boundary_of_chain
@@ -172,3 +175,22 @@ def test_hcwify_pins_added_relations_over_gf2(name):
     Qp, report = hcwify(_incidence(minimalize(gens[name]), GF2), GF2)
     assert report.added == ADDED_GF2[name]
     assert is_hcw(Qp, GF2)
+
+
+# the SHA-256 of the sorted-key HcwReport JSON over Q and GF(3), where hcwify
+# adds no relation: it pins every sphere verdict the sparse-row kernel gives
+REPORT_SHA256 = {
+    "k6-13": "19eb877ec4650f45c2c8c9ef9c3e972e7824f16d8ac9d1ad243e643601724a9b",
+    "k6-14": "70ce108a3cc5b583406bee74457d667d6c5c86a035faf09edf0cd4dad635ed9a",
+}
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_hcwify_pins_report_over_q_and_gf3(name, p):
+    F = FieldSpec(p)
+    gens = {"k6-13": K6_EDGES[:13], "k6-14": K6_EDGES[:14]}
+    _, report = hcwify(_incidence(minimalize(gens[name]), F), F)
+    assert report.added == []
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]

@@ -42,7 +42,12 @@ class FractionField(FieldSpec):
         return Fraction(1) / a
 
     def row_sub(self, x, f, y):
-        return [self.sub(a, self.mul(f, b)) for a, b in zip(x, y)]
+        for j, b in y.items():
+            v = self.sub(x.get(j, self.zero), self.mul(f, b))
+            if v:
+                x[j] = v
+            else:
+                x.pop(j, None)
 
 
 def _pipeline(I, F):
