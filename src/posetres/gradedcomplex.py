@@ -8,6 +8,7 @@ tables all live here.
 """
 
 import heapq
+from collections import defaultdict
 from math import lcm as lcm_ints
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
@@ -176,12 +177,27 @@ def _vector(ix, chain, n, F):
     return x
 
 
+def _in_field(diffs, F):
+    """diffs with every scalar as F gives it: diffs itself when its values
+    are all ints that F keeps (any int over Q, 0..p-1 over GF(p)), checked
+    without a call per entry, else a copy made through F."""
+    vals = [v for mat in diffs.values() for v in mat.values()]
+    p = F.characteristic
+    if {int}.issuperset(map(type, vals)) and (
+            not p or 0 <= min(vals, default=0) and max(vals, default=0) < p):
+        return diffs
+    return {n: {k: F(v) for k, v in mat.items()} for n, mat in diffs.items()}
+
+
 class GradedFreeComplex(ChainComplex):
     """Chain complex of free Z^m-graded modules with a labeled basis.
 
     labels: dict n -> ordered list of (id, multidegree)
     diffs:  dict n -> {(row_id, col_id): scalar}  for n >= 1, mapping F_n
             into F_{n-1}; the scalar is the bar (field) coefficient.
+
+    Scalars are stored as `field` gives them, and entries that vanish in
+    the field are dropped; a value outside the field raises InvalidField.
     """
 
     def __init__(self, num_vars, field, labels, diffs):
@@ -189,7 +205,8 @@ class GradedFreeComplex(ChainComplex):
         self.labels = {n: [(i, tuple(d)) for i, d in labs]
                        for n, labs in labels.items() if labs}
         super().__init__(field, {n: [i for i, _ in labs]
-                                 for n, labs in self.labels.items()}, diffs)
+                                 for n, labs in self.labels.items()},
+                         _in_field(diffs, field))
         self.hdeg_of = {i: n for n, ids in self.basis.items() for i in ids}
         self.degree_of = {}
         for labs in self.labels.values():
@@ -341,86 +358,57 @@ def minimize(C):
     """Cancel all unit (exponent-zero) entries, yielding a quasi-isomorphic
     complex with no invertible entries in any differential.
 
-    Pivots are chosen deterministically: lowest homological degree first,
-    then row-major in the label order.  Within a degree the pending units
-    wait in a heap keyed by that order; an entry that stopped being a unit
-    stays in the heap and is skipped when popped.
+    Elimination runs on one differential at a time, d_1 first.  Pivots are
+    chosen deterministically: within a degree row-major in the label order,
+    from a heap of (row, column) positions that skips pairs whose entry is
+    gone.  A pivot on a unit at (r0, c0) clears row r0 from every other
+    column with `row_sub`.  Rows cancelled as pivot columns of d_{n-1} are
+    skipped when d_n is read; columns cancelled as pivot rows of d_{n+1}
+    are dropped from the output.  Entries are homogeneous, so a new unit
+    can only appear where both degrees equal the pivot's.
     """
     C.check_complex()
-    F = C.field
-    pos = {}
-    for n, labs in C.labels.items():
-        for k, (i, _) in enumerate(labs):
-            pos[i] = k
-    col = {n: {} for n in C.diffs}
-    row = {n: {} for n in C.diffs}
-    for n, mat in C.diffs.items():
-        for (r, c), v in mat.items():
-            col[n].setdefault(c, {})[r] = v
-            row[n].setdefault(r, set()).add(c)
-    alive = {i for i in C.degree_of}
-    deg = C.degree_of
-
-    def drop_entry(n, r, c):
-        col[n][c].pop(r, None)
-        if not col[n][c]:
-            col[n].pop(c)
-        if r in row[n]:
-            row[n][r].discard(c)
-            if not row[n][r]:
-                row[n].pop(r)
-
+    F, deg = C.field, C.degree_of
+    pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
+    dead, cols = set(), {}  # dead: every cancelled basis id
     for n in sorted(C.diffs):
-        units = {(r, c) for c, colmap in col.get(n, {}).items()
-                 for r in colmap if deg[r] == deg[c]}
-        heap = [(pos[r], pos[c], r, c) for r, c in units]
+        col = cols[n] = defaultdict(dict)  # {c: {r: v}}
+        rows = defaultdict(set)  # {r: every column that held an entry in r}
+        for (r, c), v in C.diffs[n].items():
+            x = col[c]  # placed even if all its rows are dead
+            if r not in dead:
+                x[r] = v
+                rows[r].add(c)
+        heap = [(pos[r], pos[c], r, c) for c, x in col.items()
+                for r in x if deg[r] == deg[c]]
         heapq.heapify(heap)
         while heap:
-            *_, r0, c0 = heapq.heappop(heap)
-            if (r0, c0) not in units:
+            _, _, r0, c0 = heapq.heappop(heap)
+            if r0 not in col.get(c0, ()):
                 continue
-            u = col[n][c0][r0]
-            uinv = F.inv(u)
-            other_cols = [c for c in row[n].get(r0, set()) if c != c0]
-            other_rows = [r for r in col[n].get(c0, {}) if r != r0]
-            for c2 in other_cols:
-                factor = F.mul(uinv, col[n][c2][r0])
-                for r2 in other_rows:
-                    delta = F.mul(col[n][c0][r2], factor)
-                    old = col[n].get(c2, {}).get(r2, F.zero)
-                    new = F.sub(old, delta)
-                    if new:
-                        col[n].setdefault(c2, {})[r2] = new
-                        row[n].setdefault(r2, set()).add(c2)
-                        if deg[r2] == deg[c2] and (r2, c2) not in units:
-                            units.add((r2, c2))
-                            heapq.heappush(heap, (pos[r2], pos[c2], r2, c2))
-                    elif old:
-                        drop_entry(n, r2, c2)
-                        units.discard((r2, c2))
-            # remove pivot row r0 and column c0 in degree n
-            for c2 in list(row[n].get(r0, set())):
-                drop_entry(n, r0, c2)
-                units.discard((r0, c2))
-            for r2 in list(col[n].get(c0, {})):
-                drop_entry(n, r2, c0)
-                units.discard((r2, c0))
-            # row c0 disappears from the next differential
-            if n + 1 in col:
-                for c2 in list(row.get(n + 1, {}).get(c0, set())):
-                    drop_entry(n + 1, c0, c2)
-            # column r0 disappears from the previous differential
-            if n - 1 in col and r0 in col[n - 1]:
-                for r2 in list(col[n - 1].get(r0, {})):
-                    drop_entry(n - 1, r2, r0)
-            alive.discard(r0)
-            alive.discard(c0)
+            pivot = col.pop(c0)
+            uinv = F.inv(pivot.pop(r0))
+            alpha = deg[c0]
+            at_alpha = [r for r in pivot if deg[r] == alpha]
+            for c2 in rows.pop(r0):
+                x = col.get(c2, {})
+                v = x.pop(r0, None)
+                if v is None or not pivot:  # most pivots clear only row r0
+                    continue
+                new = ([r for r in at_alpha if r not in x]
+                       if deg[c2] == alpha else ())
+                F.row_sub(x, F.mul(uinv, v), pivot)
+                for r in pivot:
+                    rows[r].add(c2)
+                for r in new:
+                    heapq.heappush(heap, (pos[r], pos[c2], r, c2))
+            dead.update((r0, c0))
 
-    labels = {n: [(i, d) for i, d in labs if i in alive]
+    labels = {n: [(i, d) for i, d in labs if i not in dead]
               for n, labs in C.labels.items()}
-    diffs = {n: {(r, c): v for c, colmap in col.get(n, {}).items()
-                 for r, v in colmap.items()}
-             for n in C.diffs}
+    diffs = {n: {(r, c): v for c, x in col.items() if c not in dead
+                 for r, v in x.items()}
+             for n, col in cols.items()}
     out = GradedFreeComplex(C.num_vars, F, labels, diffs)
     out.check_complex()
     if not out.is_minimal():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracle import betti_numbers
 from posetres import (ChainComplex, FieldSpec, GradedFreeComplex, bar_reduce,
-                      betti_table, is_resolution, lcm, minimalize, minimize,
-                      strand, taylor_complex)
-from posetres.errors import (NotAComplex, NotMinimal, ParseError,
+                      betti_table, incidence_poset, is_resolution, lcm,
+                      minimalize, minimize, strand, taylor_complex)
+from posetres.errors import (InvalidField, NotAComplex, NotMinimal, ParseError,
                              PosetresError, ShapeError, TooLarge,
                              VerificationError)
 from posetres.gradedcomplex import TAYLOR_CAP
@@ -263,19 +265,93 @@ def test_homogeneity_checked_for_every_degree_pair():
         GradedFreeComplex(2, Q, labels, {1: {("a", "c"): 1, ("f", "c"): 1}})
 
 
+def test_scalars_are_stored_reduced_into_the_field():
+    F3 = FieldSpec(3)
+    # 3 = 0 in GF(3): the unit-degree entry is dropped, so minimize has no
+    # zero to invert and the complex is minimal
+    unit = {0: [("a", (1,))], 1: [("b", (1,))]}
+    C = GradedFreeComplex(1, F3, unit, {1: {("a", "b"): 3}})
+    assert C.diffs == {} and C.is_minimal()
+    assert minimize(C).ranks() == (1, 1)
+    # nor does incidence_poset read the vanishing entry as a relation
+    labels = {0: [("a", (1, 0)), ("b", (0, 1))], 1: [("c", (1, 1))]}
+    C = GradedFreeComplex(2, F3, labels, {1: {("a", "c"): 4, ("b", "c"): -3}})
+    assert C.diffs == {1: {("a", "c"): 1}}
+    P = incidence_poset(C)
+    assert P.less("a", "c") and not P.less("b", "c")
+    # values are stored as the field gives them; reduced ones as they are
+    half = Fraction(1, 2)
+    d = {("a", "c"): half, ("b", "c"): Fraction(4, 2)}
+    assert GradedFreeComplex(2, F3, labels, {1: d}).diffs[1] == {
+        ("a", "c"): 2, ("b", "c"): 2}
+    X = GradedFreeComplex(2, Q, labels, {1: d}).diffs[1]
+    assert X[("a", "c")] is half and type(X[("b", "c")]) is int
+    assert GradedFreeComplex(2, Q, labels, {1: {("a", "c"): True}}).diffs[
+        1] == {("a", "c"): 1}
+    # a value outside the field raises InvalidField, before check_complex
+    for bad in (1.0, "x", None):
+        with pytest.raises(InvalidField):
+            GradedFreeComplex(2, Q, labels, {1: {("a", "c"): bad}})
+
+
 def test_minimize_koszul_unchanged():
     assert minimize(koszul_xy()).ranks() == (2, 1)
 
 
+def assert_same_complex(M, R):
+    """Equal labels, and equal differentials entry by entry in dict order,
+    each scalar of the same type (so over Q an integral value is an int in
+    both)."""
+    assert M.labels == R.labels
+    assert M.diffs.keys() == R.diffs.keys()
+    for n in R.diffs:
+        assert list(M.diffs[n].items()) == list(R.diffs[n].items())
+        assert [type(v) for v in M.diffs[n].values()] == \
+            [type(v) for v in R.diffs[n].values()]
+
+
 def test_minimize_matches_linear_scan_reference():
+    # of these inputs only rp2, m and K6-10 have outputs that depend on
+    # the unit entries a pivot creates
     ideals = ([minimalize(RP2_GENS), minimalize(M_GENS),
                minimalize(K6_EDGES[:10])] + random_corpus(100))
     for I in ideals:
         for F in FIELDS:
             M = minimize(taylor_complex(I, F))
-            assert M.to_json() == minimize_reference(
-                taylor_complex(I, F)).to_json()
-            assert minimize(M).to_json() == M.to_json()
+            R = minimize_reference(taylor_complex(I, F))
+            assert_same_complex(M, R)
+            assert M.to_json() == R.to_json()
+            again = minimize(M)
+            assert_same_complex(again, M)
+            assert again.to_json() == M.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4)
+                .map(tuple), min_size=1, max_size=7),
+       st.integers(1, 4), st.sampled_from(FIELDS))
+def test_minimize_matches_reference_on_random_ideals(gens, m, F):
+    """At most 7 generators in at most 4 variables, exponents 0..3."""
+    I = minimalize([g[:m] for g in gens])
+    assert_same_complex(minimize(taylor_complex(I, F)),
+                        minimize_reference(taylor_complex(I, F)))
+
+
+# SHA-256 of the sorted-key, compact to_json of the minimal complexes
+MINIMAL_SHA256 = {
+    (13, 2): "884da1e16bd4f5cc3b43cb8ea974df18984bded8bc0b0c11ef4db9374e94258f",
+    (13, 3): "1a9de3f7ee62e14062ef1597f27041bcb7b04c0a500b11a7912c250ac9baa07c",
+    (13, 0): "1cd9547f074a910aafa0a716685b5f5100567c8b91d8b48c3caf92bf7ad44ebe",
+    (14, 2): "1ba901d0999a2c75fa0f71a20942ff2b33f01cf32f14c783dac56e4a110a981a",
+}
+
+
+@pytest.mark.parametrize("edges,p", sorted(MINIMAL_SHA256))
+def test_minimize_pins_k6_complexes(edges, p):
+    M = minimize(taylor_complex(minimalize(K6_EDGES[:edges]), FieldSpec(p)))
+    text = json.dumps(M.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        MINIMAL_SHA256[(edges, p)]
 
 
 def test_minimize_squarefree_matches_oracle():
