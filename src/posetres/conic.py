@@ -19,13 +19,13 @@ class ConicComplex(ChainComplex):
 
     gens:      dict n -> ordered list of (apex, index) pairs, the basis ids
     cycles:    dict (apex, index) -> sparse cycle {face: scalar}
-    diffs:     dict n -> {((apex_r, i_r), (apex_c, i_c)): scalar} for n >= 1
+    d:         dict n -> {(apex_c, i_c): {(apex_r, i_r): scalar}} for n >= 1
     aug:       dict (apex, index) -> scalar, the augmentation on degree 0
     degree_of: dict (apex, index) -> deg of the apex ({} without P.deg)
     """
 
-    def __init__(self, poset, field, gens, cycles, diffs, aug, augmented):
-        super().__init__(field, gens, diffs, aug, augmented)
+    def __init__(self, poset, field, gens, cycles, d, aug, augmented):
+        super().__init__(field, gens, d, aug, augmented)
         self.poset = poset
         self.cycles = dict(cycles)
         self.degree_of = {g: poset.deg[g[0]] for gs in self.basis.values()
@@ -45,7 +45,7 @@ class ConicComplex(ChainComplex):
     def same_matrices(self, other):
         """Entry-wise equality of generators, cycles and differentials."""
         return (self.gens == other.gens and self.cycles == other.cycles
-                and self.diffs == other.diffs and self.aug == other.aug)
+                and self.d == other.d and self.aug == other.aug)
 
     def to_json(self):
         from .gradedcomplex import _scalar_json
@@ -112,24 +112,17 @@ def conic_coords(P, cycles, chain, n, F):
 def conic_complex(P, F, augmented=False):
     """Build the conic chain complex of a poset with deterministic,
     echelonized cycle bases at every apex."""
-    gens = {}
-    cycles = {}
+    gens, cycles = {}, {}
     for a in P.elements:
         n = P.dim(a)
         gens.setdefault(n, [])
         for i, z in enumerate(cycle_space(P.filter_complex(a), n - 1, F)):
             gens[n].append((a, i))
             cycles[(a, i)] = z
-    diffs = {}
-    for n in sorted(gens):
-        if n == 0:
-            continue
-        diffs[n] = {}
-        for g in gens[n]:
-            for c, s in conic_coords(P, cycles, cycles[g], n - 1, F).items():
-                diffs[n][(c, g)] = s
+    d = {n: {g: conic_coords(P, cycles, cycles[g], n - 1, F) for g in gs}
+         for n, gs in sorted(gens.items()) if n}
     aug = {g: cycles[g].get((), F.zero) for g in gens.get(0, [])}
-    C = ConicComplex(P, F, gens, cycles, diffs, aug, augmented)
+    C = ConicComplex(P, F, gens, cycles, d, aug, augmented)
     try:
         C.check_complex()
     except NotAComplex as exc:
@@ -182,9 +175,9 @@ def homogenize(C):
 
     labels = {n: [(gid(g), deg[g[0]]) for g in gs]
               for n, gs in C.gens.items()}
-    diffs = {n: {(gid(r), gid(c)): v for (r, c), v in m.items()}
-             for n, m in C.diffs.items()}
-    return GradedFreeComplex(num_vars, C.field, labels, diffs)
+    d = {n: {gid(c): {gid(r): v for r, v in col.items()}
+             for c, col in cols.items()} for n, cols in C.d.items()}
+    return GradedFreeComplex(num_vars, C.field, labels, d)
 
 
 def supports_resolution(P, F):

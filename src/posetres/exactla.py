@@ -128,13 +128,6 @@ class SparseMatrix:
             data[(r, c)] = v
         self.entries = data
 
-    @classmethod
-    def from_dense(cls, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        return cls(rows, cols, [(r, c, v) for r, row in enumerate(dense)
-                                for c, v in enumerate(row) if v])
-
     def mul_vec(self, x, F):
         if len(x) != self.cols:
             raise ShapeError("vector length mismatch")

@@ -7,8 +7,9 @@ base, Taylor complex, minimization, bar reduction, graded strands and Betti
 tables all live here.
 """
 
-import heapq
-from collections import defaultdict
+from collections import Counter, defaultdict
+from collections.abc import MutableMapping
+from itertools import chain
 from math import lcm as lcm_ints
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
@@ -23,25 +24,35 @@ class ChainComplex:
     """Field chain complex on an ordered basis of hashable ids.
 
     basis:     dict n -> ordered list of the basis ids in degree n
-    diffs:     dict n -> {(row_id, col_id): scalar} for n >= 1
+    d:         dict n -> {col_id: {row_id: scalar}} for n >= 1, the columns
+               of d_n; this is the one store of every differential
     aug:       dict degree-0 id -> scalar, the augmentation (may be empty)
     augmented: whether homology_ranks counts aug, giving degree -1
 
-    d_0 is the augmentation, onto one row with the id ().  Chains are
-    {id: scalar} dicts; an id outside its degree raises NotFound.  Methods
-    taking a field F default to the complex's own.
+    The columns are copied without zero entries and empty columns.  d_0 is
+    the augmentation, onto one row with the id ().  Chains are {id: scalar}
+    dicts; an id outside its degree raises NotFound.  Methods taking a
+    field F default to the complex's own.
     """
 
-    def __init__(self, field, basis, diffs, aug=None, augmented=False):
+    def __init__(self, field, basis, d, aug=None, augmented=False):
         self.field = field
         self.basis = {n: list(ids) for n, ids in basis.items() if ids}
-        self.diffs = {n: {k: v for k, v in mat.items() if v}
-                      for n, mat in diffs.items()}
-        self.diffs = {n: m for n, m in self.diffs.items() if m}
+        self.d = {}
+        for n, cols in d.items():
+            cols = {c: x for c, col in cols.items() if (x := dict(col) if all(
+                col.values()) else {r: v for r, v in col.items() if v})}
+            if cols:
+                self.d[n] = cols
         self.aug = dict(aug or {})
         self.augmented = augmented
         self.index = {}  # n -> {id: position in basis[n]}, filled by _index
         self._is_complex = False  # set once check_complex has passed
+
+    @property
+    def diffs(self):
+        """{n: {(row_id, col_id): scalar}}, live views of the columns."""
+        return {n: _Entries(cols) for n, cols in self.d.items()}
 
     def _index(self, n, ids):
         """{id: position} over ids, kept in index[n] if ids is basis[n]."""
@@ -72,12 +83,12 @@ class ChainComplex:
             rows = self._rows(n)
         if cols is None:
             cols = self.basis.get(n, [])
-        rix, cix = self._index(n - 1, rows), self._index(n, cols)
-        items = (self.diffs.get(n, {}).items() if n else
-                 [(((), c), v) for c, v in self.aug.items() if v])
-        entries = [(i, j, v) for (r, c), v in items
-                   if (j := cix.get(c)) is not None
-                   and (i := rix.get(r)) is not None]
+        rix = self._index(n - 1, rows)
+        store = (self.d.get(n, {}) if n else
+                 {c: {(): v} for c, v in self.aug.items() if v})
+        entries = [(i, j, v) for j, c in enumerate(cols)
+                   for r, v in store.get(c, {}).items()
+                   if (i := rix.get(r)) is not None]
         return SparseMatrix(len(rows), len(cols), entries)
 
     def boundary(self, n, chain, F=None):
@@ -116,24 +127,24 @@ class ChainComplex:
         if self._is_complex:
             return
         p = self.field.characteristic
-        by_col = {}  # n -> {column id: {row id: integer entry}}
-        for n, mat in self.diffs.items():
-            L = lcm_ints(*(v.denominator for v in mat.values()))
-            cols = by_col[n] = {}
-            for (r, c), v in mat.items():
-                cols.setdefault(c, {})[r] = (
-                    v if L == 1 else v.numerator * (L // v.denominator))
-        for n in sorted(by_col):
-            lower = by_col[n]
-            for c, col in by_col.get(n + 1, {}).items():
+        ints = {}  # n -> the columns of d_n scaled to integers
+        for n, cols in self.d.items():
+            L = lcm_ints(*(v.denominator for col in cols.values()
+                           for v in col.values()))
+            ints[n] = cols if L == 1 else {
+                c: {r: v.numerator * (L // v.denominator)
+                    for r, v in col.items()} for c, col in cols.items()}
+        for n in sorted(ints):
+            lower = ints[n]
+            for c, col in ints.get(n + 1, {}).items():
                 comp = {}
+                get = comp.get
                 for mid, v in col.items():
                     for r, w in lower.get(mid, {}).items():
-                        comp[r] = comp.get(r, 0) + v * w
-                for r, v in comp.items():
-                    if v % p if p else v:
-                        raise NotAComplex(
-                            f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}")
+                        comp[r] = get(r, 0) + v * w
+                if any(map(p.__rmod__, comp.values()) if p else comp.values()):
+                    r = next(r for r, v in comp.items() if (v % p if p else v))
+                    raise NotAComplex(f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}")
         self._is_complex = True
 
     def homology_ranks(self, F=None):
@@ -160,11 +171,33 @@ class ChainComplex:
         keep = set(keep)
         basis = {n: [i for i in ids if i in keep]
                  for n, ids in self.basis.items()}
-        diffs = {n: {(r, c): v for (r, c), v in mat.items()
-                     if c in keep and r in keep}
-                 for n, mat in self.diffs.items()}
+        d = {n: {c: {r: v for r, v in cols[c].items() if r in keep}
+                 for c in basis.get(n, ()) if c in cols}
+             for n, cols in self.d.items()}
         aug = {i: v for i, v in self.aug.items() if i in keep}
-        return ChainComplex(self.field, basis, diffs, aug, self.augmented)
+        return ChainComplex(self.field, basis, d, aug, self.augmented)
+
+
+class _Entries(MutableMapping):
+    """{(row_id, col_id): scalar} view of the columns of one differential."""
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    def __getitem__(self, rc):
+        return self.cols[rc[1]][rc[0]]
+
+    def __setitem__(self, rc, v):
+        self.cols.setdefault(rc[1], {})[rc[0]] = v
+
+    def __delitem__(self, rc):
+        del self.cols[rc[1]][rc[0]]
+
+    def __iter__(self):
+        return ((r, c) for c, col in self.cols.items() for r in col)
+
+    def __len__(self):
+        return sum(map(len, self.cols.values()))
 
 
 def _vector(ix, chain, n, F):
@@ -177,36 +210,40 @@ def _vector(ix, chain, n, F):
     return x
 
 
-def _in_field(diffs, F):
-    """diffs with every scalar as F gives it: diffs itself when its values
-    are all ints that F keeps (any int over Q, 0..p-1 over GF(p)), checked
-    without a call per entry, else a copy made through F."""
-    vals = [v for mat in diffs.values() for v in mat.values()]
+def _in_field(d, F):
+    """The column store d with every scalar as F gives it: d itself when its
+    values are all ints that F keeps (any int over Q, 0..p-1 over GF(p)),
+    checked without a call per entry, else a copy made through F."""
+    vals = list(chain.from_iterable(chain.from_iterable(
+        map(dict.values, cols.values())) for cols in d.values()))
     p = F.characteristic
     if {int}.issuperset(map(type, vals)) and (
             not p or 0 <= min(vals, default=0) and max(vals, default=0) < p):
-        return diffs
-    return {n: {k: F(v) for k, v in mat.items()} for n, mat in diffs.items()}
+        return d
+    return {n: {c: {r: F(v) for r, v in col.items()}
+                for c, col in cols.items()} for n, cols in d.items()}
 
 
 class GradedFreeComplex(ChainComplex):
     """Chain complex of free Z^m-graded modules with a labeled basis.
 
     labels: dict n -> ordered list of (id, multidegree)
-    diffs:  dict n -> {(row_id, col_id): scalar}  for n >= 1, mapping F_n
-            into F_{n-1}; the scalar is the bar (field) coefficient.
+    d:      dict n -> {col_id: {row_id: scalar}} for n >= 1, the columns
+            of d_n: F_n -> F_{n-1}; a scalar is the bar (field) coefficient.
 
     Scalars are stored as `field` gives them, and entries that vanish in
     the field are dropped; a value outside the field raises InvalidField.
+    Placement is checked per column, homogeneity per distinct pair of row
+    and column degrees.
     """
 
-    def __init__(self, num_vars, field, labels, diffs):
+    def __init__(self, num_vars, field, labels, d):
         self.num_vars = num_vars
         self.labels = {n: [(i, tuple(d)) for i, d in labs]
                        for n, labs in labels.items() if labs}
         super().__init__(field, {n: [i for i, _ in labs]
                                  for n, labs in self.labels.items()},
-                         _in_field(diffs, field))
+                         _in_field(d, field))
         self.hdeg_of = {i: n for n, ids in self.basis.items() for i in ids}
         self.degree_of = {}
         for labs in self.labels.values():
@@ -216,17 +253,22 @@ class GradedFreeComplex(ChainComplex):
                 if len(d) != num_vars:
                     raise ShapeError(f"label degree length != num_vars for {i!r}")
                 self.degree_of[i] = d
-        homogeneous = set()  # (row degree, column degree) pairs checked
-        for n, mat in self.diffs.items():
-            for r, c in mat:
-                if self.hdeg_of.get(c) != n or self.hdeg_of.get(r) != n - 1:
+        deg = self.degree_of
+        under = defaultdict(set)  # column degree -> the rows of its columns
+        for n, cols in self.d.items():
+            rows = set(self.basis.get(n - 1, ()))
+            for c, col in cols.items():
+                if self.hdeg_of.get(c) != n or not rows.issuperset(col):
+                    r = next((r for r in col if r not in rows), next(iter(col)))
                     raise ShapeError(f"entry ({r},{c}) misplaced in degree {n}")
-                degs = self.degree_of[r], self.degree_of[c]
-                if degs not in homogeneous:
-                    if not divides(*degs):
-                        raise ShapeError(f"inhomogeneous entry ({r},{c}): "
-                                         f"deg {degs[1]} - {degs[0]} < 0")
-                    homogeneous.add(degs)
+                under[deg[c]].update(col)
+        for dc, rows in under.items():
+            if not all(divides(dr, dc) for dr in set(map(deg.__getitem__, rows))):
+                r, c = next((r, c) for cols in self.d.values()
+                            for c, col in cols.items() for r in col
+                            if not divides(deg[r], deg[c]))
+                raise ShapeError(f"inhomogeneous entry ({r},{c}): "
+                                 f"deg {deg[c]} - {deg[r]} < 0")
 
     def exponent(self, r, c):
         """Monomial exponent of the entry at (row r, column c)."""
@@ -234,21 +276,19 @@ class GradedFreeComplex(ChainComplex):
         return tuple(b - a for a, b in zip(dr, dc))
 
     def column(self, b):
-        """Differential image of basis element b as {row_id: scalar}."""
+        """Differential image of basis element b as a new {row_id: scalar}."""
         n = self.hdeg_of.get(b)
         if n is None:
             raise NotFound(f"unknown basis id {b!r}")
-        return {r: v for (r, c), v in self.diffs.get(n, {}).items() if c == b}
+        return dict(self.d.get(n, {}).get(b, {}))
 
     def is_minimal(self):
-        for n, mat in self.diffs.items():
-            for (r, c) in mat:
-                if self.degree_of[r] == self.degree_of[c]:
-                    return False
-        return True
+        deg = self.degree_of
+        return not any(deg[c] in map(deg.__getitem__, col)
+                       for cols in self.d.values() for c, col in cols.items())
 
     def to_json(self):
-        out = {
+        return {
             "num_vars": self.num_vars,
             "characteristic": self.field.characteristic,
             "basis": [[{"id": i, "degree": list(d)}
@@ -261,7 +301,6 @@ class GradedFreeComplex(ChainComplex):
                                          key=lambda kv: (str(kv[0][1]), str(kv[0][0])))]
                 for n in range(1, self.top + 1)],
         }
-        return out
 
     @classmethod
     @malformed("complex JSON")
@@ -273,33 +312,28 @@ class GradedFreeComplex(ChainComplex):
         if any(type(x) is not int or x < 0 for x in [obj["num_vars"], *(
                 x for labs in labels.values() for _, d in labs for x in d)]):
             raise ShapeError("num_vars and degree entries must be integers >= 0")
-        diffs = {}
+        d = {}
         for k, mat in enumerate(obj.get("differentials", [])):
-            n = k + 1
-            diffs[n] = {}
+            cols = d[k + 1] = {}
             for e in mat:
-                key = (e["row_id"], e["col_id"])
-                if key in diffs[n]:
-                    raise ShapeError(f"duplicate matrix entry {key}")
-                diffs[n][key] = F(e["scalar"])
-        C = cls(obj["num_vars"], F, labels, diffs)
+                col = cols.setdefault(e["col_id"], {})
+                if e["row_id"] in col:
+                    raise ShapeError(f"duplicate entry {e['row_id'], e['col_id']}")
+                col[e["row_id"]] = F(e["scalar"])
+        C = cls(obj["num_vars"], F, labels, d)
         # validate declared exponents against the labels
-        for k, mat in enumerate(obj.get("differentials", [])):
-            for e in mat:
-                if "exponent" in e:
-                    exp = tuple(e["exponent"])
-                    if exp != C.exponent(e["row_id"], e["col_id"]):
-                        raise ShapeError(
-                            f"declared exponent {exp} inconsistent with labels "
-                            f"at ({e['row_id']},{e['col_id']})")
+        for e in chain.from_iterable(obj.get("differentials", [])):
+            if "exponent" in e:
+                exp = tuple(e["exponent"])
+                if exp != C.exponent(e["row_id"], e["col_id"]):
+                    raise ShapeError(
+                        f"declared exponent {exp} inconsistent with labels "
+                        f"at ({e['row_id']},{e['col_id']})")
         return C
 
 
 def _scalar_json(v):
-    from fractions import Fraction
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    return int(v)
+    return int(v) if v.denominator == 1 else str(v)
 
 
 class BettiTable:
@@ -342,54 +376,58 @@ def taylor_complex(ideal, F):
     # next size extends one of them by a larger index, in lex order
     prev = {(k,): (f"t{k}", g) for k, g in enumerate(gens)}
     labels = {0: list(prev.values())}
-    diffs = {}
+    d = {}
     for n in range(1, r):
         cur = {S + (k,): (f"{sid}.{k}", lcm(deg, gens[k]))
                for S, (sid, deg) in prev.items()
                for k in range(S[-1] + 1, r)}
         labels[n] = list(cur.values())
-        diffs[n] = {(prev[S[:j] + S[j + 1:]][0], cid): sign[j % 2]
-                    for S, (cid, _) in cur.items() for j in range(n + 1)}
+        d[n] = {cid: {prev[S[:j] + S[j + 1:]][0]: sign[j % 2]
+                      for j in range(n + 1)}
+                for S, (cid, _) in cur.items()}
         prev = cur
-    return GradedFreeComplex(ideal.num_vars, F, labels, diffs)
+    return GradedFreeComplex(ideal.num_vars, F, labels, d)
 
 
 def minimize(C):
     """Cancel all unit (exponent-zero) entries, yielding a quasi-isomorphic
     complex with no invertible entries in any differential.
 
-    Elimination runs on one differential at a time, d_1 first.  Pivots are
-    chosen deterministically: within a degree row-major in the label order,
-    from a heap of (row, column) positions that skips pairs whose entry is
-    gone.  A pivot on a unit at (r0, c0) clears row r0 from every other
-    column with `row_sub`.  Rows cancelled as pivot columns of d_{n-1} are
-    skipped when d_n is read; columns cancelled as pivot rows of d_{n+1}
-    are dropped from the output.  Entries are homogeneous, so a new unit
-    can only appear where both degrees equal the pivot's.
+    Elimination runs on one differential at a time, d_1 first, on a copy of
+    its columns without the rows cancelled as pivot columns of d_{n-1}.
+    The rows are swept in label order, each pivoted on the lowest-position
+    column holding a unit in it then: the smallest current unit, row-major
+    in label order.  A pivot on (r0, c0) clears row r0 from every other
+    column with `row_sub`; entries are homogeneous, so its fill-in creates
+    units only at its multidegree, in rows of c0, which come after r0.
+    Columns cancelled as pivot rows of d_{n+1} are left out of the output.
     """
     C.check_complex()
     F, deg = C.field, C.degree_of
     pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
-    dead, cols = set(), {}  # dead: every cancelled basis id
-    for n in sorted(C.diffs):
-        col = cols[n] = defaultdict(dict)  # {c: {r: v}}
+    dead, store = set(), {}  # dead: every cancelled basis id
+    for n in sorted(C.d):
+        col = store[n] = {c: {r: v for r, v in x.items() if r not in dead}
+                          for c, x in C.d[n].items()}
         rows = defaultdict(set)  # {r: every column that held an entry in r}
-        for (r, c), v in C.diffs[n].items():
-            x = col[c]  # placed even if all its rows are dead
-            if r not in dead:
-                x[r] = v
+        units = defaultdict(list)  # {r: columns that held a unit in r}
+        for c, x in col.items():
+            dc = deg[c]
+            for r in x:
                 rows[r].add(c)
-        heap = [(pos[r], pos[c], r, c) for c, x in col.items()
-                for r in x if deg[r] == deg[c]]
-        heapq.heapify(heap)
-        while heap:
-            _, _, r0, c0 = heapq.heappop(heap)
-            if r0 not in col.get(c0, ()):
+                if deg[r] == dc:
+                    units[r].append(c)
+        for r0 in C.basis.get(n - 1, []):
+            live = [c for c in units.pop(r0, ()) if r0 in col.get(c, ())]
+            if not live:
                 continue
+            c0 = min(live, key=pos.__getitem__)
+            store.get(n - 1, {}).pop(r0, None)  # r0 is a column of d_{n-1}
             pivot = col.pop(c0)
             uinv = F.inv(pivot.pop(r0))
             alpha = deg[c0]
             at_alpha = [r for r in pivot if deg[r] == alpha]
+            filled = []  # the columns given the pivot's rows
             for c2 in rows.pop(r0):
                 x = col.get(c2, {})
                 v = x.pop(r0, None)
@@ -398,18 +436,16 @@ def minimize(C):
                 new = ([r for r in at_alpha if r not in x]
                        if deg[c2] == alpha else ())
                 F.row_sub(x, F.mul(uinv, v), pivot)
-                for r in pivot:
-                    rows[r].add(c2)
+                filled.append(c2)
                 for r in new:
-                    heapq.heappush(heap, (pos[r], pos[c2], r, c2))
+                    units[r].append(c2)
+            for r in pivot:
+                rows[r].update(filled)
             dead.update((r0, c0))
 
     labels = {n: [(i, d) for i, d in labs if i not in dead]
               for n, labs in C.labels.items()}
-    diffs = {n: {(r, c): v for c, x in col.items() if c not in dead
-                 for r, v in x.items()}
-             for n, col in cols.items()}
-    out = GradedFreeComplex(C.num_vars, F, labels, diffs)
+    out = GradedFreeComplex(C.num_vars, F, labels, store)
     out.check_complex()
     if not out.is_minimal():
         raise VerificationError("minimization left a unit entry")
@@ -420,24 +456,31 @@ def bar_reduce(C):
     """Tensor with k[x]/(x_1-1,...,x_m-1): a plain ChainComplex of the
     scalars.  The augmentation sends every degree-0 basis element to 1."""
     aug = dict.fromkeys(C.basis.get(0, []), C.field.one)
-    return ChainComplex(C.field, C.basis, C.diffs, aug)
+    return ChainComplex(C.field, C.basis, C.d, aug)
 
 
 def strand(C, alpha):
     """Homogeneous strand of degree alpha, as a plain ChainComplex: the
     basis ids whose degree_of divides alpha, with the entries among them."""
-    return C.restrict(i for i, d in C.degree_of.items() if divides(d, alpha))
+    return next(_strands(C, [alpha]))
+
+
+def _strands(C, alphas):
+    """strand(C, alpha) per alpha, the ids bucketed by degree once."""
+    by_deg = defaultdict(list)
+    for i, d in C.degree_of.items():
+        by_deg[d].append(i)
+    for alpha in alphas:
+        yield C.restrict(i for d, ids in by_deg.items() if divides(d, alpha)
+                         for i in ids)
 
 
 def betti_table(C):
     """Multigraded Betti numbers read off a minimal complex's labels."""
     if not C.is_minimal():
         raise NotMinimal("complex has a unit entry; Betti labels unreliable")
-    entries = {}
-    for n, labs in C.labels.items():
-        for _, d in labs:
-            entries[(n, d)] = entries.get((n, d), 0) + 1
-    return BettiTable(entries)
+    return BettiTable(Counter((n, d) for n, labs in C.labels.items()
+                              for _, d in labs))
 
 
 def is_resolution(C):
@@ -453,6 +496,6 @@ def is_resolution(C):
     lattice = join_closure(deg0)
     if not lattice.issuperset(C.degree_of.values()):
         lattice = join_closure(C.degree_of.values())
-    report = {alpha: strand(C, alpha).homology_ranks()
-              for alpha in sorted(lattice)}
+    alphas = sorted(lattice)
+    report = {a: S.homology_ranks() for a, S in zip(alphas, _strands(C, alphas))}
     return all(h == {0: 1} for h in report.values()), report

@@ -22,12 +22,12 @@ def incidence_poset(C):
     if P is not None:
         return P
     for n in range(1, C.top + 1):
-        with_entries = {c for (_, c) in C.diffs.get(n, {})}
         for b, _ in C.labels.get(n, []):
-            if b not in with_entries:
+            if b not in C.d.get(n, {}):
                 raise DegenerateColumn(f"zero column {b!r} in degree {n}")
     elements = [i for n in range(C.top + 1) for i, _ in C.labels.get(n, [])]
-    relations = [(r, c) for mat in C.diffs.values() for (r, c) in mat]
+    relations = [(r, c) for cols in C.d.values()
+                 for c, col in cols.items() for r in col]
     deg = {i: d for n in range(C.top + 1) for i, d in C.labels.get(n, [])}
     P = Poset(elements, relations, deg=deg)
     for b in elements:
@@ -84,15 +84,14 @@ def conic_iso_check(C):
             raise NotMinimalSupport(
                 f"conic component at {a!r} has dimension {dims.get(a, 0)}",
                 witness=a)
-    scalars = {}
-    for b, _ in C.labels.get(0, []):
-        scalars[b] = F.one
+    scalars = {b: F.one for b, _ in C.labels.get(0, [])}
     for n in range(1, C.top + 1):
         for b, _ in C.labels.get(n, []):
             col = C.column(b)
+            conic_col = CC.d.get(n, {}).get((b, 0), {})
             lam = None
             for c, s in col.items():
-                mu = CC.diffs.get(n, {}).get(((c, 0), (b, 0)))
+                mu = conic_col.get((c, 0))
                 if mu is None:
                     raise NotMinimalSupport(
                         f"conic boundary at {b!r} misses apex {c!r}", witness=b)
@@ -102,8 +101,8 @@ def conic_iso_check(C):
                 elif lam != cand:
                     raise NotMinimalSupport(
                         f"no scalar matches the boundary of {b!r}", witness=b)
-            for (c, _), (bb, _) in CC.diffs.get(n, {}):
-                if bb == b and c not in col:
+            for c, _ in conic_col:
+                if c not in col:
                     raise NotMinimalSupport(
                         f"conic boundary at {b!r} has extra apex {c!r}",
                         witness=b)

@@ -5,10 +5,12 @@ All detection and repair happens on the bar complex; a repaired cycle is
 lifted back upstairs with the monomial coefficients dictated by the degrees.
 """
 
+from functools import reduce
+
 from .errors import (NotACycle, NotFound, NotMinimal, ShapeError,
                      VerificationError)
 from .exactla import rank
-from .gradedcomplex import ChainComplex, GradedFreeComplex, bar_reduce
+from .gradedcomplex import GradedFreeComplex, bar_reduce
 from .monomials import divides, lcm
 
 
@@ -86,30 +88,14 @@ def make_minimal_support_basis(C):
         raise NotMinimal("input complex has a unit entry")
     F = C.field
     deg = C.degree_of
-    pos = {}
-    for n, labs in C.labels.items():
-        for k, (i, _) in enumerate(labs):
-            pos[i] = k
-    # mutable column maps of every differential
-    col = {n: {} for n in C.diffs}
-    for n, mat in C.diffs.items():
-        for (r, c), v in mat.items():
-            col[n].setdefault(c, {})[r] = v
-
-    aug = bar_reduce(C).aug
-
-    def bar_view():
-        diffs = {n: {(r, c): v for c, cm in col.get(n, {}).items()
-                     for r, v in cm.items()} for n in col}
-        return ChainComplex(F, C.basis, diffs, aug)
-
+    pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
+    Cbar = bar_reduce(C)  # private: each replacement edits it in place
     log = BasisChangeLog()
-    for k1 in sorted(C.diffs):  # k1 = k+1, columns live here, cycles in k1-1
+    for k1 in sorted(C.d):  # k1 = k+1, columns live here, cycles in k1-1
         k = k1 - 1
         for bp, _ in C.labels.get(k1, []):
             while True:
-                Cbar = bar_view()
-                zd = dict(col[k1].get(bp, {}))
+                zd = dict(Cbar.d[k1].get(bp, {}))
                 if not zd:
                     raise VerificationError(
                         f"zero column {bp!r} in a minimal resolution")
@@ -117,9 +103,7 @@ def make_minimal_support_basis(C):
                 if zp is None:
                     break
                 # lift degree of z' and solve for a homogeneous preimage w
-                alpha = None
-                for b in zp:
-                    alpha = deg[b] if alpha is None else lcm(alpha, deg[b])
+                alpha = reduce(lcm, map(deg.__getitem__, zp))
                 wcols = [i for i in C.basis.get(k1, [])
                          if divides(deg[i], alpha)]
                 w = Cbar.preimage(k1, zp, cols=wcols)
@@ -136,55 +120,41 @@ def make_minimal_support_basis(C):
                     expr[bp] = F.add(expr.get(bp, F.zero), apb)
                     expr = {i: v for i, v in expr.items() if v}
                     case = 2
-                _apply_replacement(col, Cbar, k1, bp, expr)
+                _apply_replacement(Cbar, k1, bp, expr)
                 items = sorted(expr.items(), key=lambda kv: pos[kv[0]])
-                exps = [tuple(y - x for x, y in zip(deg[i], deg[bp]))
-                        for i, _ in items]
+                exps = [C.exponent(i, bp) for i, _ in items]
                 log.record(k1, bp, case, items, exps)
 
-    out = GradedFreeComplex(C.num_vars, F, C.labels, bar_view().diffs)
+    out = GradedFreeComplex(C.num_vars, F, C.labels, Cbar.d)
     out.check_complex()
     if not out.is_minimal():
         raise VerificationError("basis rewrite produced a unit entry")
     return out, log
 
 
-def _apply_replacement(col, Cbar, k1, bp, expr):
-    """Replace basis element bp of degree k1 by sum expr (bar scalars).
-
-    Updates the column of bp in d_{k1} and the bp-row of d_{k1+1}; Cbar is
-    the bar complex of the columns before the replacement.
-    """
+def _apply_replacement(Cbar, k1, bp, expr):
+    """Replace basis element bp of degree k1 by sum expr (bar scalars), in
+    place in the bar complex Cbar: the column of bp in d_{k1} becomes the
+    boundary of expr, and the bp-row of d_{k1+1} is rewritten."""
     F = Cbar.field
     t = expr[bp]
-    col[k1][bp] = Cbar.boundary(k1, expr)
+    Cbar.d[k1][bp] = Cbar.boundary(k1, expr)
     # rewrite the bp-row of the next differential: old bp = (new - rest)/t
-    up = col.get(k1 + 1)
+    up = Cbar.d.get(k1 + 1)
     if up is None:
         return
     tinv = F.inv(t)
-    for g, cm in up.items():
-        s = cm.get(bp)
-        if s is None:
-            continue
-        factor = F.mul(s, tinv)
-        cm[bp] = factor
-        for i, ti in expr.items():
-            if i == bp:
-                continue
-            acc = F.sub(cm.get(i, F.zero), F.mul(factor, ti))
-            if acc:
-                cm[i] = acc
-            else:
-                cm.pop(i, None)
+    rest = {i: ti for i, ti in expr.items() if i != bp}
+    for cm in up.values():
+        if bp in cm:
+            cm[bp] = factor = F.mul(cm[bp], tinv)
+            F.row_sub(cm, factor, rest)
 
 
 def noncomparable_supports(C):
     """True iff within each degree no boundary support contains another."""
-    for n in C.diffs:
-        sups = []
-        for b, _ in C.labels.get(n, []):
-            sups.append(frozenset(C.column(b)))
+    for n in C.d:
+        sups = [frozenset(C.column(b)) for b, _ in C.labels.get(n, [])]
         for i in range(len(sups)):
             for j in range(len(sups)):
                 if i != j and sups[i] <= sups[j]:

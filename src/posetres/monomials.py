@@ -4,6 +4,7 @@ A multidegree is a plain tuple of non-negative ints; variable names are
 cosmetic and live only in the CLI layer.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import EmptyIdeal, ShapeError
@@ -13,12 +14,12 @@ def lcm(a, b):
     """Coordinate-wise maximum."""
     if len(a) != len(b):
         raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def divides(a, b):
     """True iff x^a divides x^b (coordinate-wise a <= b)."""
-    return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
+    return len(a) == len(b) and all(map(operator.le, a, b))
 
 
 @dataclass(frozen=True)

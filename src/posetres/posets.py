@@ -238,14 +238,15 @@ class OrientedComplex(ChainComplex):
         for n in range(1, self.top + 1):
             rows = faces.get(n - 1, [])
             rix = self._index(n - 1, rows)
-            self.diffs[n] = mat = {}
+            self.d[n] = cols = {}
             for f in faces.get(n, ()):
+                col = cols[f] = {}
                 for i in range(len(f)):
                     r = rix.get(f[:i] + f[i + 1:])
                     if r is None:
                         raise VerificationError(
                             f"complex not closed: missing face {f[:i] + f[i + 1:]}")
-                    mat[(rows[r], f)] = -1 if i % 2 else 1
+                    col[rows[r]] = -1 if i % 2 else 1
 
     @property
     def faces(self):

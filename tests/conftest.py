@@ -22,6 +22,16 @@ M_GENS = [
 SQUAREFREE3 = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
 
 
+def columns(entries):
+    """The column store {n: {col: {row: v}}} of {n: {(row, col): v}}."""
+    out = {}
+    for n, mat in entries.items():
+        cols = out[n] = {}
+        for (r, c), v in mat.items():
+            cols.setdefault(c, {})[r] = v
+    return out
+
+
 def load_fixture_complex(name, characteristic):
     with open(FIXTURES / name) as fh:
         obj = json.load(fh)

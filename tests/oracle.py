@@ -3,8 +3,9 @@
 Deliberately self-contained: its own field arithmetic, its own dense
 elimination, and its own simplicial homology, so that agreement with the
 minimization pipeline is a genuine cross-check.  The exceptions are
-`supports_resolution_loop`, `sliced_subcomplex` and `dense_rref`, references
-kept from an earlier posetres that run on posetres complexes and fields.
+`supports_resolution_loop`, `sliced_subcomplex`, `dense_rref` and
+`strand_reference`, references kept from an earlier posetres that run on
+posetres complexes and fields.
 """
 
 from fractions import Fraction
@@ -145,6 +146,23 @@ def supports_resolution_loop(P, F):
         if not sub.is_exact():
             return False, alpha
     return True, None
+
+
+def strand_reference(C, alpha):
+    """strand as it once was: one `divides` per basis id, and a scan of every
+    (row, col) entry of every differential for the entries among the kept
+    ids."""
+    from posetres import ChainComplex
+    from posetres.monomials import divides
+    keep = {i for i, d in C.degree_of.items() if divides(d, alpha)}
+    basis = {n: [i for i in ids if i in keep] for n, ids in C.basis.items()}
+    d = {}
+    for n, mat in C.diffs.items():
+        for (r, c), v in mat.items():
+            if c in keep and r in keep:
+                d.setdefault(n, {}).setdefault(c, {})[r] = v
+    aug = {i: v for i, v in C.aug.items() if i in keep}
+    return ChainComplex(C.field, basis, d, aug, C.augmented)
 
 
 def sliced_subcomplex(P, tops):

@@ -11,6 +11,13 @@ from posetres.exactla import echelon
 from posetres.errors import InvalidField, PosetresError, ShapeError
 
 
+def from_dense(dense):
+    """A SparseMatrix with the nonzero entries of a list of rows."""
+    cols = len(dense[0]) if dense else 0
+    return SparseMatrix(len(dense), cols, [(r, c, v) for r, row in enumerate(dense)
+                                           for c, v in enumerate(row) if v])
+
+
 def test_fieldspec_validation():
     FieldSpec(0)
     FieldSpec(2)
@@ -75,29 +82,29 @@ def test_sparse_matrix_validation():
 def test_rank_basics():
     F = FieldSpec(0)
     assert rank(SparseMatrix(0, 0), F) == 0
-    I3 = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    I3 = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(I3, FieldSpec(2)) == 3
-    assert rank(SparseMatrix.from_dense([[1, 1, 1]]), F) == 1
-    assert rank(SparseMatrix.from_dense([[2]]), FieldSpec(2)) == 0
+    assert rank(from_dense([[1, 1, 1]]), F) == 1
+    assert rank(from_dense([[2]]), FieldSpec(2)) == 0
 
 
 def test_kernel_echelon_convention():
     F = FieldSpec(0)
-    A = SparseMatrix.from_dense([[1, 1, 1]])
+    A = from_dense([[1, 1, 1]])
     assert kernel_basis(A, F) == [
         [Fraction(1), Fraction(-1), Fraction(0)],
         [Fraction(1), Fraction(0), Fraction(-1)]]
-    I2 = SparseMatrix.from_dense([[1, 0], [0, 1]])
+    I2 = from_dense([[1, 0], [0, 1]])
     assert kernel_basis(I2, F) == []
-    B = SparseMatrix.from_dense([[1, 1], [1, 1]])
+    B = from_dense([[1, 1], [1, 1]])
     assert kernel_basis(B, FieldSpec(2)) == [[1, 1]]
 
 
 def test_solve_conventions():
     F = FieldSpec(0)
-    I2 = SparseMatrix.from_dense([[1, 0], [0, 1]])
+    I2 = from_dense([[1, 0], [0, 1]])
     assert solve(I2, [3, 4], F) == [3, 4]
-    A = SparseMatrix.from_dense([[1, 1]])
+    A = from_dense([[1, 1]])
     assert solve(A, [1], F) == [1, 0]
     Z = SparseMatrix(1, 1)
     assert solve(Z, [1], F) is None
@@ -112,7 +119,7 @@ def test_solve_conventions():
 def test_rank_nullity_and_kernel_annihilation(r, c, flat, p):
     F = FieldSpec(p)
     dense = [[F(flat[i * 5 + j]) for j in range(c)] for i in range(r)]
-    A = SparseMatrix.from_dense(dense)
+    A = from_dense(dense)
     ker = kernel_basis(A, F)
     assert rank(A, F) + len(ker) == c
     for v in ker:
@@ -134,7 +141,7 @@ def test_rank_nullity_and_kernel_annihilation(r, c, flat, p):
 def test_solve_is_exact(n, flat, xs, p):
     F = FieldSpec(p)
     dense = [[F(flat[i * 4 + j]) for j in range(n)] for i in range(n)]
-    A = SparseMatrix.from_dense(dense)
+    A = from_dense(dense)
     b = A.mul_vec([F(x) for x in xs[:n]], F)
     x = solve(A, b, F)
     assert x is not None
@@ -150,8 +157,8 @@ def test_solve_fails_iff_rhs_raises_the_rank(r, c, flat, rhs, p):
     F = FieldSpec(p)
     dense = [[F(flat[i * 4 + j]) for j in range(c)] for i in range(r)]
     b = [F(v) for v in rhs[:r]]
-    A = SparseMatrix.from_dense(dense)
-    Ab = SparseMatrix.from_dense([row + [v] for row, v in zip(dense, b)])
+    A = from_dense(dense)
+    Ab = from_dense([row + [v] for row, v in zip(dense, b)])
     x = solve(A, b, F)
     assert (x is None) == (rank(Ab, F) > rank(A, F))
     if x is not None:
@@ -168,7 +175,7 @@ def test_unreduced_entries_count_by_their_residue(r, c, p, data):
     F = FieldSpec(p)
     dense = [[data.draw(st.integers(-2 * p, 2 * p)) for _ in range(c)]
              for _ in range(r)]
-    A = SparseMatrix.from_dense(dense)
+    A = from_dense(dense)
     assert rank(A, F) + len(kernel_basis(A, F)) == c
     assert rank(A, F) == _rank([[v % p for v in row] for row in dense], p)
 

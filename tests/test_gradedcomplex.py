@@ -6,15 +6,17 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import betti_numbers
+from oracle import betti_numbers, strand_reference
 from posetres import (ChainComplex, FieldSpec, GradedFreeComplex, bar_reduce,
                       betti_table, incidence_poset, is_resolution, lcm,
                       minimalize, minimize, strand, taylor_complex)
 from posetres.errors import (InvalidField, NotAComplex, NotMinimal, ParseError,
                              PosetresError, ShapeError, TooLarge,
                              VerificationError)
+from posetres import gradedcomplex
 from posetres.gradedcomplex import TAYLOR_CAP
-from conftest import M_GENS, RP2_GENS, SQUAREFREE3, json_values, random_corpus
+from conftest import (M_GENS, RP2_GENS, SQUAREFREE3, columns, json_values,
+                      random_corpus)
 
 Q = FieldSpec(0)
 FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5)]
@@ -44,7 +46,7 @@ def taylor_reference(ideal, F):
                 for j in range(size):
                     T = S[:j] + S[j + 1:]
                     rid = "t" + ".".join(map(str, T))
-                    diffs[n][(rid, cid)] = F(-1 if j % 2 else 1)
+                    diffs[n].setdefault(cid, {})[rid] = F(-1 if j % 2 else 1)
     return GradedFreeComplex(ideal.num_vars, F, labels, diffs)
 
 
@@ -115,8 +117,7 @@ def minimize_reference(C):
 
     labels = {n: [(i, d) for i, d in labs if i in alive]
               for n, labs in C.labels.items()}
-    diffs = {n: {(r, c): v for c, colmap in col.get(n, {}).items()
-                 for r, v in colmap.items()}
+    diffs = {n: {c: dict(colmap) for c, colmap in col.get(n, {}).items()}
              for n in C.diffs}
     out = GradedFreeComplex(C.num_vars, F, labels, diffs)
     out.check_complex()
@@ -167,22 +168,23 @@ def test_taylor_matches_reference():
             T, R = taylor_complex(I, F), taylor_reference(I, F)
             assert T.to_json() == R.to_json()
             assert T.labels == R.labels
-            for n in R.diffs:
-                assert list(T.diffs[n].items()) == list(R.diffs[n].items())
+            assert_same_complex(T, R)
 
 
 def test_homogeneity_enforced():
     with pytest.raises(ShapeError):
         GradedFreeComplex(1, Q, {0: [("a", (2,))], 1: [("b", (1,))]},
-                          {1: {("a", "b"): Q(1)}})
+                          {1: {"b": {"a": Q(1)}}})
 
 
 def test_not_a_complex_detected():
     T = taylor_complex(minimalize(SQUAREFREE3), Q)
-    diffs = {n: dict(m) for n, m in T.diffs.items()}
-    (k, v), = [(k, v) for k, v in diffs[2].items()][:1]
-    diffs[2][k] = Q.neg(v)
-    bad = GradedFreeComplex(3, Q, T.labels, diffs)
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in T.d.items()}
+    col = next(iter(d[2].values()))
+    r = next(iter(col))
+    col[r] = Q.neg(col[r])
+    bad = GradedFreeComplex(3, Q, T.labels, d)
     with pytest.raises(NotAComplex) as exc:
         minimize(bad)
     assert str(exc.value) == "d_1 o d_2 != 0, e.g. at ('t2', 't0.1.2')"
@@ -191,11 +193,10 @@ def test_not_a_complex_detected():
 def test_check_complex_exact_over_q():
     # d_1 d_2 = 1/2 * 2 + 1/3 * (-3) vanishes only through the denominators.
     basis = {0: ["a"], 1: ["b", "c"], 2: ["e"]}
-    d1 = {("a", "b"): Fraction(1, 2), ("a", "c"): Fraction(1, 3)}
-    ChainComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(2),
-                                     ("c", "e"): Q(-3)}}).check_complex()
-    bad = ChainComplex(Q, basis, {1: d1, 2: {("b", "e"): Q(-2),
-                                           ("c", "e"): Q(-3)}})
+    d1 = {"b": {"a": Fraction(1, 2)}, "c": {"a": Fraction(1, 3)}}
+    ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": Q(2), "c": Q(-3)}}}
+                 ).check_complex()
+    bad = ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": Q(-2), "c": Q(-3)}}})
     for _ in range(2):  # a failed check records nothing
         with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
             bad.check_complex()
@@ -204,11 +205,11 @@ def test_check_complex_exact_over_q():
 def test_check_complex_reduces_mod_p():
     F = FieldSpec(3)
     basis = {0: ["a"], 1: ["b", "c", "d"], 2: ["e"]}
-    d1 = {("a", x): 1 for x in "bcd"}
+    d1 = {x: {"a": 1} for x in "bcd"}
     # The composite is 1 + 1 + 1 = 3 = 0 in GF(3), then 1 + 1 + 2 = 4 = 1.
-    ChainComplex(F, basis, {1: d1, 2: {(x, "e"): 1 for x in "bcd"}}
-               ).check_complex()
-    d2 = {("b", "e"): 1, ("c", "e"): 1, ("d", "e"): 2}
+    ChainComplex(F, basis, {1: d1, 2: {"e": dict.fromkeys("bcd", 1)}}
+                 ).check_complex()
+    d2 = {"e": {"b": 1, "c": 1, "d": 2}}
     with pytest.raises(NotAComplex):
         ChainComplex(F, basis, {1: d1, 2: d2}).check_complex()
 
@@ -231,7 +232,7 @@ def test_check_complex_matches_dense_composite(p, data):
                          for m in basis[1])
              for r in basis[0] for c in basis[2]}
     vanishes = all(v % p == 0 if p else v == 0 for v in dense.values())
-    X = ChainComplex(F, basis, diffs)
+    X = ChainComplex(F, basis, columns(diffs))
     if vanishes:
         X.check_complex()
     else:
@@ -241,28 +242,119 @@ def test_check_complex_matches_dense_composite(p, data):
         assert str(exc.value) in {f"d_1 o d_2 != 0, e.g. at {k}" for k in bad}
 
 
+def test_restrict_and_matrix_keep_only_the_given_ids():
+    X = ChainComplex(Q, {0: ["a", "b"], 1: ["x", "y"], 2: ["e"]},
+                     {1: {"x": {"a": 1, "b": 2}, "y": {"a": 3}},
+                      2: {"e": {"x": 1, "y": 5}}}, {"a": 1, "b": 1})
+    S = X.restrict(["b", "x", "e"])  # no subcomplex: y and a are left out
+    assert S.basis == {0: ["b"], 1: ["x"], 2: ["e"]}
+    assert S.d == {1: {"x": {"b": 2}}, 2: {"e": {"x": 1}}}
+    assert S.aug == {"b": 1}
+    # matrix too reads only the given columns and keeps only the given rows
+    assert X.matrix(1, rows=["b"], cols=["y", "x"]).entries == {(0, 1): 2}
+    assert X.matrix(0, cols=["b"]).entries == {(0, 0): 1}
+
+
 def test_check_complex_reads_every_row_of_a_column():
     # column e of the composite is 0 at a and 1 at b over GF(2)
     F = FieldSpec(2)
     basis = {0: ["a", "b"], 1: ["x", "y"], 2: ["e"]}
-    d1 = {("a", "x"): 1, ("a", "y"): 1, ("b", "x"): 1}
+    d1 = {"x": {"a": 1, "b": 1}, "y": {"a": 1}}
     with pytest.raises(NotAComplex, match=r"at \('b', 'e'\)"):
-        ChainComplex(F, basis, {1: d1, 2: {("x", "e"): 1, ("y", "e"): 1}}
-                   ).check_complex()
+        ChainComplex(F, basis, {1: d1, 2: {"e": {"x": 1, "y": 1}}}
+                     ).check_complex()
 
 
 def test_homogeneity_checked_for_every_degree_pair():
     labels = {0: [("a", (1, 0)), ("b", (0, 1))],
               1: [("c", (1, 1)), ("e", (1, 0)), ("f", (1, 0))]}
-    GradedFreeComplex(2, Q, labels, {1: {("a", "c"): 1, ("b", "c"): 1,
-                                         ("a", "e"): 1, ("a", "f"): 1}})
+    GradedFreeComplex(2, Q, labels, {1: {"c": {"a": 1, "b": 1},
+                                         "e": {"a": 1}, "f": {"a": 1}}})
     # the pair (deg b, deg e) is new although both degrees were seen
-    with pytest.raises(ShapeError, match="inhomogeneous entry"):
-        GradedFreeComplex(2, Q, labels, {1: {("a", "c"): 1, ("b", "c"): 1,
-                                             ("a", "e"): 1, ("b", "e"): 1}})
+    with pytest.raises(ShapeError, match=r"inhomogeneous entry \(b,e\)"):
+        GradedFreeComplex(2, Q, labels, {1: {"c": {"a": 1, "b": 1},
+                                             "e": {"a": 1, "b": 1}}})
     # placement is checked for every entry, also on a degree pair seen before
-    with pytest.raises(ShapeError, match="misplaced"):
-        GradedFreeComplex(2, Q, labels, {1: {("a", "c"): 1, ("f", "c"): 1}})
+    with pytest.raises(ShapeError, match=r"entry \(f,c\) misplaced"):
+        GradedFreeComplex(2, Q, labels, {1: {"c": {"a": 1, "f": 1}}})
+
+
+def test_graded_complex_checks_each_column():
+    labels = {0: [("a", (1, 0)), ("b", (0, 1))],
+              1: [("c", (1, 1)), ("e", (1, 0))], 2: [("g", (1, 1))]}
+    ok = {1: {"c": {"a": 1, "b": 2}, "e": {"a": 1}}}
+    GradedFreeComplex(2, Q, labels, ok)
+    bad = [  # a row id from the wrong degree (e sits in degree 1)
+        ({1: {"c": {"a": 1, "e": 1}}}, r"entry \(e,c\) misplaced in degree 1"),
+        # column ids from the wrong degree, and one that is no basis id
+        ({1: {"a": {"b": 1}}}, r"entry \(b,a\) misplaced in degree 1"),
+        ({2: {"c": {"e": 1}}}, r"entry \(e,c\) misplaced in degree 2"),
+        ({1: {"x": {"a": 1}}}, r"entry \(a,x\) misplaced in degree 1"),
+        # a bad row after good ones, in a column after a good one
+        ({1: {"c": {"a": 1}, "e": {"a": 1, "b": 1}}},
+         r"inhomogeneous entry \(b,e\): deg \(1, 0\) - \(0, 1\) < 0"),
+    ]
+    for d, message in bad:
+        with pytest.raises(ShapeError, match=message):
+            GradedFreeComplex(2, Q, labels, d)
+    # entries that vanish in the field are dropped before the checks, and so
+    # are the columns and differentials they leave empty
+    C = GradedFreeComplex(2, FieldSpec(3), labels,
+                          {1: {"c": {"a": 3, "b": 6}, "e": {"a": 4}},
+                           2: {"g": {"c": 0}}, 3: {"x": {"y": 3}}})
+    assert C.d == {1: {"e": {"a": 1}}}
+    assert C.diffs == {1: {("a", "e"): 1}} and C.column("c") == {}
+    assert ChainComplex(Q, {0: ["a"], 1: ["c"]}, {1: {"c": {"a": 0}}}).d == {}
+
+
+def test_homogeneity_is_tested_once_per_degree_pair(monkeypatch):
+    calls = []
+
+    def divides(a, b):
+        calls.append((a, b))
+        return all(x <= y for x, y in zip(a, b))
+
+    T = taylor_complex(minimalize(K6_EDGES[:8]), Q)
+    monkeypatch.setattr(gradedcomplex, "divides", divides)
+    GradedFreeComplex(T.num_vars, Q, T.labels, T.d)
+    pairs = {(T.degree_of[r], T.degree_of[c])
+             for cols in T.d.values() for c, col in cols.items() for r in col}
+    assert sorted(calls) == sorted(pairs)
+
+
+def test_complexes_share_no_dict_with_their_callers():
+    """The constructors copy the columns they are handed and `column`
+    returns a copy: writing to either afterwards changes neither the
+    complex, nor its JSON, nor its recorded d o d check."""
+    F = FieldSpec(3)
+    labels = {0: [("a", (1, 0)), ("b", (0, 1))], 1: [("c", (1, 1))]}
+    d = {1: {"c": {"a": 1, "b": 2}}}
+    C = GradedFreeComplex(2, F, labels, d)
+    X = ChainComplex(F, {0: ["a", "b"], 1: ["c"]}, d)
+    M = minimize(taylor_complex(minimalize(SQUAREFREE3), F))
+    complexes = (C, X, M)
+    for Y in complexes:
+        Y.check_complex()
+    before = [C.to_json(), M.to_json()]
+    stores = [json.dumps(list(Y.diffs[1].items())) for Y in complexes]
+    d[1]["c"]["a"] = 2
+    d[1]["c"]["x"] = 1
+    d[1]["e"] = {"a": 1}
+    d[2] = {"g": {"c": 1}}
+    for Y, b in ((C, "c"), (M, M.labels[1][0][0])):
+        col = Y.column(b)
+        col[next(iter(col))] = 0
+        col["x"] = 1
+    for Y in (bar_reduce(M), strand(M, M.labels[1][0][1])):  # built from M
+        col = next(iter(Y.d[1].values()))
+        col[next(iter(col))] = 0
+    assert [C.to_json(), M.to_json()] == before
+    assert [json.dumps(list(Y.diffs[1].items())) for Y in complexes] == stores
+    assert C.d == X.d == {1: {"c": {"a": 1, "b": 2}}}
+    for Y in complexes:
+        assert Y._is_complex
+        Y._is_complex = False
+        Y.check_complex()  # the recorded pass still holds
 
 
 def test_scalars_are_stored_reduced_into_the_field():
@@ -270,28 +362,41 @@ def test_scalars_are_stored_reduced_into_the_field():
     # 3 = 0 in GF(3): the unit-degree entry is dropped, so minimize has no
     # zero to invert and the complex is minimal
     unit = {0: [("a", (1,))], 1: [("b", (1,))]}
-    C = GradedFreeComplex(1, F3, unit, {1: {("a", "b"): 3}})
+    C = GradedFreeComplex(1, F3, unit, {1: {"b": {"a": 3}}})
     assert C.diffs == {} and C.is_minimal()
     assert minimize(C).ranks() == (1, 1)
     # nor does incidence_poset read the vanishing entry as a relation
     labels = {0: [("a", (1, 0)), ("b", (0, 1))], 1: [("c", (1, 1))]}
-    C = GradedFreeComplex(2, F3, labels, {1: {("a", "c"): 4, ("b", "c"): -3}})
+    C = GradedFreeComplex(2, F3, labels, {1: {"c": {"a": 4, "b": -3}}})
     assert C.diffs == {1: {("a", "c"): 1}}
     P = incidence_poset(C)
     assert P.less("a", "c") and not P.less("b", "c")
     # values are stored as the field gives them; reduced ones as they are
     half = Fraction(1, 2)
-    d = {("a", "c"): half, ("b", "c"): Fraction(4, 2)}
-    assert GradedFreeComplex(2, F3, labels, {1: d}).diffs[1] == {
-        ("a", "c"): 2, ("b", "c"): 2}
-    X = GradedFreeComplex(2, Q, labels, {1: d}).diffs[1]
-    assert X[("a", "c")] is half and type(X[("b", "c")]) is int
-    assert GradedFreeComplex(2, Q, labels, {1: {("a", "c"): True}}).diffs[
-        1] == {("a", "c"): 1}
+    d = {"c": {"a": half, "b": Fraction(4, 2)}}
+    assert GradedFreeComplex(2, F3, labels, {1: d}).d[1] == {
+        "c": {"a": 2, "b": 2}}
+    X = GradedFreeComplex(2, Q, labels, {1: d}).d[1]["c"]
+    assert X["a"] is half and type(X["b"]) is int
+    assert GradedFreeComplex(2, Q, labels, {1: {"c": {"a": True}}}).d[
+        1] == {"c": {"a": 1}}
     # a value outside the field raises InvalidField, before check_complex
     for bad in (1.0, "x", None):
         with pytest.raises(InvalidField):
-            GradedFreeComplex(2, Q, labels, {1: {("a", "c"): bad}})
+            GradedFreeComplex(2, Q, labels, {1: {"c": {"a": bad}}})
+
+
+@pytest.mark.parametrize("F", [FieldSpec(p) for p in (0, 2, 3)])
+def test_minimize_pivots_on_a_unit_made_by_fill_in(F):
+    """The pivot (r0, c0) fills in c2 at row r1, a unit; in row r1 it sits
+    at a lower position than the unit at c1, although c1 holds its unit
+    first in dict order.  So r1 is pivoted on c2, and c1 survives."""
+    labels = {0: [("r0", (1,)), ("r1", (1,))],
+              1: [("c0", (1,)), ("c2", (1,)), ("c1", (1,))]}
+    d = {1: {"c0": {"r0": 1, "r1": 1}, "c2": {"r0": 1}, "c1": {"r1": 1}}}
+    M = minimize(GradedFreeComplex(1, F, labels, d))
+    assert M.labels == {1: [("c1", (1,))]} and M.d == {}
+    assert_same_complex(M, minimize_reference(GradedFreeComplex(1, F, labels, d)))
 
 
 def test_minimize_koszul_unchanged():
@@ -299,15 +404,16 @@ def test_minimize_koszul_unchanged():
 
 
 def assert_same_complex(M, R):
-    """Equal labels, and equal differentials entry by entry in dict order,
-    each scalar of the same type (so over Q an integral value is an int in
-    both)."""
+    """Equal labels, and equal column stores column by column and row by
+    row in dict order, each scalar of the same type (so over Q an integral
+    value is an int in both)."""
+    def entries(X, n):
+        return [(c, r, v, type(v)) for c, col in X.d[n].items()
+                for r, v in col.items()]
     assert M.labels == R.labels
-    assert M.diffs.keys() == R.diffs.keys()
-    for n in R.diffs:
-        assert list(M.diffs[n].items()) == list(R.diffs[n].items())
-        assert [type(v) for v in M.diffs[n].values()] == \
-            [type(v) for v in R.diffs[n].values()]
+    assert list(M.d) == list(R.d)
+    for n in R.d:
+        assert entries(M, n) == entries(R, n)
 
 
 def test_minimize_matches_linear_scan_reference():
@@ -410,10 +516,32 @@ def test_is_resolution_checks_labels_off_the_degree_zero_lattice(p):
     the degree-0 labels, yet its strand, the unit e <- f, has no homology."""
     F = FieldSpec(p)
     C = GradedFreeComplex(2, F, {0: [("e", (1, 0))], 1: [("f", (1, 1))]},
-                          {1: {("e", "f"): F(1)}})
+                          {1: {"f": {"e": F(1)}}})
     ok, report = is_resolution(C)
     assert not ok and report[(1, 1)] == {}
     assert report[(1, 0)] == {0: 1}
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_is_resolution_report_matches_reference_strands(p):
+    """The report, and every strand it is read from, equal those of the
+    strand that scanned every id and entry (tests/oracle.py)."""
+    from posetres import conic_complex, homogenize
+    F = FieldSpec(p)
+    complexes = []
+    for I in random_corpus(100):
+        T = taylor_complex(I, F)
+        complexes += [T, minimize(T)]
+    M = minimize(taylor_complex(minimalize(K6_EDGES[:10]), F))
+    P = incidence_poset(M)
+    complexes += [M, conic_complex(P, F), homogenize(conic_complex(P, F))]
+    for C in complexes:
+        ok, report = is_resolution(C)
+        assert ok and list(report) == sorted(report)
+        for alpha, h in report.items():
+            S, R = strand(C, alpha), strand_reference(C, alpha)
+            assert (S.basis, S.d, S.aug) == (R.basis, R.d, R.aug)
+            assert h == R.homology_ranks()
 
 
 def test_no_zero_bar_columns_after_minimize():

@@ -61,11 +61,12 @@ def test_conic_iso_certificates_exist():
 def test_conic_iso_rejects_damaged_basis():
     M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
     (b1, _), (b2, _) = M.labels[1]
-    diffs = {n: dict(mat) for n, mat in M.diffs.items()}
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in M.d.items()}
+    col = d[1][b2]
     for r, v in M.column(b1).items():
-        diffs[1][(r, b2)] = Q.add(diffs[1].get((r, b2), Q.zero), v)
-    diffs[1] = {k: v for k, v in diffs[1].items() if v}
-    D = GradedFreeComplex(M.num_vars, Q, M.labels, diffs)
+        col[r] = Q.add(col.get(r, Q.zero), v)  # a zero is dropped by D
+    D = GradedFreeComplex(M.num_vars, Q, M.labels, d)
     with pytest.raises(NotMinimalSupport):
         conic_iso_check(D)
 

@@ -1,6 +1,11 @@
+import hashlib
+import json
+from itertools import combinations
+
 import pytest
 
 from posetres import (FieldSpec, bar_reduce, kernel_basis, betti_table, boundary_support,
+                      divides,
                       is_minimal_support_cycle, make_minimal_support_basis,
                       minimalize, minimize, noncomparable_supports,
                       taylor_complex)
@@ -10,6 +15,8 @@ from conftest import (M_GENS, RP2_GENS, SQUAREFREE3, load_fixture_complex,
                       random_corpus)
 
 Q = FieldSpec(0)
+K6_13 = [tuple(int(v in e) for v in range(6))
+         for e in combinations(range(6), 2)][:13]
 
 
 def test_boundary_support_koszul():
@@ -83,11 +90,12 @@ def test_repair_of_a_damaged_basis():
     M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
     (b1, d1), (b2, d2) = M.labels[1]
     assert d1 == d2 == (1, 1, 1)
-    diffs = {n: dict(mat) for n, mat in M.diffs.items()}
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in M.d.items()}
+    col = d[1][b2]
     for r, v in M.column(b1).items():
-        diffs[1][(r, b2)] = Q.add(diffs[1].get((r, b2), Q.zero), v)
-    diffs[1] = {k: v for k, v in diffs[1].items() if v}
-    D = GradedFreeComplex(M.num_vars, Q, M.labels, diffs)
+        col[r] = Q.add(col.get(r, Q.zero), v)  # a zero is dropped by D
+    D = GradedFreeComplex(M.num_vars, Q, M.labels, d)
     Cbar = bar_reduce(D)
     assert not is_minimal_support_cycle(Cbar, 0, dict(D.column(b2)))
     R, log = make_minimal_support_basis(D)
@@ -101,11 +109,10 @@ def test_repair_of_a_damaged_basis():
 def test_noncomparable_detects_duplicates():
     M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
     (b1, _), (b2, _) = M.labels[1]
-    diffs = {n: dict(mat) for n, mat in M.diffs.items()}
-    diffs[1] = {(r, c): v for (r, c), v in diffs[1].items() if c != b2}
-    for r, v in M.column(b1).items():
-        diffs[1][(r, b2)] = v
-    D = GradedFreeComplex(M.num_vars, Q, M.labels, diffs)
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in M.d.items()}
+    d[1][b2] = M.column(b1)
+    D = GradedFreeComplex(M.num_vars, Q, M.labels, d)
     assert not noncomparable_supports(D)
 
 
@@ -115,7 +122,7 @@ def test_bar_support_correspondence():
     for n in range(1, M.top + 1):
         for b, _ in M.labels[n]:
             upstairs = boundary_support(M, b)
-            downstairs = {r for (r, c) in Cbar.diffs[n] if c == b}
+            downstairs = set(Cbar.d[n][b])
             assert upstairs == downstairs
 
 
@@ -144,3 +151,44 @@ def test_circuit_rank_count_matches_deletion_loop(p):
                 assert got == _circuit_by_deletion(Cbar, n - 1, z)
                 seen[got] += 1
     assert seen[True] and seen[False]
+
+
+def damaged(M):
+    """M after a change of basis b2 -> b2 + x^(deg b2 - deg b1) b1 for each
+    basis element b2 and the first other b1 of its degree whose label
+    divides its own: the bar columns add up, and the b1-row of the next
+    differential loses the b2-row."""
+    F = M.field
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in M.d.items()}
+    for n, labs in M.labels.items():
+        for b2, g2 in labs:
+            b1 = next((b for b, g in labs if b != b2 and divides(g, g2)), None)
+            if b1 is None or n not in d:
+                continue
+            col = d[n][b2]
+            for r, v in d[n][b1].items():
+                col[r] = F.add(col.get(r, F.zero), v)
+            for g in d.get(n + 1, {}).values():
+                if b2 in g:
+                    g[b1] = F.sub(g.get(b1, F.zero), g[b2])
+    return GradedFreeComplex(M.num_vars, F, M.labels, d)
+
+
+def test_minimal_support_basis_pins_corpus_and_k6():
+    """to_json and change log of the rewrite of every minimal resolution of
+    the corpus and K6-13 over p in {0, 2, 3, 5}, as it is and damaged;
+    the SHA-256 was recorded before the rewrite read the column store."""
+    h, steps = hashlib.sha256(), 0
+    for I in random_corpus(100) + [minimalize(K6_13)]:
+        for p in (0, 2, 3, 5):
+            M = minimize(taylor_complex(I, FieldSpec(p)))
+            for C in (M, damaged(M)):
+                out, log = make_minimal_support_basis(C)
+                steps += len(log.steps)
+                h.update(json.dumps([out.to_json(), log.to_json()],
+                                    sort_keys=True, separators=(",", ":")
+                                    ).encode())
+    assert steps == 269
+    assert h.hexdigest() == ("5b6a445acf973d83863ea7ad53b0af98d"
+                             "ba518a0e28bda3c65ec464fdac66db3")

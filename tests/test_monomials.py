@@ -16,6 +16,16 @@ def test_lcm_and_divides():
         lcm((1,), (1, 2))
 
 
+def test_lcm_and_divides_on_a_length_mismatch():
+    for a, b in (((1,), (1, 2)), ((1, 2), (1,)), ((), (0,))):
+        with pytest.raises(ShapeError, match="length mismatch"):
+            lcm(a, b)
+        assert divides(a, b) is False and divides(b, a) is False
+    assert lcm((), ()) == () and divides((), ()) is True
+    assert divides((0, 1), (0, 1)) is True
+    assert lcm((2, 0, 1), (1, 0, 3)) == (2, 0, 3)
+
+
 def test_minimalize_drops_divisible():
     I = minimalize([(2, 0), (1, 0), (0, 1), (1, 1)])
     assert I.generators == ((0, 1), (1, 0))
