@@ -262,8 +262,8 @@ class GradedFreeComplex(ChainComplex):
                     r = next((r for r in col if r not in rows), next(iter(col)))
                     raise ShapeError(f"entry ({r},{c}) misplaced in degree {n}")
                 under[deg[c]].update(col)
-        for dc, rows in under.items():
-            if not all(divides(dr, dc) for dr in set(map(deg.__getitem__, rows))):
+        for dc, ids in under.items():
+            if not all(divides(dr, dc) for dr in set(map(deg.__getitem__, ids))):
                 r, c = next((r, c) for cols in self.d.values()
                             for c, col in cols.items() for r in col
                             if not divides(deg[r], deg[c]))
@@ -316,10 +316,10 @@ class GradedFreeComplex(ChainComplex):
         for k, mat in enumerate(obj.get("differentials", [])):
             cols = d[k + 1] = {}
             for e in mat:
-                col = cols.setdefault(e["col_id"], {})
-                if e["row_id"] in col:
-                    raise ShapeError(f"duplicate entry {e['row_id'], e['col_id']}")
-                col[e["row_id"]] = F(e["scalar"])
+                key = r, c = e["row_id"], e["col_id"]
+                if r in cols.setdefault(c, {}):
+                    raise ShapeError(f"duplicate matrix entry {key}")
+                cols[c][r] = F(e["scalar"])
         C = cls(obj["num_vars"], F, labels, d)
         # validate declared exponents against the labels
         for e in chain.from_iterable(obj.get("differentials", [])):
