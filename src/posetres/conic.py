@@ -4,14 +4,18 @@ the resolution-support criterion.
 The degree-n component sits at the apexes a with d(a) = n and is the full
 top cycle space of the order complex of the open filter P_{<a}.  A generator
 is written [a, z]; its differential is z re-expressed in the degree-(n-1)
-cycle bases, grouping the faces of z by their top vertex.
+cycle bases, grouping the faces of z by their top vertex.  conic_complex
+finds those cycles from the differential of the degree below, with no
+elimination on an order complex.
 """
+
+from collections import Counter
 
 from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
-from .exactla import rank
+from .exactla import _rref, rank
 from .gradedcomplex import ChainComplex, GradedFreeComplex, is_resolution
-from .posets import cycle_space, reduced_homology
+from .posets import reduced_homology
 
 
 class ConicComplex(ChainComplex):
@@ -36,11 +40,7 @@ class ConicComplex(ChainComplex):
         return self.basis
 
     def component_dims(self):
-        dims = {}
-        for gs in self.gens.values():
-            for a, _ in gs:
-                dims[a] = dims.get(a, 0) + 1
-        return dims
+        return dict(Counter(a for gs in self.gens.values() for a, _ in gs))
 
     def same_matrices(self, other):
         """Entry-wise equality of generators, cycles and differentials."""
@@ -70,63 +70,62 @@ class ConicComplex(ChainComplex):
         }
 
 
-def conic_coords(P, cycles, chain, n, F):
-    """Coordinates of an n-chain of Delta(P) in the conic degree-n basis
-    `cycles` ((apex, index) -> cycle): the faces are grouped by their top
-    vertex c, which must have d(c) = n, and each group is written in the
-    cycle basis at c.  Raises VerificationError if either step fails.
-
-    Precondition: the basis at c is echelonized as kernel_basis gives it, so
-    each vector is the only one that is nonzero at its last face (in the
-    face order of P.filter_complex(c)); the coordinate of vector i is read
-    off that face.  What the read-off leaves over must vanish, which is the
-    check that the group lies in the span of the basis.
-    """
-    parts = {}
-    for f, v in chain.items():
-        parts.setdefault(f[0], {})[f[1:]] = v
-    out = {}
-    for c, zc in parts.items():
-        if P.dim(c) != n:
-            raise VerificationError(
-                f"chain top vertex {c!r} has dimension != {n}")
-        K = P.filter_complex(c)
-        fix = K._index(n - 1, K.basis.get(n - 1, []))
-        rest = dict(zc)
-        i = 0
-        while (c, i) in cycles:
-            b = cycles[(c, i)]
-            last = max(b, key=fix.__getitem__)
-            s = F.div(zc.get(last, F.zero), b[last])
-            if s:
-                out[(c, i)] = s
-                for f, v in b.items():
-                    rest[f] = F.sub(rest.get(f, F.zero), F.mul(s, v))
-            i += 1
-        if not i or any(rest.values()):
-            raise VerificationError(
-                f"chain component at apex {c!r} outside the cycle space")
-    return out
-
-
 def conic_complex(P, F, augmented=False):
-    """Build the conic chain complex of a poset with deterministic,
-    echelonized cycle bases at every apex."""
-    gens, cycles = {}, {}
-    for a in P.elements:
-        n = P.dim(a)
-        gens.setdefault(n, [])
-        for i, z in enumerate(cycle_space(P.filter_complex(a), n - 1, F)):
-            gens[n].append((a, i))
-            cycles[(a, i)] = z
-    d = {n: {g: conic_coords(P, cycles, cycles[g], n - 1, F) for g in gs}
-         for n, gs in sorted(gens.items()) if n}
-    aug = {g: cycles[g].get((), F.zero) for g in gens.get(0, [])}
+    """The conic chain complex of P over F with echelonized cycle bases,
+    memoized on P per (F, augmented), built bottom-up in d(a).
+
+    Each top face of Delta(P_{<a}) is c * f with d(c) = d(a) - 1, and
+    d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c is
+    a top cycle at c and sum_c w_c = 0.  So the cycles at a are the kernel
+    of the conic d_{d(a)-1} (for d(a) = 1 the augmentation) on the
+    generators with apex below a, s expanded as sum_g s_g (apex(g) *
+    cycles[g]), and s is their differential.  The basis is kernel_basis's
+    on the faces in vertex-index order: echelonized on them in descending
+    order, reversed, first coefficient 1.  TooLarge beyond FACE_CAP faces
+    of the order complex stays, as the cycles are sums over those faces.
+    """
+    P.check_face_cap()
+    if (F, augmented) in P._conic:
+        return P._conic[F, augmented]
+    gens = {P.dim(a): [] for a in P.elements}  # degrees in the order met
+    gens[0] = [(a, 0) for a in P.elements if not P.dim(a)]
+    cycles, d = {g: {(): F.one} for g in gens[0]}, {}
+    aug = dict.fromkeys(gens[0], F.one)
+    for n in sorted(gens)[1:]:
+        low = ChainComplex(F, gens, d, aug)  # the degrees below n
+        for a in (a for a in P.elements if P.dim(a) == n):
+            cols = [g for g in gens[n - 1] if g[0] in P.below[a]]
+            rows = []
+            for s in low.kernel(n - 1, cols=cols):
+                z = {}  # sum_g s_g (apex(g) * cycles[g])
+                for g, x in s.items():
+                    F.row_sub(z, F.neg(x), {(g[0],) + f: v
+                                            for f, v in cycles[g].items()})
+                rows.append((z, s))
+            faces = sorted({f for z, _ in rows for f in z}, reverse=True,
+                           key=lambda f: tuple(map(P.index.__getitem__, f)))
+            at = {f: j for j, f in enumerate(faces)}
+            # faces are the columns 0, 1, ...; _rref never pivots on s's ids
+            rows = [{**{at[f]: v for f, v in z.items()}, **s} for z, s in rows]
+            _rref(rows, F, len(faces))
+            for i, row in enumerate(reversed(rows)):
+                z = {faces[j]: row[j]
+                     for j in range(len(faces) - 1, -1, -1) if j in row}
+                s = {g: row[g] for g in cols if g in row}
+                inv = F.inv(next(iter(z.values())))
+                if inv != F.one:
+                    z, s = ({k: F.mul(inv, v) for k, v in x.items()}
+                            for x in (z, s))
+                gens[n].append((a, i))
+                cycles[(a, i)] = z
+                d.setdefault(n, {})[(a, i)] = s
+    cycles = dict(sorted(cycles.items(), key=lambda gz: P.index[gz[0][0]]))
     C = ConicComplex(P, F, gens, cycles, d, aug, augmented)
     try:
         C.check_complex()
     except NotAComplex as exc:
         raise VerificationError(f"conic {exc}") from exc
+    P._conic[F, augmented] = C
     return C
 
 

@@ -99,12 +99,16 @@ class FieldSpec:
         return self.mul(a, self.inv(b))
 
     def row_sub(self, x, f, y):
-        """x -= f*y in place on {col: nonzero scalar} rows: only the columns
-        of y are touched, and entries that become zero are dropped."""
+        """x -= f*y in place on {col: nonzero scalar} rows, on y's columns
+        only; zeros are dropped and an integral Fraction becomes an int."""
         p = self.characteristic
         get = x.get
         for j, b in y.items():
-            v = (get(j, 0) - f * b) % p if p else _rational(get(j, 0) - f * b)
+            v = get(j, 0) - f * b
+            if p:
+                v %= p
+            elif type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
             if v:
                 x[j] = v
             else:

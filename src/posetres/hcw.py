@@ -57,9 +57,10 @@ def fill_cavity(P, a, n, F):
     conclusions of the underlying lemma on the result.  When nothing is
     added it returns P itself, for which they hold trivially.  Each new
     poset keeps the filter complexes, and their memos, of the elements not
-    above a (Poset.extend_below); conclusion (2) checks those filters.
+    above a (Poset.extend_below); conclusion (2) checks those filters.  It
+    keeps no conic complex, so C below is compared with a fresh build.
 
-    The augmented conic complex C of P is built once, and every filling is
+    The augmented conic complex C of P is taken once, and every filling is
     solved on sub = strand(C, deg(a)), the conic complex of the truncation
     P_{<=deg(a)} (the apexes of degree <= deg(a)).  Each class is found in
     R, sub on the apexes below a, which computes H~(Delta(P_{<a})) (see

@@ -24,6 +24,8 @@ class Poset:
     `relations` may be any set of (lower, upper) pairs; the order they
     generate is taken.  An optional `deg` map id -> multidegree tuple must
     be monotone, its tuples all of one length with entries ints >= 0.
+    Filter complexes, the chain count and conic complexes (`_conic`) are
+    memoized on it; `extend_below` never carries a conic complex over.
     """
 
     def __init__(self, elements, relations, deg=None):
@@ -66,7 +68,7 @@ class Poset:
                         raise NotAMorphism(
                             f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
         self._order_complex = self._chain_count = None
-        self._filter_cache = {}
+        self._filter_cache, self._conic = {}, {}
 
     def __len__(self):
         return len(self.elements)
@@ -87,10 +89,7 @@ class Poset:
         """Induced subposet on {x : x < a} (strict) or {x : x <= a}."""
         if a not in self.index:
             raise NotFound(f"unknown element {a!r}")
-        keep = set(self.below[a])
-        if not strict:
-            keep.add(a)
-        return self.restrict(keep)
+        return self.restrict(self.below[a] if strict else self.below[a] | {a})
 
     def restrict(self, keep):
         """Induced subposet on a subset of the elements (order preserved)."""
@@ -104,7 +103,7 @@ class Poset:
         """The poset with the relations (c, a), c in `lows`, added.  It takes
         over the cached filter complexes of the elements not above a: the
         new relations only put elements below those above a, so no other
-        filter, nor the order inside it, changes."""
+        filter, nor the order inside it, changes.  No conic complex is taken."""
         P = Poset(self.elements, [*self.covers, *((c, a) for c in lows)],
                   deg=self.deg)
         P._filter_cache.update((c, K) for c, K in self._filter_cache.items()
@@ -122,6 +121,11 @@ class Poset:
             self._chain_count = 1 + sum(n.values())
         return self._chain_count
 
+    def check_face_cap(self):
+        """TooLarge if the order complex has more than FACE_CAP faces."""
+        if self.chain_count() > FACE_CAP:
+            raise TooLarge(f"order complex exceeds {FACE_CAP} faces")
+
     def subcomplex(self, tops):
         """The empty face and every chain whose largest vertex lies in the
         down-set `tops`, found depth-first from them, each dimension sorted
@@ -133,8 +137,7 @@ class Poset:
             raise NotFound(f"unknown elements {tops - self.index.keys()}")
         if any(not self.below[t] <= tops for t in tops):
             raise ShapeError("tops are not a down-set")
-        if self.chain_count() > FACE_CAP:
-            raise TooLarge(f"order complex exceeds {FACE_CAP} faces")
+        self.check_face_cap()
         key = self.index
         faces = {-1: [()]}
         stack = [(e,) for e in tops]
@@ -164,14 +167,11 @@ class Poset:
         return self._filter_cache[a]
 
     def maximal_elements(self):
-        tops = set(self.elements)
-        for lo, hi in self.covers:
-            tops.discard(lo)
-        return [e for e in self.elements if e in tops]
+        lows = {lo for lo, _ in self.covers}
+        return [e for e in self.elements if e not in lows]
 
     def minimal_elements(self):
-        bots = [e for e in self.elements if not self.below[e]]
-        return bots
+        return [e for e in self.elements if not self.below[e]]
 
     def to_json(self):
         out = {"elements": [], "covers": sorted(
@@ -222,15 +222,12 @@ class OrientedComplex(ChainComplex):
     has sign (-1)^i, and the augmentation sends every vertex to 1.  The
     complex of only the empty face is the (-1)-sphere; a complex with no
     faces at all (void complex) has zero homology everywhere.
-
-    `reduced_homology` and `cycle_space` memoize their results on the
-    complex, keyed by the FieldSpec itself (class and characteristic).
     """
 
     def __init__(self, faces):
         super().__init__(None, faces, {}, dict.fromkeys(faces.get(0, ()), 1),
                          bool(faces.get(-1)))
-        self._homology, self._cycles = {}, {}
+        self._homology = {}
         faces = self.basis
         if 0 in faces and -1 not in faces:
             raise VerificationError("complex not closed: missing face ()")
@@ -258,7 +255,7 @@ class OrientedComplex(ChainComplex):
 
 def reduced_homology(K, F):
     """Reduced homology ranks of an OrientedComplex over F, per dimension
-    (memoized on K per field; each call returns a fresh dict)."""
+    (memoized on K per FieldSpec, class included; a fresh dict per call)."""
     if F not in K._homology:
         K._homology[F] = K.homology_ranks(F)
     return dict(K._homology[F])
@@ -276,8 +273,5 @@ def is_hcw(P, F):
 
 
 def cycle_space(K, n, F):
-    """Echelonized basis of the n-cycles of K over F, as face->scalar dicts
-    (memoized on K per field and n; each call returns fresh dicts)."""
-    if (n, F) not in K._cycles:
-        K._cycles[(n, F)] = K.kernel(n, F=F)
-    return [dict(z) for z in K._cycles[(n, F)]]
+    """Echelonized basis of the n-cycles of K over F, as face->scalar dicts."""
+    return K.kernel(n, F=F)

@@ -3,9 +3,10 @@
 Deliberately self-contained: its own field arithmetic, its own dense
 elimination, and its own simplicial homology, so that agreement with the
 minimization pipeline is a genuine cross-check.  The exceptions are
-`supports_resolution_loop`, `sliced_subcomplex`, `dense_rref` and
-`strand_reference`, references kept from an earlier posetres that run on
-posetres complexes and fields.
+`supports_resolution_loop`, `sliced_subcomplex`, `dense_rref`,
+`strand_reference`, `conic_coords` and `conic_complex_reference`,
+references kept from an earlier posetres that run on posetres complexes
+and fields.
 """
 
 from fractions import Fraction
@@ -199,3 +200,64 @@ def dense_rref(M, F, ncols):
         if prow == nrows:
             break
     return pivots
+
+
+def conic_coords(P, cycles, chain, n, F):
+    """Coordinates of an n-chain of Delta(P) in the conic degree-n basis
+    `cycles` ((apex, index) -> cycle): the faces are grouped by their top
+    vertex c, which must have d(c) = n, and each group is written in the
+    cycle basis at c.  Raises VerificationError if either step fails.
+
+    Precondition: the basis at c is echelonized as kernel_basis gives it, so
+    each vector is the only one that is nonzero at its last face (in the
+    face order of P.filter_complex(c)); the coordinate of vector i is read
+    off that face.  What the read-off leaves over must vanish, which is the
+    check that the group lies in the span of the basis.
+    """
+    from posetres.errors import VerificationError
+    parts = {}
+    for f, v in chain.items():
+        parts.setdefault(f[0], {})[f[1:]] = v
+    out = {}
+    for c, zc in parts.items():
+        if P.dim(c) != n:
+            raise VerificationError(
+                f"chain top vertex {c!r} has dimension != {n}")
+        K = P.filter_complex(c)
+        fix = K._index(n - 1, K.basis.get(n - 1, []))
+        rest = dict(zc)
+        i = 0
+        while (c, i) in cycles:
+            b = cycles[(c, i)]
+            last = max(b, key=fix.__getitem__)
+            s = F.div(zc.get(last, F.zero), b[last])
+            if s:
+                out[(c, i)] = s
+                for f, v in b.items():
+                    rest[f] = F.sub(rest.get(f, F.zero), F.mul(s, v))
+            i += 1
+        if not i or any(rest.values()):
+            raise VerificationError(
+                f"chain component at apex {c!r} outside the cycle space")
+    return out
+
+
+def conic_complex_reference(P, F, augmented=False):
+    """conic_complex as it once was, in two stages: the top cycles of each
+    filter complex Delta(P_{<a}) (cycle_space), then each cycle's
+    differential read back into the conic bases by conic_coords."""
+    from posetres.conic import ConicComplex
+    from posetres.posets import cycle_space
+    gens, cycles = {}, {}
+    for a in P.elements:
+        n = P.dim(a)
+        gens.setdefault(n, [])
+        for i, z in enumerate(cycle_space(P.filter_complex(a), n - 1, F)):
+            gens[n].append((a, i))
+            cycles[(a, i)] = z
+    d = {n: {g: conic_coords(P, cycles, cycles[g], n - 1, F) for g in gs}
+         for n, gs in sorted(gens.items()) if n}
+    aug = {g: cycles[g].get((), F.zero) for g in gens.get(0, [])}
+    C = ConicComplex(P, F, gens, cycles, d, aug, augmented)
+    C.check_complex()
+    return C

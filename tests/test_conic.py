@@ -4,19 +4,20 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import boundary_of_chain, supports_resolution_loop
+from oracle import (boundary_of_chain, conic_complex_reference, conic_coords,
+                    supports_resolution_loop)
 from posetres import (FieldSpec, Poset, bar_reduce, betti_table,
                       conic_complex, conic_vs_simplicial, gradedcomplex, hcw,
                       homogenize, is_resolution, lcm,
                       make_minimal_support_basis, minimalize, minimize,
                       strand, supports_resolution, taylor_complex)
-from posetres.conic import (conic_coords, kernel_skeleton_check,
-                            skeleton_complex)
+from posetres.conic import kernel_skeleton_check, skeleton_complex
 from posetres.errors import (HypothesisFailed, NotAMorphism, PosetresError,
                              ShapeError, VerificationError)
 from posetres.incidence import incidence_poset
 from conftest import M_GENS, RP2_GENS, load_fixture_complex, random_corpus
 from test_hcw_memo import K6_EDGES, _incidence
+from test_q_reference import FractionField
 
 Q = FieldSpec(0)
 
@@ -104,8 +105,10 @@ def test_supports_resolution_fixtures():
 
 @pytest.mark.parametrize("p", [0, 2, 3])
 def test_supports_resolution_checks_each_conic_complex_once(monkeypatch, p):
-    """conic_complex checks d o d; is_resolution finds the pass recorded.
-    A pass takes one lcm of denominators per differential."""
+    """conic_complex checks d o d once per build and memoizes the complex on
+    the poset, and is_resolution finds the pass recorded: supports_resolution
+    on the same poset runs no pass, on a fresh copy of it one.  A pass takes
+    one lcm of denominators per differential."""
     F = FieldSpec(p)
     P = _incidence(minimalize(RP2_GENS), F)
     lcms, lcm_ints = [], gradedcomplex.lcm_ints
@@ -117,6 +120,9 @@ def test_supports_resolution_checks_each_conic_complex_once(monkeypatch, p):
     assert len(lcms) == len(C.diffs)
     lcms.clear()
     assert supports_resolution(P, F) == (True, None)
+    assert lcms == []
+    assert supports_resolution(Poset(P.elements, P.covers, deg=P.deg),
+                               F) == (True, None)
     assert len(lcms) == len(C.diffs)
 
 
@@ -318,3 +324,68 @@ def test_conic_coords_rejects_chains_outside_the_basis():
     assert not any(g[0] == 1 for g in cycles)
     with pytest.raises(VerificationError, match="outside the cycle space"):
         conic_coords(chain, cycles, {(1, 0): Q(1)}, 1, Q)
+
+
+# --- conic_complex against the two-stage reference ----------------------
+
+def _ordered(x):
+    """x with every dict as its list of items, in order, and every scalar
+    with its type, so that == compares dict order and scalar types too."""
+    if isinstance(x, dict):
+        return [(k, _ordered(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return [_ordered(v) for v in x]
+    return type(x), x
+
+
+def assert_same_conic(C, R):
+    for name in ("gens", "cycles", "d", "aug"):
+        assert _ordered(getattr(C, name)) == _ordered(getattr(R, name)), name
+    assert C.augmented == R.augmented
+
+
+def _reference_posets(F):
+    """The incidence posets of the corpus, rp2, m and K6-10 over F."""
+    named = [minimalize(g) for g in (RP2_GENS, M_GENS, K6_EDGES[:10])]
+    return [_incidence(I, F) for I in random_corpus(100) + named]
+
+
+@pytest.mark.parametrize("F", [FieldSpec(p) for p in (0, 2, 3, 5)]
+                         + [FractionField(0)], ids=["0", "2", "3", "5", "q"])
+def test_conic_complex_matches_reference(F):
+    for P in _reference_posets(F):
+        for augmented in (False, True):
+            assert_same_conic(conic_complex(P, F, augmented),
+                              conic_complex_reference(P, F, augmented))
+
+
+def test_conic_complex_matches_reference_on_filled_posets(monkeypatch):
+    """Every poset that fill_cavity returns in hcwify over GF(2)."""
+    F, seen, fill = FieldSpec(2), {}, hcw.fill_cavity
+
+    def spy_fill(P0, a, n, F):
+        P1, added = fill(P0, a, n, F)
+        seen[id(P1)] = P1
+        return P1, added
+
+    monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
+    for gens in (RP2_GENS, K6_EDGES[:10]):
+        hcw.hcwify(_incidence(minimalize(gens), F), F)
+    assert len(seen) > 2
+    for P in seen.values():
+        for augmented in (False, True):
+            assert_same_conic(conic_complex(P, F, augmented),
+                              conic_complex_reference(P, F, augmented))
+
+
+def test_conic_complex_builds_no_order_complex(monkeypatch):
+    fields = [FieldSpec(p) for p in (0, 2, 3, 5)]
+    posets = [(P, F) for F in fields for P in _reference_posets(F)]
+
+    def refuse(*args):
+        raise AssertionError("conic_complex built a simplicial complex")
+
+    for name in ("subcomplex", "filter_complex", "order_complex"):
+        monkeypatch.setattr(Poset, name, refuse)
+    for P, F in posets:
+        assert conic_complex(P, F, True).poset is P

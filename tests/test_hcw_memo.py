@@ -1,10 +1,12 @@
 """The memoized cavity filling against a rebuild from scratch.
 
-`reduced_homology` and `cycle_space` memoize on each OrientedComplex per
-FieldSpec, and `fill_cavity` carries the filter complexes of elements not
-above the filled apex into the new poset.  Every poset `hcwify` returns is
-rebuilt here from its elements and covers alone, and what its memos and
-carried complexes say must equal what the rebuild computes.
+`reduced_homology` memoizes on each OrientedComplex per FieldSpec,
+`conic_complex` on each Poset per FieldSpec and augmentation, and
+`fill_cavity` carries the filter complexes (never the conic complexes) of
+elements not above the filled apex into the new poset.  Every poset
+`hcwify` returns is rebuilt here from its elements and covers alone, and
+what its memos and carried complexes say must equal what the rebuild
+computes.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from posetres import (FieldSpec, OrientedComplex, Poset, conic_complex,
                       make_minimal_support_basis, minimalize, minimize,
                       reduced_homology, taylor_complex)
 from posetres.conic import ConicComplex
-from posetres.errors import HypothesisFailed
+from posetres.errors import HypothesisFailed, VerificationError
 from posetres.posets import cycle_space, is_homology_sphere_at
 from conftest import (M_GENS, RP2_GENS, load_fixture_complex,
                       random_corpus)
@@ -282,7 +284,6 @@ def test_memo_separates_fieldspec_from_fraction_field(first):
     assert all(type(v) is int for z in cycles["int"] for v in z.values())
     assert all(type(v) is Fraction
                for z in cycles["fraction"] for v in z.values())
-    assert len(K._cycles) == 2
 
 
 def test_memo_returns_copies():
@@ -296,3 +297,54 @@ def test_memo_returns_copies():
     z.append({})
     assert reduced_homology(K, F) == h0
     assert cycle_space(K, 1, F) == z0
+
+
+# --- the conic complex memo on each poset ---------------------------------
+
+def _scalars(C):
+    return [v for part in (C.cycles, *C.d.values()) for z in part.values()
+            for v in z.values()] + list(C.aug.values())
+
+
+def test_conic_memo_per_field_and_augmentation():
+    P = _incidence(minimalize(RP2_GENS), FieldSpec(0))
+    C = conic_complex(P, FieldSpec(0))
+    assert conic_complex(P, FieldSpec(0)) is C
+    A = conic_complex(P, FieldSpec(0), True)
+    assert A is not C and A.augmented and not C.augmented
+    assert conic_complex(P, FieldSpec(0), True) is A
+    D = conic_complex(P, FractionField(0))
+    assert D is not C and D.same_matrices(C)
+    assert conic_complex(P, FractionField(0)) is D
+    assert {type(v) for v in _scalars(C)} == {int}
+    assert {type(v) for v in _scalars(D)} == {Fraction}
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_verify_fill_compares_a_fresh_conic_complex(monkeypatch, p):
+    """extend_below carries no conic complex, so _verify_fill compares the
+    memoized complex of a fill's input with one built afresh for its
+    output, and a wrong cycle coefficient in the memo (cycles are compared,
+    never solved on) is caught.  An extend_below that carried the memo
+    would compare the complex with itself."""
+    F = FieldSpec(p)
+
+    def corrupted():
+        P = chain_poset()
+        C = conic_complex(P, F, True)
+        z = C.cycles[C.gens[1][0]]
+        f = next(iter(z))
+        z[f] = F.add(z[f], F.one)
+        return P
+
+    with pytest.raises(VerificationError, match="conic complex changed"):
+        fill_cavity(corrupted(), "a", 0, F)
+    extend = Poset.extend_below
+
+    def carrying(self, a, lows):
+        P = extend(self, a, lows)
+        P._conic.update(self._conic)
+        return P
+
+    monkeypatch.setattr(Poset, "extend_below", carrying)
+    assert fill_cavity(corrupted(), "a", 0, F)[1]

@@ -1,12 +1,14 @@
 """Metamorphic properties of the resolve layer: the Betti table of
 minimize(taylor_complex(I, F)) against the oracle, and under relabelling of
-the variables and reordering of the generators."""
+the variables and reordering of the generators; and of the hcw layer: what
+hcw_support returns is hcw and supports the resolution."""
 
 from hypothesis import given, settings, strategies as st
 
 from oracle import betti_numbers
-from posetres import (FieldSpec, MonomialIdeal, betti_table, minimalize,
-                      minimize, taylor_complex)
+from posetres import (FieldSpec, MonomialIdeal, betti_table, hcw_support,
+                      is_hcw, minimalize, minimize, supports_resolution,
+                      taylor_complex)
 
 FIELDS = st.sampled_from([FieldSpec(p) for p in (0, 2, 3, 5)])
 
@@ -58,3 +60,16 @@ def test_permuting_generators_keeps_betti_table(I, F, rnd):
     rnd.shuffle(gens)
     J = MonomialIdeal(I.num_vars, tuple(gens))
     assert betti_table(resolve(J, F)) == betti_table(resolve(I, F))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals(), FIELDS)
+def test_hcw_support_is_hcw_and_supports_the_resolution(I, F):
+    """Both homology engines agree on the result: every open filter is a
+    sphere (simplicial) and every truncation is exact (conic), and the
+    homogenized conic complex has the oracle's Betti table."""
+    Q, _, H = hcw_support(I, F)
+    assert is_hcw(Q, F)
+    assert supports_resolution(Q, F) == (True, None)
+    assert betti_table(H).entries == betti_numbers(I.generators,
+                                                   F.characteristic)
