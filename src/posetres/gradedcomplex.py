@@ -9,6 +9,7 @@ tables all live here.
 
 from collections import Counter, defaultdict
 from collections.abc import MutableMapping
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import lcm as lcm_ints
 
@@ -122,15 +123,18 @@ class ChainComplex:
         Each differential is scaled by the lcm of its denominators, which
         does not change whether a composite vanishes, and the composite is
         summed in integers (reduced mod p at the end over GF(p)), one
-        column of d_{n+1} at a time.  Complexes are not mutated, so a pass
-        is recorded and a later call returns at once."""
+        column of d_{n+1} at a time; a differential whose values are all
+        ints (every GF(p) store, the Taylor complex over Q) is read as it
+        is, after one type test of its values.  Complexes are not mutated,
+        so a pass is recorded and a later call returns at once."""
         if self._is_complex:
             return
         p = self.field.characteristic
         ints = {}  # n -> the columns of d_n scaled to integers
         for n, cols in self.d.items():
-            L = lcm_ints(*(v.denominator for col in cols.values()
-                           for v in col.values()))
+            vals = chain.from_iterable(map(dict.values, cols.values()))
+            L = 1 if {int}.issuperset(map(type, vals)) else lcm_ints(
+                *(v.denominator for col in cols.values() for v in col.values()))
             ints[n] = cols if L == 1 else {
                 c: {r: v.numerator * (L // v.denominator)
                     for r, v in col.items()} for c, col in cols.items()}
@@ -372,19 +376,26 @@ def taylor_complex(ideal, F):
     if r > TAYLOR_CAP:
         raise TooLarge(f"{r} generators exceeds the Taylor cap {TAYLOR_CAP}")
     sign = (F(1), F(-1))
-    # subset -> (id, lcm) for the subsets of one size; each subset of the
-    # next size extends one of them by a larger index, in lex order
-    prev = {(k,): (f"t{k}", g) for k, g in enumerate(gens)}
+    # bitmask of a subset -> (id, lcm) for the subsets of one size; each
+    # subset of the next size adds one larger index to one of them, in lex
+    # order, and its faces clear one bit each, lowest first
+    prev = {1 << k: (f"t{k}", g) for k, g in enumerate(gens)}
     labels = {0: list(prev.values())}
     d = {}
     for n in range(1, r):
-        cur = {S + (k,): (f"{sid}.{k}", lcm(deg, gens[k]))
+        cur = {S | 1 << k: (f"{sid}.{k}", lcm(deg, gens[k]))
                for S, (sid, deg) in prev.items()
-               for k in range(S[-1] + 1, r)}
+               for k in range(S.bit_length(), r)}
         labels[n] = list(cur.values())
-        d[n] = {cid: {prev[S[:j] + S[j + 1:]][0]: sign[j % 2]
-                      for j in range(n + 1)}
-                for S, (cid, _) in cur.items()}
+        cols = d[n] = {}
+        for S, (cid, _) in cur.items():
+            col = cols[cid] = {}
+            m, j = S, 0
+            while m:
+                b = m & -m
+                col[prev[S ^ b][0]] = sign[j & 1]
+                m ^= b
+                j += 1
         prev = cur
     return GradedFreeComplex(ideal.num_vars, F, labels, d)
 
@@ -393,62 +404,119 @@ def minimize(C):
     """Cancel all unit (exponent-zero) entries, yielding a quasi-isomorphic
     complex with no invertible entries in any differential.
 
-    Elimination runs on one differential at a time, d_1 first, on a copy of
-    its columns without the rows cancelled as pivot columns of d_{n-1}.
-    The rows are swept in label order, each pivoted on the lowest-position
-    column holding a unit in it then: the smallest current unit, row-major
-    in label order.  A pivot on (r0, c0) clears row r0 from every other
-    column with `row_sub`; entries are homogeneous, so its fill-in creates
-    units only at its multidegree, in rows of c0, which come after r0.
-    Columns cancelled as pivot rows of d_{n+1} are left out of the output.
+    The result is that of one sweep per differential, d_1 first, on a copy
+    of its columns without the rows cancelled as pivot columns of d_{n-1}:
+    the rows are swept in label order, each pivoted on the lowest-position
+    column holding a unit in it then, and a pivot on (r0, c0) clears row
+    r0 from every other column with `row_sub`.  Columns cancelled as pivot
+    rows of d_{n+1} are left out.  The sweep runs in two phases.
+
+    Phase 1 sweeps the unit parts of the columns only (rows of the
+    column's own multidegree).  Entries are homogeneous, so a pivot at
+    multidegree alpha changes unit entries only in columns of degree alpha,
+    and only through its own unit part: the unit parts evolve as in the
+    full sweep, and phase 1 finds the same pivots.
+
+    Phase 2 reduces only the kept columns, those that are neither pivot
+    columns of d_n nor pivot rows of d_{n+1} (`_kept_columns`).  Each is
+    cleared of its pivot rows in label order, with the pivot columns as
+    the sweep had them; fill-in adds only later pivot rows, as a pivot
+    column holds no earlier one.  A pivot column is reduced the same way
+    up to its own row, on demand and once.  A column's `row_sub` calls
+    depend only on itself and on those pivot columns, so its values, dict
+    order and scalar types are the full sweep's.
     """
     C.check_complex()
     F, deg = C.field, C.degree_of
     pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
-    dead, store = set(), {}  # dead: every cancelled basis id
+    pivots = {}  # n -> {r0: c0}, the pivots of d_n
     for n in sorted(C.d):
-        col = store[n] = {c: {r: v for r, v in x.items() if r not in dead}
-                          for c, x in C.d[n].items()}
-        rows = defaultdict(set)  # {r: every column that held an entry in r}
-        units = defaultdict(list)  # {r: columns that held a unit in r}
-        for c, x in col.items():
+        below = set(pivots.get(n - 1, {}).values())  # rows cancelled below
+        unit, rows = {}, defaultdict(set)  # rows: {r: columns with a unit in r}
+        for c, x in C.d[n].items():
             dc = deg[c]
-            for r in x:
-                rows[r].add(c)
-                if deg[r] == dc:
-                    units[r].append(c)
+            u = {r: v for r, v in x.items() if deg[r] == dc and r not in below}
+            if u:
+                unit[c] = u
+                for r in u:
+                    rows[r].add(c)
+        piv = pivots[n] = {}
         for r0 in C.basis.get(n - 1, []):
-            live = [c for c in units.pop(r0, ()) if r0 in col.get(c, ())]
+            live = [c for c in rows.pop(r0, ()) if r0 in unit.get(c, ())]
             if not live:
                 continue
-            c0 = min(live, key=pos.__getitem__)
-            store.get(n - 1, {}).pop(r0, None)  # r0 is a column of d_{n-1}
-            pivot = col.pop(c0)
+            c0 = piv[r0] = min(live, key=pos.__getitem__)
+            pivot = unit.pop(c0)
             uinv = F.inv(pivot.pop(r0))
-            alpha = deg[c0]
-            at_alpha = [r for r in pivot if deg[r] == alpha]
-            filled = []  # the columns given the pivot's rows
-            for c2 in rows.pop(r0):
-                x = col.get(c2, {})
-                v = x.pop(r0, None)
-                if v is None or not pivot:  # most pivots clear only row r0
-                    continue
-                new = ([r for r in at_alpha if r not in x]
-                       if deg[c2] == alpha else ())
-                F.row_sub(x, F.mul(uinv, v), pivot)
-                filled.append(c2)
-                for r in new:
-                    units[r].append(c2)
+            for c2 in live:
+                if c2 != c0:
+                    v = unit[c2].pop(r0)
+                    if pivot:  # most pivots clear only row r0
+                        F.row_sub(unit[c2], F.mul(uinv, v), pivot)
             for r in pivot:
-                rows[r].update(filled)
-            dead.update((r0, c0))
-
+                rows[r].update(live)
+    dead, store = set(), {}
+    for n, piv in pivots.items():
+        dead.update(piv, piv.values())
+        gone = pivots.get(n + 1, {}).keys() | piv.values()
+        below = set(pivots.get(n - 1, {}).values())
+        store[n] = _kept_columns(C, n, gone, piv, below, pos)
     labels = {n: [(i, d) for i, d in labs if i not in dead]
               for n, labs in C.labels.items()}
     out = GradedFreeComplex(C.num_vars, F, labels, store)
     out.check_complex()
     if not out.is_minimal():
         raise VerificationError("minimization left a unit entry")
+    return out
+
+
+def _kept_columns(C, n, gone, piv, below, pos):
+    """Phase 2 of `minimize` on d_n: {c: column} for every column c not in
+    `gone`, as the sweep leaves it.  A column loses the rows in `below`
+    (the pivot columns of d_{n-1}) and is cleared of the pivot rows of
+    `piv` ({r0: c0}) in label order, through a heap of their positions.
+    A pivot column met on the way is reduced the same way up to its own
+    row, then kept as (1/unit, rest, positions of its pivot rows); the
+    columns under reduction wait on a stack, with no recursion, so that
+    nothing here outlives the call."""
+    F, ids, cols = C.field, C.basis[n - 1], C.d[n]
+    row_of = {c0: r0 for r0, c0 in piv.items()}
+    done, out = {}, {}
+    for c in cols:
+        if c in gone:
+            continue
+        stack, work = [c], {}
+        while stack:
+            b = stack[-1]
+            if b not in work:
+                x = {r: v for r, v in cols[b].items() if r not in below}
+                heap = [pos[r] for r in x if r in piv]
+                heapify(heap)
+                work[b] = x, heap
+            x, heap = work[b]
+            stop = pos[row_of[b]] if b in row_of else len(ids)
+            while heap and heap[0] < stop:
+                r = ids[heap[0]]
+                if r not in x:
+                    heappop(heap)
+                    continue
+                if piv[r] not in done:
+                    stack.append(piv[r])
+                    break
+                heappop(heap)
+                uinv, vec, later = done[piv[r]]
+                v = x.pop(r)
+                if vec:
+                    F.row_sub(x, F.mul(uinv, v), vec)
+                    for k in later:
+                        heappush(heap, k)
+            else:
+                stack.pop()
+                if b in row_of:
+                    uinv = F.inv(x.pop(row_of[b]))
+                    done[b] = uinv, x, [pos[r] for r in x if r in piv]
+                else:
+                    out[b] = x
     return out
 
 

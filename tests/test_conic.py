@@ -107,23 +107,26 @@ def test_supports_resolution_fixtures():
 def test_supports_resolution_checks_each_conic_complex_once(monkeypatch, p):
     """conic_complex checks d o d once per build and memoizes the complex on
     the poset, and is_resolution finds the pass recorded: supports_resolution
-    on the same poset runs no pass, on a fresh copy of it one.  A pass takes
-    one lcm of denominators per differential."""
+    on the same poset runs no pass, on a fresh copy of it one."""
     F = FieldSpec(p)
     P = _incidence(minimalize(RP2_GENS), F)
-    lcms, lcm_ints = [], gradedcomplex.lcm_ints
-    monkeypatch.setattr(gradedcomplex, "lcm_ints",
-                        lambda *a: lcms.append(a) or lcm_ints(*a))
+    passes, check = [], gradedcomplex.ChainComplex.check_complex
+
+    def counting(self):  # a pass runs when none is recorded yet
+        if not self._is_complex:
+            passes.append(self)
+        check(self)
+    monkeypatch.setattr(gradedcomplex.ChainComplex, "check_complex", counting)
     C = conic_complex(P, F)
-    assert len(lcms) == len(C.diffs) > 1
+    assert passes == [C] and len(C.diffs) > 1
     C.check_complex()
-    assert len(lcms) == len(C.diffs)
-    lcms.clear()
+    assert passes == [C]
+    passes.clear()
     assert supports_resolution(P, F) == (True, None)
-    assert lcms == []
+    assert passes == []
     assert supports_resolution(Poset(P.elements, P.covers, deg=P.deg),
                                F) == (True, None)
-    assert len(lcms) == len(C.diffs)
+    assert len(passes) == 1 and passes[0] is not C
 
 
 def test_supports_resolution_failure_witness():

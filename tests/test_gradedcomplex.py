@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracle import betti_numbers, strand_reference
 from posetres import (ChainComplex, FieldSpec, GradedFreeComplex, bar_reduce,
-                      betti_table, incidence_poset, is_resolution, lcm,
-                      minimalize, minimize, strand, taylor_complex)
+                      betti_table, divides, incidence_poset, is_resolution,
+                      lcm, minimalize, minimize, strand, taylor_complex)
 from posetres.errors import (InvalidField, NotAComplex, NotMinimal, ParseError,
                              PosetresError, ShapeError, TooLarge,
                              VerificationError)
@@ -200,6 +202,23 @@ def test_check_complex_exact_over_q():
     for _ in range(2):  # a failed check records nothing
         with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
             bad.check_complex()
+
+
+def test_check_complex_takes_an_lcm_only_when_a_value_is_no_int(monkeypatch):
+    calls, lcm_ints = [], gradedcomplex.lcm_ints
+    monkeypatch.setattr(gradedcomplex, "lcm_ints",
+                        lambda *a: calls.append(a) or lcm_ints(*a))
+    basis = {0: ["a"], 1: ["b", "c"], 2: ["e"]}
+    d1 = {"b": {"a": Fraction(1, 2)}, "c": {"a": Fraction(1, 3)}}
+    ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": 2, "c": -3}}}
+                 ).check_complex()
+    assert calls == [(2, 3)]  # d_2 holds ints only
+    bad = ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": 2, "c": 3}}})
+    with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
+        bad.check_complex()
+    for F in FIELDS:  # every GF(p) store, and the Taylor complex over Q
+        taylor_complex(minimalize(K6_EDGES[:6]), F).check_complex()
+    assert calls == [(2, 3), (2, 3)]
 
 
 def test_check_complex_reduces_mod_p():
@@ -441,6 +460,103 @@ def test_minimize_matches_reference_on_random_ideals(gens, m, F):
     I = minimalize([g[:m] for g in gens])
     assert_same_complex(minimize(taylor_complex(I, F)),
                         minimize_reference(taylor_complex(I, F)))
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_minimize_reduces_kept_columns_through_filled_pivots(F):
+    """Row r0 pivots on c0, whose rest {r1: 2, s: 1} fills c1 and e in the
+    non-unit row s; r1 then pivots on c1 and r2 on c2, which c1 filled at
+    s and t.  So the kept column k is reduced through c2 and c1, pivot
+    columns with non-unit fill-in from earlier pivots, and e, which d_2
+    cancels as the pivot row of g, carries non-unit fill-in too.  c0 also
+    holds the later pivot row r1 when it pivots."""
+    a = (1, 1)
+    labels = {0: [("r0", a), ("r1", a), ("r2", a), ("s", (1, 0)),
+                  ("t", (0, 1))],
+              1: [("c0", a), ("c1", a), ("c2", a), ("k", a), ("e", a)],
+              2: [("g", a)]}
+    d = {1: {"c0": {"r0": 1, "r1": 2, "s": 1},
+             "c1": {"r0": 1, "r1": 1, "t": 1},
+             "c2": {"r1": 1, "r2": 1}, "k": {"r2": 1, "s": 1},
+             "e": {"r0": 1, "r1": 1, "t": 1}},
+         2: {"g": {"e": 1, "c1": -1}}}
+    C = GradedFreeComplex(2, F, labels, d)
+    M = minimize(C)
+    # k = r2 + s - (t - s) over Q: c2 = r2 + t - s once it pivots
+    assert M.labels == {0: [("s", (1, 0)), ("t", (0, 1))], 1: [("k", a)]}
+    k = {"s": F(2), "t": F(-1)} if F.p != 2 else {"t": 1}  # 2 = 0 in GF(2)
+    assert M.d == {1: {"k": k}}
+    assert_same_complex(M, minimize_reference(C))
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_minimize_reduces_a_pivot_column_only_up_to_its_own_row(F):
+    """k1 comes first in the store, so c1 (row r1) is reduced before c0
+    (row r0), whose rest {r1: 1, s: 1} holds the later pivot row r1.
+    Reduced past r0 through c1 that rest would vanish, and k2 would keep
+    its own order s, t; the sweep cancels s in k2 and adds it back after
+    t."""
+    a = (1, 1)
+    labels = {0: [("r0", a), ("r1", a), ("s", (1, 0)), ("t", (0, 1))],
+              1: [("c0", a), ("c1", a), ("k1", a), ("k2", a)]}
+    d = {1: {"k1": {"r1": 1}, "c0": {"r0": 1, "r1": 1, "s": 1},
+             "c1": {"r1": 1, "s": 1}, "k2": {"r0": 1, "s": 1, "t": 1}}}
+    C = GradedFreeComplex(2, F, labels, d)
+    M = minimize(C)
+    assert M.d == {1: {"k1": {"s": F(-1)}, "k2": {"t": 1, "s": 1}}}
+    assert list(M.d[1]["k2"]) == ["t", "s"]
+    assert_same_complex(M, minimize_reference(C))
+
+
+K5_EDGES = [tuple(int(v in e) for v in range(5))
+            for e in combinations(range(5), 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(K5_EDGES), min_size=4, max_size=6,
+                unique=True), st.sampled_from(FIELDS), st.data())
+def test_minimize_matches_reference_after_a_change_of_basis(gens, F, data):
+    """Taylor complexes of 4 to 6 edges of K5 (many subsets share an lcm,
+    so pivot columns hold later pivot rows) after homogeneous changes of
+    basis b <- b + lam * b2 (deg b2 | deg b, b2 != b): column b of d_n
+    gains lam times column b2, and row b2 of d_{n+1} loses lam times row
+    b.  The unit blocks then hold scalars other than +-1."""
+    T = taylor_complex(minimalize(gens), F)
+    deg = T.degree_of
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in T.d.items()}
+    lams = st.integers(-3, 3).filter(lambda x: F(x))
+    for _ in range(data.draw(st.integers(0, 20))):
+        n = data.draw(st.sampled_from(sorted(T.basis)))
+        b = data.draw(st.sampled_from(T.basis[n]))
+        under = [i for i in T.basis[n] if i != b and divides(deg[i], deg[b])]
+        if not under:
+            continue
+        b2, lam = data.draw(st.sampled_from(under)), F(data.draw(lams))
+        if n in d:
+            col = d[n][b]
+            for r, v in d[n][b2].items():
+                col[r] = F.add(col.get(r, 0), F.mul(lam, v))
+        for col in d.get(n + 1, {}).values():
+            if b in col:
+                col[b2] = F.sub(col.get(b2, 0), F.mul(lam, col[b]))
+    C = GradedFreeComplex(T.num_vars, F, T.labels, d)
+    assert_same_complex(minimize(C), minimize_reference(C))
+
+
+def test_minimize_leaves_no_reference_cycle():
+    """With the cyclic collector off, the input and the output are freed as
+    soon as the caller drops them (K6-10 reduces pivot columns on demand)."""
+    gc.disable()
+    try:
+        for p in (0, 2, 3):
+            T = taylor_complex(minimalize(K6_EDGES[:10]), FieldSpec(p))
+            M = minimize(T)
+            refs = [weakref.ref(T), weakref.ref(M)]
+            del T, M
+            assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # SHA-256 of the sorted-key, compact to_json of the minimal complexes
