@@ -132,15 +132,6 @@ class SparseMatrix:
             data[(r, c)] = v
         self.entries = data
 
-    def mul_vec(self, x, F):
-        if len(x) != self.cols:
-            raise ShapeError("vector length mismatch")
-        y = [F.zero] * self.rows
-        for (r, c), v in self.entries.items():
-            if x[c]:
-                y[r] = F.add(y[r], F.mul(F(v), x[c]))
-        return y
-
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 

@@ -93,11 +93,21 @@ class ChainComplex:
         return SparseMatrix(len(rows), len(cols), entries)
 
     def boundary(self, n, chain, F=None):
-        """d_n of an n-chain, as a chain on the row ids of d_n."""
+        """d_n of an n-chain, as a chain on the row ids of d_n in basis
+        order: the sum of v * d_n[c] over the chain, read from its own
+        columns only.  Stored values go through F, as order complexes keep
+        raw signs."""
         F = F or self.field
-        x = _vector(self._index(n, self.basis.get(n, [])), chain, n, F)
-        y = self.matrix(n).mul_vec(x, F)
-        return {r: v for r, v in zip(self._rows(n), y) if v}
+        ix = self._index(n, self.basis.get(n, []))
+        cols, y = self.d.get(n, {}), {}
+        for c, v in chain.items():
+            if c not in ix:
+                raise NotFound(f"id {c!r} not in degree {n}")
+            col = cols.get(c, {}) if n else {(): self.aug.get(c, 0)}
+            if v := F(v):
+                F.row_sub(y, F.neg(v), {r: F(w) for r, w in col.items()})
+        rix = self._index(n - 1, self._rows(n))
+        return {r: y[r] for r in sorted(y.keys() & rix.keys(), key=rix.get)}
 
     def kernel(self, n, cols=None, F=None):
         """Basis of the n-cycles supported on `cols` (default: all of
@@ -107,11 +117,11 @@ class ChainComplex:
         return [{c: x for c, x in zip(cols, v) if x}
                 for v in kernel_basis(self.matrix(n, cols=cols), F)]
 
-    def preimage(self, n, chain, rows=None, cols=None, F=None):
-        """Some n-chain on `cols` whose d_n agrees with `chain` on `rows`
-        (defaults as for matrix), or None if there is none."""
+    def preimage(self, n, chain, cols=None, F=None):
+        """Some n-chain on `cols` (default: all of degree n) whose d_n is
+        `chain`, or None if there is none."""
         F = F or self.field
-        rows = self._rows(n) if rows is None else rows
+        rows = self._rows(n)
         cols = self.basis.get(n, []) if cols is None else cols
         b = _vector(self._index(n - 1, rows), chain, n - 1, F)
         x = solve(self.matrix(n, rows, cols), b, F)
@@ -163,9 +173,6 @@ class ChainComplex:
                 out[n] = h
             rk = rk_up
         return out
-
-    def is_exact(self):
-        return not self.homology_ranks()
 
     def restrict(self, keep):
         """Plain ChainComplex on the basis ids in `keep`, with the
@@ -308,9 +315,9 @@ class GradedFreeComplex(ChainComplex):
 
     @classmethod
     @malformed("complex JSON")
-    def from_json(cls, obj, field=None):
+    def from_json(cls, obj):
         from .exactla import FieldSpec
-        F = field if field is not None else FieldSpec(obj.get("characteristic", 0))
+        F = FieldSpec(obj.get("characteristic", 0))
         labels = {n: [(e["id"], tuple(e["degree"])) for e in labs]
                   for n, labs in enumerate(obj["basis"])}
         if any(type(x) is not int or x < 0 for x in [obj["num_vars"], *(
@@ -354,9 +361,6 @@ class BettiTable:
             by_i[i] = by_i.get(i, 0) + v
         top = max(by_i, default=-1)
         return tuple(by_i.get(i, 0) for i in range(top + 1))
-
-    def degrees(self):
-        return sorted({d for (_, d) in self.entries})
 
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries

@@ -2,7 +2,7 @@
 homogenized conic complex of the incidence poset reproduces the resolution.
 """
 
-import networkx as nx
+from collections import defaultdict
 
 from .errors import (DegenerateColumn, NotMinimalSupport, VerificationError)
 from .conic import conic_complex, homogenize
@@ -39,17 +39,57 @@ def incidence_poset(C):
 
 
 def poset_isomorphic(P, Q):
-    """Order isomorphism test via the cover digraphs."""
+    """Order isomorphism test.  The elements of P are matched one at a
+    time, each after its whole down-set, to an unmatched element of Q whose
+    down-set is the image of its own; a dead end undoes the last match."""
     if len(P) != len(Q) or len(P.covers) != len(Q.covers):
         return False
-    G = nx.DiGraph()
-    H = nx.DiGraph()
-    for X, G_ in ((P, G), (Q, H)):
-        for e in X.elements:
-            G_.add_node(e, dim=X.dim(e))
-        G_.add_edges_from(X.covers)
-    nm = nx.algorithms.isomorphism.categorical_node_match("dim", None)
-    return nx.is_isomorphic(G, H, node_match=nm)
+    by_below = defaultdict(list)
+    for f in Q.elements:
+        by_below[Q.below[f]].append(f)
+    order = _match_order(P)
+    phi, used, tries = {}, set(), []  # tries[k]: candidates left for order[k]
+    k = 0
+    while k < len(order):
+        e = order[k]
+        if k == len(tries):
+            tries.append(iter(by_below.get(
+                frozenset(phi[x] for x in P.below[e]), ())))
+        else:  # back from a dead end further on
+            used.discard(phi.pop(e))
+        f = next((f for f in tries[k] if f not in used), None)
+        if f is None:
+            tries.pop()
+            if not k:
+                return False
+            k -= 1
+        else:
+            phi[e] = f
+            used.add(f)
+            k += 1
+    return True
+
+
+def _match_order(P):
+    """The elements of P, each right after its lower covers: a depth-first
+    walk down the covers from the maximal elements, highest dimension
+    first at every step.  (Started from every element in that order, the
+    walk reaches each non-maximal one from a higher maximal element.)"""
+    key = lambda e: (-P.dim(e), P.index[e])
+    lower = defaultdict(list)  # each list last-first, as the stack pops
+    for lo, hi in sorted(P.covers, key=lambda c: key(c[0]), reverse=True):
+        lower[hi].append(lo)
+    order, seen = [], set()
+    stack = [(e, False) for e in sorted(P.elements, key=key, reverse=True)]
+    while stack:
+        e, done = stack.pop()
+        if done:
+            order.append(e)
+        elif e not in seen:
+            seen.add(e)
+            stack.append((e, True))
+            stack += ((x, False) for x in lower[e])
+    return order
 
 
 class ConicIsoCertificate:

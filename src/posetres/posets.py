@@ -85,12 +85,6 @@ class Poset:
             raise NotFound(f"unknown element {a!r}")
         return self._dims[a]
 
-    def down_set(self, a, strict=True):
-        """Induced subposet on {x : x < a} (strict) or {x : x <= a}."""
-        if a not in self.index:
-            raise NotFound(f"unknown element {a!r}")
-        return self.restrict(self.below[a] if strict else self.below[a] | {a})
-
     def restrict(self, keep):
         """Induced subposet on a subset of the elements (order preserved)."""
         keep = set(keep)
@@ -165,13 +159,6 @@ class Poset:
         if a not in self._filter_cache:
             self._filter_cache[a] = self.subcomplex(self.below[a])
         return self._filter_cache[a]
-
-    def maximal_elements(self):
-        lows = {lo for lo, _ in self.covers}
-        return [e for e in self.elements if e not in lows]
-
-    def minimal_elements(self):
-        return [e for e in self.elements if not self.below[e]]
 
     def to_json(self):
         out = {"elements": [], "covers": sorted(
@@ -248,10 +235,6 @@ class OrientedComplex(ChainComplex):
     @property
     def faces(self):
         return self.basis
-
-    def face_counts(self):
-        return {d: len(fs) for d, fs in sorted(self.faces.items())}
-
 
 def reduced_homology(K, F):
     """Reduced homology ranks of an OrientedComplex over F, per dimension

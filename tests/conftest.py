@@ -35,7 +35,8 @@ def columns(entries):
 def load_fixture_complex(name, characteristic):
     with open(FIXTURES / name) as fh:
         obj = json.load(fh)
-    return GradedFreeComplex.from_json(obj, FieldSpec(characteristic))
+    obj["characteristic"] = characteristic
+    return GradedFreeComplex.from_json(obj)
 
 
 @pytest.fixture(scope="session")

@@ -144,7 +144,7 @@ def supports_resolution_loop(P, F):
     for alpha in sorted(join_closure(P.deg.values())):
         sub = C.restrict(g for gs in C.basis.values() for g in gs
                          if divides(P.deg[g[0]], alpha))
-        if not sub.is_exact():
+        if sub.homology_ranks():
             return False, alpha
     return True, None
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,6 +18,16 @@ from conftest import FIXTURES
 
 RP2 = str(FIXTURES / "rp2.ideal")
 M = str(FIXTURES / "m.ideal")
+
+
+def test_import_loads_no_networkx():
+    """The package runs on the standard library alone: networkx is only an
+    oracle for the tests."""
+    code = "import sys, posetres.cli; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout == "False\n"
 
 
 def test_parse_product_form_with_header():

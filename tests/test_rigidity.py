@@ -3,6 +3,7 @@ from posetres import (BettiTable, FieldSpec, betti_poset, betti_table,
                       make_minimal_support_basis, minimalize, minimize,
                       poset_isomorphic, taylor_complex)
 from conftest import SQUAREFREE3, M_GENS, RP2_GENS
+from helpers import maximal_elements
 
 Q = FieldSpec(0)
 GF2 = FieldSpec(2)
@@ -33,10 +34,10 @@ def test_m_ideal_not_rigid():
 
 def test_betti_poset_shapes():
     BP = betti_poset(betti_of([(1, 0), (0, 1)], Q))
-    assert len(BP) == 3 and len(BP.maximal_elements()) == 1
+    assert len(BP) == 3 and len(maximal_elements(BP)) == 1
     BP3 = betti_poset(betti_of(SQUAREFREE3, Q))
     assert len(BP3) == 4
-    assert sorted(BP3.maximal_elements()) == [(1, 1, 1)]
+    assert sorted(maximal_elements(BP3)) == [(1, 1, 1)]
     assert not is_hcw(BP3, Q)  # rank-2 homology at the top filter
 
 
