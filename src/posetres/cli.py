@@ -270,7 +270,10 @@ def cmd_betti_poset(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process; each
+    subcommand's handler looks its helpers up when it runs."""
     p = argparse.ArgumentParser(
         prog="posetres",
         description="Minimal free resolutions of monomial ideals and the "

@@ -26,6 +26,8 @@ class ConicComplex(ChainComplex):
     d:         dict n -> {(apex_c, i_c): {(apex_r, i_r): scalar}} for n >= 1
     aug:       dict (apex, index) -> scalar, the augmentation on degree 0
     degree_of: dict (apex, index) -> deg of the apex ({} without P.deg)
+
+    The constructor checks d o d = 0 last, eps o d_1 = 0 included.
     """
 
     def __init__(self, poset, field, gens, cycles, d, aug, augmented):
@@ -34,6 +36,7 @@ class ConicComplex(ChainComplex):
         self.cycles = dict(cycles)
         self.degree_of = {g: poset.deg[g[0]] for gs in self.basis.values()
                           for g in gs} if poset.deg else {}
+        self.check_complex()
 
     @property
     def gens(self):
@@ -120,9 +123,8 @@ def conic_complex(P, F, augmented=False):
                 cycles[(a, i)] = z
                 d.setdefault(n, {})[(a, i)] = s
     cycles = dict(sorted(cycles.items(), key=lambda gz: P.index[gz[0][0]]))
-    C = ConicComplex(P, F, gens, cycles, d, aug, augmented)
     try:
-        C.check_complex()
+        C = ConicComplex(P, F, gens, cycles, d, aug, augmented)
     except NotAComplex as exc:
         raise VerificationError(f"conic {exc}") from exc
     P._conic[F, augmented] = C

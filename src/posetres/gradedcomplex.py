@@ -10,8 +10,6 @@ tables all live here.
 from collections import Counter, defaultdict
 from collections.abc import MutableMapping
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from math import lcm as lcm_ints
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
@@ -48,7 +46,6 @@ class ChainComplex:
         self.aug = dict(aug or {})
         self.augmented = augmented
         self.index = {}  # n -> {id: position in basis[n]}, filled by _index
-        self._is_complex = False  # set once check_complex has passed
 
     @property
     def diffs(self):
@@ -70,6 +67,11 @@ class ChainComplex:
     def ranks(self):
         return tuple(len(self.basis.get(n, ())) for n in range(self.top + 1))
 
+    def _cols(self, n):
+        """The columns of d_n; for n = 0 the augmentation, onto the row ()."""
+        return self.d.get(n, {}) if n else {c: {(): v}
+                                            for c, v in self.aug.items() if v}
+
     def _rows(self, n):
         """Row ids of d_n; for n = 0 the augmentation target ()."""
         if n or -1 in self.basis:
@@ -85,8 +87,7 @@ class ChainComplex:
         if cols is None:
             cols = self.basis.get(n, [])
         rix = self._index(n - 1, rows)
-        store = (self.d.get(n, {}) if n else
-                 {c: {(): v} for c, v in self.aug.items() if v})
+        store = self._cols(n)
         entries = [(i, j, v) for j, c in enumerate(cols)
                    for r, v in store.get(c, {}).items()
                    if (i := rix.get(r)) is not None]
@@ -128,29 +129,19 @@ class ChainComplex:
         return None if x is None else {c: v for c, v in zip(cols, x) if v}
 
     def check_complex(self):
-        """Raise NotAComplex unless every consecutive composite vanishes.
+        """Raise NotAComplex unless d_n o d_{n+1} = 0 for every n >= 0, d_0
+        being the augmentation, so that eps o d_1 = 0 is checked too.
 
-        Each differential is scaled by the lcm of its denominators, which
-        does not change whether a composite vanishes, and the composite is
-        summed in integers (reduced mod p at the end over GF(p)), one
-        column of d_{n+1} at a time; a differential whose values are all
-        ints (every GF(p) store, the Taylor complex over Q) is read as it
-        is, after one type test of its values.  Complexes are not mutated,
-        so a pass is recorded and a later call returns at once."""
-        if self._is_complex:
-            return
-        p = self.field.characteristic
-        ints = {}  # n -> the columns of d_n scaled to integers
-        for n, cols in self.d.items():
-            vals = chain.from_iterable(map(dict.values, cols.values()))
-            L = 1 if {int}.issuperset(map(type, vals)) else lcm_ints(
-                *(v.denominator for col in cols.values() for v in col.values()))
-            ints[n] = cols if L == 1 else {
-                c: {r: v.numerator * (L // v.denominator)
-                    for r, v in col.items()} for c, col in cols.items()}
-        for n in sorted(ints):
-            lower = ints[n]
-            for c, col in ints.get(n + 1, {}).items():
+        Each column of d_{n+1} is composed with the columns of d_n in plain
+        Python numbers, exact for ints and Fractions alike, and reduced mod
+        p only in the zero test; a complex with no field sums over the
+        integers.  The first failing composite, in ascending n, names its
+        first nonzero entry.  GradedFreeComplex and ConicComplex run this
+        last in their constructors, so each is a complex once built."""
+        p = self.field.characteristic if self.field else 0
+        for n in sorted({0, *self.d}):
+            lower = self._cols(n)
+            for c, col in self.d.get(n + 1, {}).items():
                 comp = {}
                 get = comp.get
                 for mid, v in col.items():
@@ -159,7 +150,6 @@ class ChainComplex:
                 if any(map(p.__rmod__, comp.values()) if p else comp.values()):
                     r = next(r for r, v in comp.items() if (v % p if p else v))
                     raise NotAComplex(f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}")
-        self._is_complex = True
 
     def homology_ranks(self, F=None):
         """Nonzero homology ranks per degree; includes degree -1, spanned by
@@ -225,8 +215,8 @@ def _in_field(d, F):
     """The column store d with every scalar as F gives it: d itself when its
     values are all ints that F keeps (any int over Q, 0..p-1 over GF(p)),
     checked without a call per entry, else a copy made through F."""
-    vals = list(chain.from_iterable(chain.from_iterable(
-        map(dict.values, cols.values())) for cols in d.values()))
+    vals = [v for cols in d.values() for col in cols.values()
+            for v in col.values()]
     p = F.characteristic
     if {int}.issuperset(map(type, vals)) and (
             not p or 0 <= min(vals, default=0) and max(vals, default=0) < p):
@@ -245,7 +235,8 @@ class GradedFreeComplex(ChainComplex):
     Scalars are stored as `field` gives them, and entries that vanish in
     the field are dropped; a value outside the field raises InvalidField.
     Placement is checked per column, homogeneity per distinct pair of row
-    and column degrees.
+    and column degrees, and then d o d = 0 (check_complex): a
+    GradedFreeComplex is a complex by construction.
     """
 
     def __init__(self, num_vars, field, labels, d):
@@ -280,6 +271,7 @@ class GradedFreeComplex(ChainComplex):
                             if not divides(deg[r], deg[c]))
                 raise ShapeError(f"inhomogeneous entry ({r},{c}): "
                                  f"deg {deg[c]} - {deg[r]} < 0")
+        self.check_complex()
 
     def exponent(self, r, c):
         """Monomial exponent of the entry at (row r, column c)."""
@@ -333,7 +325,7 @@ class GradedFreeComplex(ChainComplex):
                 cols[c][r] = F(e["scalar"])
         C = cls(obj["num_vars"], F, labels, d)
         # validate declared exponents against the labels
-        for e in chain.from_iterable(obj.get("differentials", [])):
+        for e in (e for mat in obj.get("differentials", []) for e in mat):
             if "exponent" in e:
                 exp = tuple(e["exponent"])
                 if exp != C.exponent(e["row_id"], e["col_id"]):
@@ -430,7 +422,6 @@ def minimize(C):
     depend only on itself and on those pivot columns, so its values, dict
     order and scalar types are the full sweep's.
     """
-    C.check_complex()
     F, deg = C.field, C.degree_of
     pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
     pivots = {}  # n -> {r0: c0}, the pivots of d_n
@@ -468,7 +459,6 @@ def minimize(C):
     labels = {n: [(i, d) for i, d in labs if i not in dead]
               for n, labs in C.labels.items()}
     out = GradedFreeComplex(C.num_vars, F, labels, store)
-    out.check_complex()
     if not out.is_minimal():
         raise VerificationError("minimization left a unit entry")
     return out
@@ -560,14 +550,16 @@ def is_resolution(C):
     strand at a join of basis degrees must have homology {0: 1}.  The joins
     are those of the degree-0 labels, widened to all basis degrees when a
     label lies off that lattice.  Returns (ok, report), the report mapping
-    each checked degree, in sorted order, to its strand's homology."""
-    C.check_complex()
-    deg0 = [C.degree_of[i] for i in C.basis.get(0, []) if i in C.degree_of]
+    each checked degree, in sorted order, to its strand's homology.  The
+    complexes with a degree_of check d o d = 0 when built; any other
+    complex raises ShapeError."""
+    deg = getattr(C, "degree_of", {})
+    deg0 = [deg[i] for i in C.basis.get(0, []) if i in deg]
     if not deg0:
         raise ShapeError("no degree-0 basis with a degree")
     lattice = join_closure(deg0)
-    if not lattice.issuperset(C.degree_of.values()):
-        lattice = join_closure(C.degree_of.values())
+    if not lattice.issuperset(deg.values()):
+        lattice = join_closure(deg.values())
     alphas = sorted(lattice)
     report = {a: S.homology_ranks() for a, S in zip(alphas, _strands(C, alphas))}
     return all(h == {0: 1} for h in report.values()), report

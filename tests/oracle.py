@@ -258,6 +258,4 @@ def conic_complex_reference(P, F, augmented=False):
     d = {n: {g: conic_coords(P, cycles, cycles[g], n - 1, F) for g in gs}
          for n, gs in sorted(gens.items()) if n}
     aug = {g: cycles[g].get((), F.zero) for g in gens.get(0, [])}
-    C = ConicComplex(P, F, gens, cycles, d, aug, augmented)
-    C.check_complex()
-    return C
+    return ConicComplex(P, F, gens, cycles, d, aug, augmented)

@@ -12,7 +12,7 @@ import posetres.gradedcomplex
 import posetres.posets
 import posetres.rigidity
 from posetres import Poset
-from posetres.cli import main, parse_ideal_file
+from posetres.cli import build_parser, main, parse_ideal_file
 from posetres.errors import ParseError, TooLarge, VerificationError
 from conftest import FIXTURES
 
@@ -46,6 +46,10 @@ def test_parse_product_form_without_header():
     ideal, names = parse_ideal_file("a*b\nb*c\n")
     assert names == ["a", "b", "c"]
     assert ideal.generators == ((0, 1, 1), (1, 1, 0))
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_parse_errors():

@@ -106,22 +106,20 @@ def test_supports_resolution_fixtures():
 
 @pytest.mark.parametrize("p", [0, 2, 3])
 def test_supports_resolution_checks_each_conic_complex_once(monkeypatch, p):
-    """conic_complex checks d o d once per build and memoizes the complex on
-    the poset, and is_resolution finds the pass recorded: supports_resolution
-    on the same poset runs no pass, on a fresh copy of it one."""
+    """A ConicComplex checks d o d once, when it is built, conic_complex
+    memoizes the complex on the poset, and is_resolution runs no pass:
+    supports_resolution on the same poset runs no pass, on a fresh copy of
+    it one."""
     F = FieldSpec(p)
     P = _incidence(minimalize(RP2_GENS), F)
     passes, check = [], gradedcomplex.ChainComplex.check_complex
 
-    def counting(self):  # a pass runs when none is recorded yet
-        if not self._is_complex:
-            passes.append(self)
+    def counting(self):
+        passes.append(self)
         check(self)
     monkeypatch.setattr(gradedcomplex.ChainComplex, "check_complex", counting)
     C = conic_complex(P, F)
     assert passes == [C] and len(C.diffs) > 1
-    C.check_complex()
-    assert passes == [C]
     passes.clear()
     assert supports_resolution(P, F) == (True, None)
     assert passes == []

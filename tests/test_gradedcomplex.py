@@ -9,16 +9,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle import betti_numbers, strand_reference
-from posetres import (ChainComplex, FieldSpec, GradedFreeComplex, bar_reduce,
-                      betti_table, divides, incidence_poset, is_resolution,
-                      lcm, minimalize, minimize, strand, taylor_complex)
+from posetres import (ChainComplex, ConicComplex, FieldSpec, GradedFreeComplex,
+                      OrientedComplex, bar_reduce, betti_table, divides,
+                      hcw_support, incidence_poset, is_resolution, lcm,
+                      minimalize, minimize, strand, taylor_complex)
 from posetres.errors import (InvalidField, NotAComplex, NotMinimal, ParseError,
                              PosetresError, ShapeError, TooLarge,
                              VerificationError)
 from posetres import gradedcomplex
 from posetres.gradedcomplex import TAYLOR_CAP
-from conftest import (M_GENS, RP2_GENS, SQUAREFREE3, columns, json_values,
-                      random_corpus)
+from conftest import (FIXTURES, M_GENS, RP2_GENS, SQUAREFREE3, columns,
+                      json_values, random_corpus)
 
 Q = FieldSpec(0)
 FIELDS = [FieldSpec(p) for p in (0, 2, 3, 5)]
@@ -55,7 +56,6 @@ def taylor_reference(ideal, F):
 def minimize_reference(C):
     """minimize with each pivot found by a linear scan over the pending
     units, in the same documented order."""
-    C.check_complex()
     F = C.field
     pos = {}
     for n, labs in C.labels.items():
@@ -122,7 +122,6 @@ def minimize_reference(C):
     diffs = {n: {c: dict(colmap) for c, colmap in col.get(n, {}).items()}
              for n in C.diffs}
     out = GradedFreeComplex(C.num_vars, F, labels, diffs)
-    out.check_complex()
     if not out.is_minimal():
         raise VerificationError("minimization left a unit entry")
     return out
@@ -186,9 +185,8 @@ def test_not_a_complex_detected():
     col = next(iter(d[2].values()))
     r = next(iter(col))
     col[r] = Q.neg(col[r])
-    bad = GradedFreeComplex(3, Q, T.labels, d)
     with pytest.raises(NotAComplex) as exc:
-        minimize(bad)
+        GradedFreeComplex(3, Q, T.labels, d)
     assert str(exc.value) == "d_1 o d_2 != 0, e.g. at ('t2', 't0.1.2')"
 
 
@@ -199,26 +197,21 @@ def test_check_complex_exact_over_q():
     ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": Q(2), "c": Q(-3)}}}
                  ).check_complex()
     bad = ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": Q(-2), "c": Q(-3)}}})
-    for _ in range(2):  # a failed check records nothing
+    for _ in range(2):  # each call checks anew
         with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
             bad.check_complex()
 
 
-def test_check_complex_takes_an_lcm_only_when_a_value_is_no_int(monkeypatch):
-    calls, lcm_ints = [], gradedcomplex.lcm_ints
-    monkeypatch.setattr(gradedcomplex, "lcm_ints",
-                        lambda *a: calls.append(a) or lcm_ints(*a))
+def test_check_complex_mixes_ints_and_fractions():
     basis = {0: ["a"], 1: ["b", "c"], 2: ["e"]}
     d1 = {"b": {"a": Fraction(1, 2)}, "c": {"a": Fraction(1, 3)}}
     ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": 2, "c": -3}}}
                  ).check_complex()
-    assert calls == [(2, 3)]  # d_2 holds ints only
     bad = ChainComplex(Q, basis, {1: d1, 2: {"e": {"b": 2, "c": 3}}})
     with pytest.raises(NotAComplex, match=r"at \('a', 'e'\)"):
         bad.check_complex()
     for F in FIELDS:  # every GF(p) store, and the Taylor complex over Q
         taylor_complex(minimalize(K6_EDGES[:6]), F).check_complex()
-    assert calls == [(2, 3), (2, 3)]
 
 
 def test_check_complex_reduces_mod_p():
@@ -284,6 +277,52 @@ def test_check_complex_reads_every_row_of_a_column():
                      ).check_complex()
 
 
+def test_check_complex_reads_the_augmentation_as_d0():
+    basis = {0: ["a", "b"], 1: ["c"]}
+    ChainComplex(Q, basis, {1: {"c": {"a": 1, "b": -1}}}, {"a": 1, "b": 1},
+                 augmented=True).check_complex()
+    bad = ChainComplex(Q, basis, {1: {"c": {"a": 1, "b": 1}}},
+                       {"a": 1, "b": 1}, augmented=True)
+    with pytest.raises(NotAComplex) as exc:
+        bad.check_complex()
+    assert str(exc.value) == "d_0 o d_1 != 0, e.g. at ((), 'c')"
+
+
+def test_check_complex_sums_over_the_integers_without_a_field():
+    """An OrientedComplex has no field, so its composites are summed in Z:
+    a composite of 2 fails, although it vanishes over GF(2)."""
+    K = OrientedComplex({-1: [()], 0: [(0,), (1,), (2,)],
+                         1: [(1, 0), (2, 0), (2, 1)], 2: [(2, 1, 0)]})
+    K.check_complex()
+    K.d[2][(2, 1, 0)][(2, 0)] = 1
+    with pytest.raises(NotAComplex) as exc:
+        K.check_complex()
+    assert str(exc.value) == "d_1 o d_2 != 0, e.g. at ((0,), (2, 1, 0))"
+
+
+def test_every_built_complex_is_checked_once(monkeypatch):
+    """Through hcw_support on a corpus and the K6-10 resolution, each
+    GradedFreeComplex and ConicComplex runs check_complex once, as it is
+    built, and no other complex is checked."""
+    built, checked = [], []
+    check = ChainComplex.check_complex
+    monkeypatch.setattr(ChainComplex, "check_complex",
+                        lambda self: checked.append(self) or check(self))
+    for cls in (GradedFreeComplex, ConicComplex):
+        def init(self, *args, init=cls.__init__):
+            init(self, *args)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+    for p in (0, 2, 3):
+        F = FieldSpec(p)
+        for I in random_corpus(100):
+            hcw_support(I, F)
+        minimize(taylor_complex(minimalize(K6_EDGES[:10]), F))
+    assert {type(C) for C in built} == {GradedFreeComplex, ConicComplex}
+    assert len(checked) == len(built)
+    assert all(C is B for C, B in zip(checked, built))
+
+
 def test_homogeneity_checked_for_every_degree_pair():
     labels = {0: [("a", (1, 0)), ("b", (0, 1))],
               1: [("c", (1, 1)), ("e", (1, 0)), ("f", (1, 0))]}
@@ -344,7 +383,7 @@ def test_homogeneity_is_tested_once_per_degree_pair(monkeypatch):
 def test_complexes_share_no_dict_with_their_callers():
     """The constructors copy the columns they are handed and `column`
     returns a copy: writing to either afterwards changes neither the
-    complex, nor its JSON, nor its recorded d o d check."""
+    complex, nor its JSON, nor its d o d check."""
     F = FieldSpec(3)
     labels = {0: [("a", (1, 0)), ("b", (0, 1))], 1: [("c", (1, 1))]}
     d = {1: {"c": {"a": 1, "b": 2}}}
@@ -370,10 +409,8 @@ def test_complexes_share_no_dict_with_their_callers():
     assert [C.to_json(), M.to_json()] == before
     assert [json.dumps(list(Y.diffs[1].items())) for Y in complexes] == stores
     assert C.d == X.d == {1: {"c": {"a": 1, "b": 2}}}
-    for Y in complexes:
-        assert Y._is_complex
-        Y._is_complex = False
-        Y.check_complex()  # the recorded pass still holds
+    for Y in complexes:  # d o d = 0 still, on the complexes' own columns
+        Y.check_complex()
 
 
 def test_scalars_are_stored_reduced_into_the_field():
@@ -660,6 +697,14 @@ def test_is_resolution_report_matches_reference_strands(p):
             assert h == R.homology_ranks()
 
 
+def test_is_resolution_needs_a_degree_of():
+    M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
+    K = incidence_poset(M).order_complex()
+    for X in (bar_reduce(M), strand(M, M.labels[1][0][1]), K):
+        with pytest.raises(ShapeError, match="no degree-0 basis with a degree"):
+            is_resolution(X)
+
+
 def test_no_zero_bar_columns_after_minimize():
     I = minimalize([(2, 1, 0), (0, 1, 2), (1, 0, 1)])
     M = minimize(taylor_complex(I, Q))
@@ -680,6 +725,15 @@ def test_json_rejects_bad_exponent():
     obj = M.to_json()
     obj["differentials"][0][0]["exponent"] = [9, 9, 9]
     with pytest.raises(ShapeError):
+        GradedFreeComplex.from_json(obj)
+
+
+def test_json_rejects_a_non_complex():
+    with open(FIXTURES / "two_res_a.json") as fh:
+        obj = json.load(fh)
+    e = obj["differentials"][1][0]
+    e["scalar"] = -e["scalar"]
+    with pytest.raises(NotAComplex, match=r"^d_1 o d_2 != 0"):
         GradedFreeComplex.from_json(obj)
 
 
