@@ -3,10 +3,12 @@
 Scalars over characteristic 0 are `int` when integral and `fractions.Fraction`
 otherwise; over GF(p) they are plain ints in the range 0..p-1.  Elimination
 runs on sparse rows ({col: nonzero scalar} dicts, or bitmasks over GF(2)).
-All routines are deterministic: columns are pivoted in ascending order, each
-on the first unused row with an entry there, kernel vectors are listed by
-ascending free column and normalized so that their first nonzero coordinate
-is 1.
+`echelon` is deterministic: columns are pivoted in ascending order, each on
+the first unused row with an entry there.  That pivot rule serves
+`kernel_basis` and `solve` only: kernel vectors are listed by ascending
+free column and normalized so that their first nonzero coordinate is 1.
+`rank` does not call `echelon`; it reduces each column by its lowest row,
+as persistent homology does, since a rank does not depend on the pivots.
 """
 
 from dataclasses import dataclass
@@ -215,9 +217,50 @@ def echelon(A, F, rhs=None):
     return pivots, lambda j: [row.get(j, F.zero) for row in rows]
 
 
-def rank(A, F):
-    """Rank of a SparseMatrix over F."""
-    return len(echelon(A, F)[0])
+def rank(A, F, *, skip=(), lows=None):
+    """Rank of a SparseMatrix over F.
+
+    Each column, in ascending order, is reduced by its lowest (largest)
+    row against the earlier columns that ended with that row, until it
+    vanishes or ends with a new row; the rank is the number of those.
+    Entries go through F first.  The columns whose index is in `skip` are
+    left out, so the caller must know that each is a combination of the
+    columns before it; the lowest rows of the nonzero reduced columns are
+    added to the set `lows` when one is given.  ChainComplex.homology_ranks
+    clears with these two.
+    """
+    pivots = {}  # lowest row -> the reduced column that ends there
+    if F.characteristic == 2:
+        cols = {}
+        for (r, c), v in A.entries.items():
+            if c not in skip and F(v):
+                cols[c] = cols.get(c, 0) | 1 << r
+        for c in sorted(cols):
+            x = cols[c]
+            while x:
+                low = x.bit_length() - 1
+                y = pivots.get(low)
+                if y is None:
+                    pivots[low] = x
+                    break
+                x ^= y
+    else:
+        cols = {}
+        for (r, c), v in A.entries.items():
+            if c not in skip and (v := F(v)):
+                cols.setdefault(c, {})[r] = v
+        for c in sorted(cols):
+            x = cols[c]
+            while x:
+                low = max(x)
+                y = pivots.get(low)
+                if y is None:
+                    pivots[low] = x
+                    break
+                F.row_sub(x, F.div(x[low], y[low]), y)
+    if lows is not None:
+        lows.update(pivots)
+    return len(pivots)
 
 
 def kernel_basis(A, F):

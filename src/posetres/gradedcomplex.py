@@ -67,10 +67,18 @@ class ChainComplex:
     def ranks(self):
         return tuple(len(self.basis.get(n, ())) for n in range(self.top + 1))
 
+    def _column(self, n, c):
+        """Column c of d_n ({} when none is stored); for n = 0 the
+        augmentation, onto the row ()."""
+        if n:
+            return self.d.get(n, {}).get(c, {})
+        return {(): v} if (v := self.aug.get(c)) else {}
+
     def _cols(self, n):
-        """The columns of d_n; for n = 0 the augmentation, onto the row ()."""
-        return self.d.get(n, {}) if n else {c: {(): v}
-                                            for c, v in self.aug.items() if v}
+        """The columns of d_n, each as _column gives it."""
+        if n:
+            return self.d.get(n, {})
+        return {c: col for c in self.aug if (col := self._column(0, c))}
 
     def _rows(self, n):
         """Row ids of d_n; for n = 0 the augmentation target ()."""
@@ -100,13 +108,13 @@ class ChainComplex:
         raw signs."""
         F = F or self.field
         ix = self._index(n, self.basis.get(n, []))
-        cols, y = self.d.get(n, {}), {}
+        y = {}
         for c, v in chain.items():
             if c not in ix:
                 raise NotFound(f"id {c!r} not in degree {n}")
-            col = cols.get(c, {}) if n else {(): self.aug.get(c, 0)}
             if v := F(v):
-                F.row_sub(y, F.neg(v), {r: F(w) for r, w in col.items()})
+                F.row_sub(y, F.neg(v), {r: F(w) for r, w in
+                                        self._column(n, c).items()})
         rix = self._index(n - 1, self._rows(n))
         return {r: y[r] for r in sorted(y.keys() & rix.keys(), key=rix.get)}
 
@@ -153,15 +161,24 @@ class ChainComplex:
 
     def homology_ranks(self, F=None):
         """Nonzero homology ranks per degree; includes degree -1, spanned by
-        the augmentation target, when augmented."""
+        the augmentation target, when augmented.
+
+        The ranks of the differentials are taken top down, with clearing: a
+        column of d_n is skipped when its index is the lowest row of a
+        nonzero reduced column of d_{n+1}.  That reduced column is a cycle
+        ending there, so the skipped column is a combination of the columns
+        before it.  The rows of d_{n+1} and the columns of d_n are both
+        basis[n], in the same order."""
         F = F or self.field
-        top, out, rk = self.top, {}, 0  # rk = rank of d_n
-        for n in range(-1 if self.augmented else 0, top + 1):
-            rk_up = rank(self.matrix(n + 1), F) if n < top else 0
-            h = len(self._rows(n + 1)) - rk - rk_up
-            if h:
+        lo = -1 if self.augmented else 0
+        rk, lows = {}, set()  # rk[n] = rank of d_n, for n > lo
+        for n in range(self.top, lo, -1):
+            cleared, lows = lows, set()
+            rk[n] = rank(self.matrix(n), F, skip=cleared, lows=lows)
+        out = {}
+        for n in range(lo, self.top + 1):
+            if h := len(self._rows(n + 1)) - rk.get(n, 0) - rk.get(n + 1, 0):
                 out[n] = h
-            rk = rk_up
         return out
 
     def restrict(self, keep):
