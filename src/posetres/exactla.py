@@ -118,24 +118,41 @@ class FieldSpec:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix; entries stored as {(row, col): nonzero scalar}."""
+    """Immutable sparse matrix, kept by column: `columns` maps a column to
+    {row: nonzero scalar}.  The constructor checks every entry (row, col,
+    scalar) for bounds, duplicates and zeros; `entries` gives the matrix
+    as {(row, col): scalar}."""
 
     def __init__(self, rows, cols, entries=()):
-        self.rows = rows
-        self.cols = cols
-        data = {}
+        columns = {}
         for r, c, v in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ShapeError(f"entry ({r},{c}) out of range for {rows}x{cols}")
-            if (r, c) in data:
+            col = columns.setdefault(c, {})
+            if r in col:
                 raise ShapeError(f"duplicate entry at ({r},{c})")
             if not v:
                 raise ShapeError(f"explicit zero entry at ({r},{c})")
-            data[(r, c)] = v
-        self.entries = data
+            col[r] = v
+        self.rows, self.cols, self.columns = rows, cols, columns
+
+    @classmethod
+    def _of_columns(cls, rows, cols, columns):
+        """The matrix on `columns` as given, unchecked: the caller keeps
+        every index in range and every scalar nonzero (ChainComplex.matrix,
+        whose index lookup drops the rows outside)."""
+        A = cls.__new__(cls)
+        A.rows, A.cols, A.columns = rows, cols, columns
+        return A
+
+    @property
+    def entries(self):
+        return {(r, c): v for c, col in self.columns.items()
+                for r, v in col.items()}
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        nnz = sum(map(len, self.columns.values()))
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz})"
 
 
 def _rref(rows, F, ncols):
@@ -199,7 +216,8 @@ def echelon(A, F, rhs=None):
     GF(2) bitmask kernel or the sparse-row kernel.
     """
     n = A.cols
-    entries = [(r, c, F(v)) for (r, c), v in A.entries.items()]
+    entries = [(r, c, F(v)) for c, col in A.columns.items()
+               for r, v in col.items()]
     if rhs is not None:
         entries += [(r, n, F(v)) for r, v in enumerate(rhs)]
     if F.characteristic == 2:
@@ -230,13 +248,13 @@ def rank(A, F, *, skip=(), lows=None):
     clears with these two.
     """
     pivots = {}  # lowest row -> the reduced column that ends there
+    cols = [c for c in sorted(A.columns) if c not in skip]
     if F.characteristic == 2:
-        cols = {}
-        for (r, c), v in A.entries.items():
-            if c not in skip and F(v):
-                cols[c] = cols.get(c, 0) | 1 << r
-        for c in sorted(cols):
-            x = cols[c]
+        for c in cols:
+            x = 0
+            for r, v in A.columns[c].items():
+                if F(v):
+                    x |= 1 << r
             while x:
                 low = x.bit_length() - 1
                 y = pivots.get(low)
@@ -245,12 +263,8 @@ def rank(A, F, *, skip=(), lows=None):
                     break
                 x ^= y
     else:
-        cols = {}
-        for (r, c), v in A.entries.items():
-            if c not in skip and (v := F(v)):
-                cols.setdefault(c, {})[r] = v
-        for c in sorted(cols):
-            x = cols[c]
+        for c in cols:
+            x = {r: w for r, v in A.columns[c].items() if (w := F(v))}
             while x:
                 low = max(x)
                 y = pivots.get(low)

@@ -10,6 +10,7 @@ tables all live here.
 from collections import Counter, defaultdict
 from collections.abc import MutableMapping
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
@@ -89,17 +90,21 @@ class ChainComplex:
     def matrix(self, n, rows=None, cols=None):
         """d_n as a SparseMatrix on the given row and column ids (default:
         the whole basis of degrees n-1 and n); entries outside them are
-        dropped.  n = 0 gives the augmentation row, if there is one."""
+        dropped.  n = 0 gives the augmentation row, if there is one.  Its
+        columns are filled through the row index, which bounds every entry,
+        so they skip SparseMatrix's checks."""
         if rows is None:
             rows = self._rows(n)
         if cols is None:
             cols = self.basis.get(n, [])
         rix = self._index(n - 1, rows)
         store = self._cols(n)
-        entries = [(i, j, v) for j, c in enumerate(cols)
-                   for r, v in store.get(c, {}).items()
-                   if (i := rix.get(r)) is not None]
-        return SparseMatrix(len(rows), len(cols), entries)
+        columns = {}
+        for j, c in enumerate(cols):
+            if x := {i: v for r, v in store.get(c, {}).items()
+                     if (i := rix.get(r)) is not None}:
+                columns[j] = x
+        return SparseMatrix._of_columns(len(rows), len(cols), columns)
 
     def boundary(self, n, chain, F=None):
         """d_n of an n-chain, as a chain on the row ids of d_n in basis
@@ -161,7 +166,14 @@ class ChainComplex:
 
     def homology_ranks(self, F=None):
         """Nonzero homology ranks per degree; includes degree -1, spanned by
-        the augmentation target, when augmented.
+        the augmentation target, when augmented."""
+        return self._homology_on(self.basis, F or self.field)
+
+    def _homology_on(self, basis, F):
+        """homology_ranks of the subcomplex on `basis` ({n: ids}, each list
+        nonempty and in basis order), read off this complex's own columns:
+        `matrix` drops the entries whose row lies outside basis[n - 1], as
+        `restrict` would.  is_resolution reads its strands this way.
 
         The ranks of the differentials are taken top down, with clearing: a
         column of d_n is skipped when its index is the lowest row of a
@@ -169,15 +181,20 @@ class ChainComplex:
         ending there, so the skipped column is a combination of the columns
         before it.  The rows of d_{n+1} and the columns of d_n are both
         basis[n], in the same order."""
-        F = F or self.field
         lo = -1 if self.augmented else 0
+        top = max(basis, default=-1)
+
+        def rows(n):  # d_0, taken only when augmented, maps onto ()
+            return basis.get(n - 1, []) if n or -1 in basis else [()]
+
         rk, lows = {}, set()  # rk[n] = rank of d_n, for n > lo
-        for n in range(self.top, lo, -1):
+        for n in range(top, lo, -1):
             cleared, lows = lows, set()
-            rk[n] = rank(self.matrix(n), F, skip=cleared, lows=lows)
+            rk[n] = rank(self.matrix(n, rows(n), basis.get(n, [])), F,
+                         skip=cleared, lows=lows)
         out = {}
-        for n in range(lo, self.top + 1):
-            if h := len(self._rows(n + 1)) - rk.get(n, 0) - rk.get(n + 1, 0):
+        for n in range(lo, top + 1):
+            if h := len(rows(n + 1)) - rk.get(n, 0) - rk.get(n + 1, 0):
                 out[n] = h
         return out
 
@@ -541,17 +558,7 @@ def bar_reduce(C):
 def strand(C, alpha):
     """Homogeneous strand of degree alpha, as a plain ChainComplex: the
     basis ids whose degree_of divides alpha, with the entries among them."""
-    return next(_strands(C, [alpha]))
-
-
-def _strands(C, alphas):
-    """strand(C, alpha) per alpha, the ids bucketed by degree once."""
-    by_deg = defaultdict(list)
-    for i, d in C.degree_of.items():
-        by_deg[d].append(i)
-    for alpha in alphas:
-        yield C.restrict(i for d, ids in by_deg.items() if divides(d, alpha)
-                         for i in ids)
+    return C.restrict(i for i, d in C.degree_of.items() if divides(d, alpha))
 
 
 def betti_table(C):
@@ -569,7 +576,14 @@ def is_resolution(C):
     label lies off that lattice.  Returns (ok, report), the report mapping
     each checked degree, in sorted order, to its strand's homology.  The
     complexes with a degree_of check d o d = 0 when built; any other
-    complex raises ShapeError."""
+    complex raises ShapeError.
+
+    The strands are read in place, with no complex built for them.  Every
+    basis id has a bit, degree by degree in basis order; for each
+    coordinate k and threshold t one mask holds the ids whose degree has
+    k-th entry <= t, so the strand at alpha is the AND of one mask per
+    coordinate.  Its homology is C._homology_on its ids: the ranks of C's
+    own columns on them."""
     deg = getattr(C, "degree_of", {})
     deg0 = [deg[i] for i in C.basis.get(0, []) if i in deg]
     if not deg0:
@@ -578,5 +592,26 @@ def is_resolution(C):
     if not lattice.issuperset(deg.values()):
         lattice = join_closure(deg.values())
     alphas = sorted(lattice)
-    report = {a: S.homology_ranks() for a, S in zip(alphas, _strands(C, alphas))}
+    at = [defaultdict(int) for _ in alphas[0]]  # at[k][t]: mask of entry <= t
+    spans, pos = [], 0  # (n, basis[n], position of its first bit)
+    for n in sorted(C.basis):
+        ids = C.basis[n]
+        spans.append((n, ids, pos))
+        for j, i in enumerate(ids, pos):
+            for k, t in enumerate(deg.get(i, ())):
+                at[k][t] |= 1 << j
+        pos += len(ids)
+    for masks in at:  # every alpha[k] is the k-th entry of some id's degree
+        acc = 0
+        for t in sorted(masks):
+            acc = masks[t] = acc | masks[t]
+    report = {}
+    for a in alphas:
+        x = (1 << pos) - 1
+        for masks, t in zip(at, a):
+            x &= masks[t]
+        # bin(y)[:1:-1] lists the bits of y from bit 0 up
+        basis = {n: list(compress(ids, map(int, bin(y)[:1:-1])))
+                 for n, ids, j in spans if (y := x >> j & (1 << len(ids)) - 1)}
+        report[a] = C._homology_on(basis, C.field)
     return all(h == {0: 1} for h in report.values()), report

@@ -60,6 +60,12 @@ def fill_cavity(P, a, n, F):
     above a (Poset.extend_below); conclusion (2) checks those filters.  It
     keeps no conic complex, so C below is compared with a fresh build.
 
+    Every element b with d(b) < d(a) must have a sphere below it, or
+    HypothesisFailed names the first that does not, in P.elements order.
+    Each verified b is kept in the poset's sphere set for F and not checked
+    again on P, nor on the posets extend_below makes from it unless b lies
+    above their new relations' apex.
+
     The augmented conic complex C of P is taken once, and every filling is
     solved on sub = strand(C, deg(a)), the conic complex of the truncation
     P_{<=deg(a)} (the apexes of degree <= deg(a)).  Each class is found in
@@ -73,10 +79,12 @@ def fill_cavity(P, a, n, F):
         raise NotAMorphism("poset has no degree map")
     if P.dim(a) < n + 2:
         raise HypothesisFailed(f"d({a!r}) = {P.dim(a)} < n + 2 = {n + 2}")
-    da = P.dim(a)
+    da, spheres = P.dim(a), P._spheres.setdefault(F, set())
     for b in P.elements:
-        if P.dim(b) < da and not is_homology_sphere_at(P, b, F):
-            raise HypothesisFailed(f"filter below {b!r} is not a sphere")
+        if P.dim(b) < da and b not in spheres:
+            if not is_homology_sphere_at(P, b, F):
+                raise HypothesisFailed(f"filter below {b!r} is not a sphere")
+            spheres.add(b)
     r = reduced_homology(P.filter_complex(a), F).get(n, 0)
     if not r:
         return P, []

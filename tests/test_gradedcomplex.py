@@ -11,12 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from oracle import betti_numbers, strand_reference
 from posetres import (ChainComplex, ConicComplex, FieldSpec, GradedFreeComplex,
                       OrientedComplex, bar_reduce, betti_table, divides,
-                      hcw_support, incidence_poset, is_resolution, lcm,
+                      hcw_support, incidence_poset, is_resolution,
+                      join_closure, lcm,
                       minimalize, minimize, strand, taylor_complex)
 from posetres.errors import (InvalidField, NotAComplex, NotMinimal, ParseError,
                              PosetresError, ShapeError, TooLarge,
                              VerificationError)
-from posetres import gradedcomplex
+from posetres import gradedcomplex, monomials
 from posetres.gradedcomplex import TAYLOR_CAP
 from conftest import (FIXTURES, M_GENS, RP2_GENS, SQUAREFREE3, columns,
                       json_values, random_corpus)
@@ -675,26 +676,88 @@ def test_is_resolution_checks_labels_off_the_degree_zero_lattice(p):
     assert report[(1, 0)] == {0: 1}
 
 
-@pytest.mark.parametrize("p", [0, 2, 3, 5])
-def test_is_resolution_report_matches_reference_strands(p):
-    """The report, and every strand it is read from, equal those of the
-    strand that scanned every id and entry (tests/oracle.py)."""
+def _with_unit_pair(C, beta):
+    """C with a cancelling pair e* <- f* of degree beta in homological
+    degrees 1 and 2 (beta off the join lattice of C's degree-0 labels
+    widens is_resolution's lattice; the pair adds no homology)."""
+    labels = {n: list(labs) for n, labs in C.labels.items()}
+    labels.setdefault(1, []).append(("e*", beta))
+    labels.setdefault(2, []).append(("f*", beta))
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in C.d.items()}
+    d.setdefault(2, {})["f*"] = {"e*": C.field.one}
+    return GradedFreeComplex(C.num_vars, C.field, labels, d)
+
+
+def _truncated(C):
+    """C without its top homological degree: no longer a resolution, so
+    its strands above a dropped label have homology in degree top - 1."""
+    top = C.top
+    return GradedFreeComplex(
+        C.num_vars, C.field,
+        {n: labs for n, labs in C.labels.items() if n < top},
+        {n: cols for n, cols in C.d.items() if n < top})
+
+
+def _strand_cases(F):
+    """(complex, whether it is a resolution) for the Taylor and minimal
+    complexes of the corpus and their truncations, the K6-10 and K6-13
+    resolutions with their incidence posets' conic complexes, and three
+    complexes with a label off the join lattice of the degree-0 labels."""
     from posetres import conic_complex, homogenize
-    F = FieldSpec(p)
-    complexes = []
+    cases = []
     for I in random_corpus(100):
         T = taylor_complex(I, F)
-        complexes += [T, minimize(T)]
-    M = minimize(taylor_complex(minimalize(K6_EDGES[:10]), F))
-    P = incidence_poset(M)
-    complexes += [M, conic_complex(P, F), homogenize(conic_complex(P, F))]
-    for C in complexes:
+        M = minimize(T)
+        cases += [(T, True), (M, True),
+                  *((_truncated(X), False) for X in (T, M) if X.top)]
+    for k in (10, 13):
+        M = minimize(taylor_complex(minimalize(K6_EDGES[:k]), F))
+        P = incidence_poset(M)
+        cases += [(_truncated(M), False), (M, True),
+                  (conic_complex(P, F), True),
+                  (homogenize(conic_complex(P, F)), True)]
+    T = taylor_complex(minimalize(SQUAREFREE3), F)
+    unit = GradedFreeComplex(2, F, {0: [("e", (1, 0))], 1: [("f", (1, 1))]},
+                             {1: {"f": {"e": F(1)}}})
+    return cases + [(_with_unit_pair(M, (2, 1, 0, 0, 0, 0)), True),
+                    (_with_unit_pair(T, (2, 1, 1)), True), (unit, False)]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_is_resolution_report_matches_reference_strands(p):
+    """The report equals the homology of the strand that scanned every id
+    and entry (tests/oracle.py), and so does `strand`, on the resolutions,
+    conic complexes, truncations and widened-lattice complexes of
+    _strand_cases."""
+    widened = 0
+    for C, exact in _strand_cases(FieldSpec(p)):
         ok, report = is_resolution(C)
-        assert ok and list(report) == sorted(report)
+        assert list(report) == sorted(report)
+        assert ok == exact == all(h == {0: 1} for h in report.values())
+        deg0 = {C.degree_of[i] for i in C.basis[0]}
+        widened += not join_closure(deg0).issuperset(C.degree_of.values())
         for alpha, h in report.items():
             S, R = strand(C, alpha), strand_reference(C, alpha)
             assert (S.basis, S.d, S.aug) == (R.basis, R.d, R.aug)
             assert h == R.homology_ranks()
+    assert widened == 3
+
+
+def test_is_resolution_reads_strands_in_place(monkeypatch):
+    """No strand is built as a complex and no degree is tested with
+    `divides`: membership comes from the coordinate masks."""
+    F = FieldSpec(3)
+    cases = [C for C, _ in _strand_cases(F)[-11:]]
+    expected = [is_resolution(C) for C in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_resolution called a forbidden helper")
+
+    monkeypatch.setattr(ChainComplex, "restrict", forbidden)
+    monkeypatch.setattr(gradedcomplex, "divides", forbidden)
+    monkeypatch.setattr(monomials, "divides", forbidden)
+    assert [is_resolution(C) for C in cases] == expected
 
 
 def test_is_resolution_needs_a_degree_of():

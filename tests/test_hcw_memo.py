@@ -3,12 +3,14 @@
 `reduced_homology` memoizes on each OrientedComplex per FieldSpec,
 `conic_complex` on each Poset per FieldSpec and augmentation, and
 `fill_cavity` carries the filter complexes (never the conic complexes) of
-elements not above the filled apex into the new poset.  Every poset
+elements not above the filled apex into the new poset, with the elements
+whose lower filter it has verified to be a sphere.  Every poset
 `hcwify` returns is rebuilt here from its elements and covers alone, and
 what its memos and carried complexes say must equal what the rebuild
 computes.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -348,3 +350,89 @@ def test_verify_fill_compares_a_fresh_conic_complex(monkeypatch, p):
 
     monkeypatch.setattr(Poset, "extend_below", carrying)
     assert fill_cavity(corrupted(), "a", 0, F)[1]
+
+
+# --- each lower sphere is checked once per poset ---------------------------
+
+@pytest.mark.parametrize("name", ["rp2", "k6-10"])
+def test_extend_below_carries_only_spheres_not_above_the_apex(name):
+    F = FieldSpec(2)
+    Q, _ = hcw.hcwify(_incidence(minimalize(NAMED[name]), F), F)
+    z = max(Q.elements, key=Q.dim)
+    assert fill_cavity(Q, z, 0, F) == (Q, [])
+    verified = Q._spheres[F]
+    assert verified == {b for b in Q.elements if Q.dim(b) < Q.dim(z)}
+    dropped = 0
+    for a in Q.elements:
+        carried = Q.extend_below(a, [])._spheres[F]
+        assert carried == {b for b in verified if not Q.leq(a, b)}, a
+        dropped += len(verified) - len(carried)
+    assert dropped > len(verified)
+
+
+def _first_non_sphere(P, a, F):
+    """The element fill_cavity(P, a, ...) must name: the first one in
+    P.elements of dimension below d(a) whose filter, rebuilt from the
+    covers alone, is not a sphere."""
+    R = Poset(P.elements, P.covers, deg=P.deg)
+    return next(b for b in R.elements if R.dim(b) < R.dim(a)
+                and not is_homology_sphere_at(R, b, F))
+
+
+def test_fill_names_the_first_non_sphere_on_every_call():
+    """w covers one element x of dimension 2, so its filter is a cone, and
+    z covers w.  fill_cavity below z names the first non-sphere on each
+    call, before and after a fill below the apex `top` on the same lineage
+    (which records the spheres it verified)."""
+    F = FieldSpec(2)
+    P = incidence_poset(load_fixture_complex("pp_res.json", 2))
+    top = next(e for e in P.elements if P.dim(e) == 3)
+    x = next(e for e in P.elements if P.dim(e) == 2)
+    P = Poset([*P.elements, "w", "z"], [*P.covers, (x, "w"), ("w", "z")],
+              deg={**P.deg, "w": P.deg[x], "z": P.deg[x]})
+    names = []
+    for _ in range(2):
+        with pytest.raises(HypothesisFailed) as exc:
+            fill_cavity(P, "z", 0, F)
+        names.append(str(exc.value))
+    P2, added = fill_cavity(P, top, 1, F)
+    assert added and P2 is not P
+    for _ in range(2):
+        with pytest.raises(HypothesisFailed) as exc:
+            fill_cavity(P2, "z", 0, F)
+        names.append(str(exc.value))
+    first = [_first_non_sphere(Pi, "z", F) for Pi in (P, P, P2, P2)]
+    assert names == [f"filter below {b!r} is not a sphere" for b in first]
+    assert first[0] == top and first[2] in (top, "w")
+
+
+@pytest.mark.parametrize("name,p", [("rp2", 2), ("m", 3), ("k6-10", 2),
+                                    ("k6-13", 2), ("k6-13", 0)])
+def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
+    F = FieldSpec(p)
+    P = _incidence(minimalize(NAMED[name]), F)
+    checked, inside = [], []
+    fill, sphere = hcw.fill_cavity, hcw.is_homology_sphere_at
+
+    def spy_fill(P0, a, n, F):
+        inside.append(a)
+        try:
+            return fill(P0, a, n, F)
+        finally:
+            inside.pop()
+
+    def spy_sphere(P0, b, F):
+        if inside:
+            checked.append((P0, b))
+        return sphere(P0, b, F)
+
+    monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
+    monkeypatch.setattr(hcw, "is_homology_sphere_at", spy_sphere)
+    Q, report = hcw.hcwify(P, F)
+    counts = Counter(checked)
+    assert checked and max(counts.values()) == 1
+    # every element below the top dimension was checked on some poset
+    top = max(map(P.dim, P.elements))
+    assert {b for _, b in checked} == {b for b in P.elements
+                                       if P.dim(b) < top}
+    _assert_matches_rebuild(Q, report, F)
