@@ -1,14 +1,19 @@
 """Exact scalar arithmetic (GF(p) and Q) and sparse exact linear algebra.
 
 Scalars over characteristic 0 are `int` when integral and `fractions.Fraction`
-otherwise; over GF(p) they are plain ints in the range 0..p-1.  Elimination
-runs on sparse rows ({col: nonzero scalar} dicts, or bitmasks over GF(2)).
-`echelon` is deterministic: columns are pivoted in ascending order, each on
-the first unused row with an entry there.  That pivot rule serves
-`kernel_basis` and `solve` only: kernel vectors are listed by ascending
-free column and normalized so that their first nonzero coordinate is 1.
-`rank` does not call `echelon`; it reduces each column by its lowest row,
-as persistent homology does, since a rank does not depend on the pivots.
+otherwise; over GF(p) they are plain ints in the range 0..p-1.
+
+`rank`, `kernel_basis` and `solve` run on one column reduction, `_reduce`,
+as persistent homology does: each column, in ascending order, is reduced by
+its lowest row against the earlier columns that ended there.  Tracked, a
+column also carries the combination of A's columns it has become, so one
+that vanishes leaves a kernel vector.  No result depends on a pivot order:
+the columns that vanish are those in the span of the columns before them;
+the vector left at such a column j is the one kernel vector that is 1 at j
+and supported on j and the non-vanishing columns before it; and `solve`,
+which reduces b as a last column, returns the one solution that is zero at
+every vanishing column.  Kernel vectors come by ascending j, scaled so that
+their first nonzero coordinate is 1: the basis the RREF of A gives.
 """
 
 from dataclasses import dataclass
@@ -140,7 +145,8 @@ class SparseMatrix:
     def _of_columns(cls, rows, cols, columns):
         """The matrix on `columns` as given, unchecked: the caller keeps
         every index in range and every scalar nonzero (ChainComplex.matrix,
-        whose index lookup drops the rows outside)."""
+        whose index lookup drops the rows outside, and solve, which adds
+        b as a last column)."""
         A = cls.__new__(cls)
         A.rows, A.cols, A.columns = rows, cols, columns
         return A
@@ -157,7 +163,8 @@ class SparseMatrix:
 
 def _rref(rows, F, ncols):
     """In-place reduced row echelon form of rows stored as {col: nonzero
-    scalar} dicts, pivot rows first.  Returns the list of pivot columns."""
+    scalar} dicts, pivot rows first.  Returns the list of pivot columns.
+    Only conic_complex uses it, to echelonize its cycles on their faces."""
     pivots = []
     nrows = len(rows)
     for c in range(ncols):
@@ -180,138 +187,96 @@ def _rref(rows, F, ncols):
     return pivots
 
 
-def _rref_gf2(rows_bits, ncols):
-    """RREF over GF(2) with rows as bitmasks (bit i = column i)."""
-    pivots = []
-    prow = 0
-    nrows = len(rows_bits)
-    for c in range(ncols):
-        mask = 1 << c
-        pr = None
-        for r in range(prow, nrows):
-            if rows_bits[r] & mask:
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows_bits[prow], rows_bits[pr] = rows_bits[pr], rows_bits[prow]
-        piv = rows_bits[prow]
-        for r in range(nrows):
-            if r != prow and rows_bits[r] & mask:
-                rows_bits[r] ^= piv
-        pivots.append(c)
-        prow += 1
-        if prow == nrows:
-            break
-    return pivots
+def _reduce(A, F, cols, track=False):
+    """Reduce the columns `cols` of A, in the order given, each by its lowest
+    (largest) row against the earlier columns that ended with that row,
+    until it vanishes or ends with a new row.  Entries go through F first.
 
-
-def echelon(A, F, rhs=None):
-    """Reduced row echelon form of A, with the vector rhs (if given) carried
-    along as a last column.  Pivots are sought only among the columns of A.
-
-    Returns (pivots, column): the pivot columns in ascending order, and a
-    function giving column j of the reduced matrix as a list over the rows
-    (j = A.cols is the reduced rhs).  This is the one place that picks the
-    GF(2) bitmask kernel or the sparse-row kernel.
+    Returns (pivots, left): pivots maps each lowest row to the reduced
+    column that ends there.  With `track`, each column carries a marker for
+    itself, the key ~c of a {row: scalar} column or bit c of a bitmask
+    column (whose rows, and the keys of pivots, then sit past the A.cols
+    marker bits), and left maps each column c that vanished, in order, to
+    the combination {col: scalar} of A's columns it became, 1 at c.  This
+    is the one place that picks bitmasks over GF(2) or sparse dicts.
     """
-    n = A.cols
-    entries = [(r, c, F(v)) for c, col in A.columns.items()
-               for r, v in col.items()]
-    if rhs is not None:
-        entries += [(r, n, F(v)) for r, v in enumerate(rhs)]
+    pivots, left = {}, {}
     if F.characteristic == 2:
-        rows = [0] * A.rows
-        for r, c, v in entries:
-            if v:
-                rows[r] |= 1 << c
-        pivots = _rref_gf2(rows, n)
-        return pivots, lambda j: [(row >> j) & 1 for row in rows]
-    rows = [{} for _ in range(A.rows)]
-    for r, c, v in entries:
-        if v:
-            rows[r][c] = v
-    pivots = _rref(rows, F, n)
-    return pivots, lambda j: [row.get(j, F.zero) for row in rows]
-
-
-def rank(A, F, *, skip=(), lows=None):
-    """Rank of a SparseMatrix over F.
-
-    Each column, in ascending order, is reduced by its lowest (largest)
-    row against the earlier columns that ended with that row, until it
-    vanishes or ends with a new row; the rank is the number of those.
-    Entries go through F first.  The columns whose index is in `skip` are
-    left out, so the caller must know that each is a combination of the
-    columns before it; the lowest rows of the nonzero reduced columns are
-    added to the set `lows` when one is given.  ChainComplex.homology_ranks
-    clears with these two.
-    """
-    pivots = {}  # lowest row -> the reduced column that ends there
-    cols = [c for c in sorted(A.columns) if c not in skip]
-    if F.characteristic == 2:
+        shift = A.cols if track else 0
+        row0 = 1 << shift  # x >= row0 iff x has a row bit
         for c in cols:
             x = 0
-            for r, v in A.columns[c].items():
+            for r, v in A.columns.get(c, {}).items():
                 if F(v):
                     x |= 1 << r
-            while x:
+            if track:
+                x = x << shift | 1 << c
+            while x >= row0:
                 low = x.bit_length() - 1
                 y = pivots.get(low)
                 if y is None:
                     pivots[low] = x
                     break
                 x ^= y
+            else:
+                if track:
+                    left[c] = {j: 1 for j in range(shift) if x >> j & 1}
     else:
         for c in cols:
-            x = {r: w for r, v in A.columns[c].items() if (w := F(v))}
-            while x:
-                low = max(x)
+            x = {r: w for r, v in A.columns.get(c, {}).items() if (w := F(v))}
+            if track:
+                x[~c] = F.one
+            while x and (low := max(x)) >= 0:
                 y = pivots.get(low)
                 if y is None:
                     pivots[low] = x
                     break
                 F.row_sub(x, F.div(x[low], y[low]), y)
+            else:
+                if track:
+                    left[c] = {~k: v for k, v in x.items()}
+    return pivots, left
+
+
+def rank(A, F, *, skip=(), lows=None):
+    """Rank of a SparseMatrix over F: the number of its columns, in
+    ascending order, that _reduce leaves ending in a new lowest row.
+
+    The columns whose index is in `skip` are left out, so the caller must
+    know that each is a combination of the columns before it; the lowest
+    rows of the nonzero reduced columns are added to the set `lows` when
+    one is given.  ChainComplex.homology_ranks clears with these two.
+    """
+    pivots, _ = _reduce(A, F, [c for c in sorted(A.columns) if c not in skip])
     if lows is not None:
         lows.update(pivots)
     return len(pivots)
 
 
 def kernel_basis(A, F):
-    """Echelonized basis of the right null space of A over F.
-
-    Vectors are ordered by ascending free column and scaled so the first
-    nonzero coordinate is 1.
+    """Echelonized basis of the right null space of A over F: one vector
+    for each column j that is a combination of the columns before it, by
+    ascending j, scaled so that its first nonzero coordinate is 1.
     """
-    n = A.cols
-    pivots, column = echelon(A, F)
-    pivot_set = set(pivots)
+    _, left = _reduce(A, F, range(A.cols), track=True)
     basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [F.zero] * n
-        v[j] = F.one
-        for pc, x in zip(pivots, column(j)):
-            if x:
-                v[pc] = F.neg(x)
-        lead = next(x for x in v if x)
+    for x in left.values():
+        lead = x[min(x)]
         if lead != F.one:
             inv = F.inv(lead)
-            v = [F.mul(inv, x) for x in v]
-        basis.append(v)
+            x = {j: F.mul(inv, v) for j, v in x.items()}
+        basis.append([x.get(j, F.zero) for j in range(A.cols)])
     return basis
 
 
 def solve(A, b, F):
-    """Some x with A.x = b, or None.  Free coordinates are set to zero."""
+    """Some x with A.x = b, or None.  b is reduced as a last column after
+    A's; if it vanishes, x is minus what it left on A's columns, so every
+    coordinate at a column that vanished is zero."""
     if len(b) != A.rows:
         raise ShapeError(f"rhs length {len(b)} != {A.rows} rows")
-    pivots, column = echelon(A, F, b)
-    y = column(A.cols)
-    if any(y[len(pivots):]):
-        return None
-    x = [F.zero] * A.cols
-    for pc, v in zip(pivots, y):
-        x[pc] = v
-    return x
+    n = A.cols
+    B = SparseMatrix._of_columns(A.rows, n + 1, {
+        **A.columns, n: {r: w for r, v in enumerate(b) if (w := F(v))}})
+    y = _reduce(B, F, range(n + 1), track=True)[1].get(n)
+    return None if y is None else [F.neg(y.get(j, F.zero)) for j in range(n)]

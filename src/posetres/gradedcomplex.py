@@ -112,22 +112,31 @@ class ChainComplex:
         columns only.  Stored values go through F, as order complexes keep
         raw signs."""
         F = F or self.field
-        ix = self._index(n, self.basis.get(n, []))
         y = {}
-        for c, v in chain.items():
-            if c not in ix:
-                raise NotFound(f"id {c!r} not in degree {n}")
+        for c, v in self._in_degree(n, chain).items():
             if v := F(v):
                 F.row_sub(y, F.neg(v), {r: F(w) for r, w in
                                         self._column(n, c).items()})
         rix = self._index(n - 1, self._rows(n))
         return {r: y[r] for r in sorted(y.keys() & rix.keys(), key=rix.get)}
 
+    def _in_degree(self, n, ids=None):
+        """ids (default: the basis of degree n), once each of them is known
+        to lie in degree n; NotFound otherwise."""
+        basis = self.basis.get(n, [])
+        if ids is None:
+            return basis
+        ix = self._index(n, basis)
+        for c in ids:
+            if c not in ix:
+                raise NotFound(f"id {c!r} not in degree {n}")
+        return ids
+
     def kernel(self, n, cols=None, F=None):
         """Basis of the n-cycles supported on `cols` (default: all of
         degree n), echelonized as kernel_basis gives it."""
         F = F or self.field
-        cols = self.basis.get(n, []) if cols is None else cols
+        cols = self._in_degree(n, cols)
         return [{c: x for c, x in zip(cols, v) if x}
                 for v in kernel_basis(self.matrix(n, cols=cols), F)]
 
@@ -136,7 +145,7 @@ class ChainComplex:
         `chain`, or None if there is none."""
         F = F or self.field
         rows = self._rows(n)
-        cols = self.basis.get(n, []) if cols is None else cols
+        cols = self._in_degree(n, cols)
         b = _vector(self._index(n - 1, rows), chain, n - 1, F)
         x = solve(self.matrix(n, rows, cols), b, F)
         return None if x is None else {c: v for c, v in zip(cols, x) if v}

@@ -4,7 +4,7 @@ Deliberately self-contained: its own field arithmetic, its own dense
 elimination, and its own simplicial homology, so that agreement with the
 minimization pipeline is a genuine cross-check.  The exceptions are
 `supports_resolution_loop`, `sliced_subcomplex`, `dense_rref`,
-`strand_reference`, `conic_coords` and `conic_complex_reference`,
+`dense_kernel`, `strand_reference`, `conic_coords` and `conic_complex_reference`,
 references kept from an earlier posetres that run on posetres complexes
 and fields.
 """
@@ -200,6 +200,22 @@ def dense_rref(M, F, ncols):
         if prow == nrows:
             break
     return pivots
+
+
+def dense_kernel(M, pivots, F, ncols):
+    """The kernel basis read off M, reduced in place by dense_rref with the
+    given pivot columns: for each free column j, ascending, the vector that
+    is 1 at j and minus the reduced column j at the pivot columns, scaled
+    so that its first nonzero coordinate is 1."""
+    basis = []
+    for j in sorted(set(range(ncols)) - set(pivots)):
+        v = [F.zero] * ncols
+        v[j] = F.one
+        for pc, row in zip(pivots, M):
+            v[pc] = F.neg(row[j])
+        lead = F.inv(next(x for x in v if x))
+        basis.append([F.mul(lead, x) for x in v])
+    return basis
 
 
 def conic_coords(P, cycles, chain, n, F):

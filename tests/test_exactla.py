@@ -5,9 +5,8 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import _rank, dense_rref
+from oracle import _rank, dense_kernel, dense_rref
 from posetres import FieldSpec, SparseMatrix, kernel_basis, rank, solve
-from posetres.exactla import echelon
 from posetres.errors import InvalidField, PosetresError, ShapeError
 
 
@@ -269,11 +268,10 @@ def test_row_sub_matches_entrywise_sub_mul(p, data):
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from([0, 2, 3, 5]), st.integers(0, 6), st.integers(0, 6),
        st.booleans(), st.data())
-def test_echelon_matches_dense_reference(p, r, c, with_rhs, data):
-    """The sparse-row and bitmask kernels against the dense RREF they
-    replaced: the same pivots, the same reduced matrix row by row (the rhs
-    included), and the kernel_basis and solve that matrix gives.  Some rows
-    are combinations of two earlier ones, so that rows cancel."""
+def test_kernel_and_solve_match_dense_reference(p, r, c, with_rhs, data):
+    """kernel_basis and solve against what the dense RREF gives, entry by
+    entry and with the same scalar types.  Some rows are combinations of
+    two earlier ones, so that rows cancel."""
     F = FieldSpec(p)
     values = (st.integers(-3, 3) | st.fractions(max_denominator=4)
               if p == 0 else st.integers(-2 * p, 2 * p))
@@ -293,27 +291,21 @@ def test_echelon_matches_dense_reference(p, r, c, with_rhs, data):
     M = [[F(v) for v in row] + ([F(rhs[i])] if with_rhs else [])
          for i, row in enumerate(rows)]
     pivots = dense_rref(M, F, c)
-    got, column = echelon(A, F, rhs)
-    assert got == pivots
-    for j in range(c + with_rhs):
-        want = [row[j] for row in M]
-        assert column(j) == want
-        assert list(map(type, column(j))) == list(map(type, want))
     k = len(pivots)
-    basis = []
-    for j in sorted(set(range(c)) - set(pivots)):
-        v = [F.zero] * c
-        v[j] = F.one
-        for pc, row in zip(pivots, M):
-            v[pc] = F.neg(row[j])
-        lead = F.inv(next(x for x in v if x))
-        basis.append([F.mul(lead, x) for x in v])
-    assert kernel_basis(A, F) == basis
+    basis = dense_kernel(M, pivots, F, c)
+    got = kernel_basis(A, F)
+    assert got == basis
+    assert [list(map(type, v)) for v in got] == [
+        list(map(type, v)) for v in basis]
+    assert {type(x) for v in got for x in v} <= {int, Fraction}
     if with_rhs:
-        assert any(column(c)[k:]) == any(row[c] for row in M[k:])
         x = None
         if not any(row[c] for row in M[k:]):
             x = [F.zero] * c
             for pc, row in zip(pivots, M):
                 x[pc] = row[c]
-        assert solve(A, rhs, F) == x
+        got = solve(A, rhs, F)
+        assert got == x
+        if x is not None:
+            assert list(map(type, got)) == list(map(type, x))
+            assert {type(v) for v in got} <= {int, Fraction}

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -911,3 +912,17 @@ def test_chain_helpers_reject_ids_outside_the_basis():
     B = degree_zero_complexes()[0][0]
     with pytest.raises(NotFound):  # () is the augmentation row, no column
         B.boundary(0, {(): 1})
+
+
+def test_kernel_and_preimage_reject_cols_outside_the_degree():
+    # Such an id was read as a zero column: C.kernel(1, cols=["bogus"])
+    # gave [{"bogus": 1}], a "cycle" that is no chain of degree 1.
+    from posetres.errors import NotFound
+    for X, F in degree_zero_complexes():
+        for wrong in ("bogus", X.basis[0][0]):  # a degree-0 id in degree 1
+            for call in (lambda: X.kernel(1, cols=[wrong], F=F),
+                         lambda: X.preimage(1, {}, cols=[wrong], F=F),
+                         lambda: X.kernel(1, cols=[*X.basis[1], wrong], F=F)):
+                with pytest.raises(NotFound, match=re.escape(repr(wrong))):
+                    call()
+        assert X.kernel(1, cols=X.basis[1][:1], F=F) == []

@@ -1,14 +1,15 @@
 """`rank` by lowest-row column reduction, and the clearing across degrees in
 `ChainComplex.homology_ranks`, against the dense elimination of the
 oracle: on hypothesis matrices whose columns cancel, and on the order,
-filter, conic, bar and strand complexes of the pipeline."""
+filter, conic, bar and strand complexes of the pipeline, whose
+`kernel_basis` is also checked against the dense RREF."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import _rank, _reduced_homology_ranks
+from oracle import _rank, _reduced_homology_ranks, dense_kernel, dense_rref
 from posetres import (ChainComplex, FieldSpec, SparseMatrix, bar_reduce,
                       conic_complex, incidence_poset, join_closure,
                       kernel_basis, make_minimal_support_basis, minimalize,
@@ -142,10 +143,11 @@ def _complexes(I, F, taylor_strands):
 
 
 def _check_complexes(complexes, F):
-    """homology_ranks, and the rank of each d_n, against the oracle: its
-    simplicial homology of the faces of an order or filter complex (the
-    ranks follow from it, top down), else its ranks of the dense
-    matrices."""
+    """homology_ranks, and the rank and kernel_basis of each d_n, against
+    the oracle: its simplicial homology of the faces of an order or filter
+    complex (the ranks follow from it, top down), else its ranks of the
+    dense matrices; the kernel, scalar types included, is the one read off
+    the dense RREF of d_n."""
     p = F.characteristic
     for C in complexes:
         lo = -1 if C.augmented else 0
@@ -162,7 +164,14 @@ def _check_complexes(complexes, F):
                 x := C.matrix(n + 1).rows - rk.get(n, 0) - rk.get(n + 1, 0))}
         assert C.homology_ranks(F) == h
         for n in degrees:
-            assert rank(C.matrix(n), F) == rk[n]
+            A = C.matrix(n)
+            assert rank(A, F) == rk[n]
+            M = [[F(v) for v in row] for row in _dense(A, p)]
+            want = dense_kernel(M, dense_rref(M, F, A.cols), F, A.cols)
+            got = kernel_basis(A, F)
+            assert got == want
+            assert [list(map(type, v)) for v in got] == [
+                list(map(type, v)) for v in want]
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
