@@ -14,6 +14,10 @@ and supported on j and the non-vanishing columns before it; and `solve`,
 which reduces b as a last column, returns the one solution that is zero at
 every vanishing column.  Kernel vectors come by ascending j, scaled so that
 their first nonzero coordinate is 1: the basis the RREF of A gives.
+
+Over GF(2) the module works on bitmask columns, combined by XOR: `_reduce`
+for the three functions above and `_suspect_columns` for
+ChainComplex.check_complex.  These are the only places that pick them.
 """
 
 from dataclasses import dataclass
@@ -197,8 +201,8 @@ def _reduce(A, F, cols, track=False):
     itself, the key ~c of a {row: scalar} column or bit c of a bitmask
     column (whose rows, and the keys of pivots, then sit past the A.cols
     marker bits), and left maps each column c that vanished, in order, to
-    the combination {col: scalar} of A's columns it became, 1 at c.  This
-    is the one place that picks bitmasks over GF(2) or sparse dicts.
+    the combination {col: scalar} of A's columns it became, 1 at c.
+    Columns are bitmasks over GF(2) and sparse dicts otherwise.
     """
     pivots, left = {}, {}
     if F.characteristic == 2:
@@ -219,8 +223,11 @@ def _reduce(A, F, cols, track=False):
                     break
                 x ^= y
             else:
-                if track:
-                    left[c] = {j: 1 for j in range(shift) if x >> j & 1}
+                if track:  # x holds marker bits only: walk its set bits
+                    left[c] = y = {}
+                    while x:
+                        y[(x & -x).bit_length() - 1] = 1
+                        x &= x - 1
     else:
         for c in cols:
             x = {r: w for r, v in A.columns.get(c, {}).items() if (w := F(v))}
@@ -236,6 +243,43 @@ def _reduce(A, F, cols, track=False):
                 if track:
                     left[c] = {~k: v for k, v in x.items()}
     return pivots, left
+
+
+def _suspect_columns(lower, upper, F):
+    """The items (c, column) of `upper`, in its order, whose composite with
+    `lower` may be nonzero over F: `upper` holds the columns {c: {mid:
+    scalar}} of d_{n+1} and `lower` the columns {mid: {row: scalar}} of d_n.
+
+    Over GF(2), when every value of both is an int, these are exactly the
+    columns whose composite has an odd entry.  An entry v*w is odd iff v
+    and w are, so each row of d_n gets a bit, in order of first appearance,
+    each column of d_n a mask of its odd entries, and a column of d_{n+1}
+    is suspect iff the XOR of the masks at its odd entries is nonzero.
+    Otherwise (another field, no field, or a value that is not an int)
+    every column is a suspect.
+    """
+    if not (F and F.characteristic == 2):
+        return upper.items()
+    bit, masks = {}, {}
+    for mid, col in lower.items():
+        m = 0
+        for r, v in col.items():
+            if type(v) is not int:
+                return upper.items()
+            if v & 1:
+                m |= 1 << bit.setdefault(r, len(bit))
+        masks[mid] = m
+    odd = []
+    for c, col in upper.items():
+        x = 0
+        for mid, v in col.items():
+            if type(v) is not int:
+                return upper.items()
+            if v & 1:
+                x ^= masks.get(mid, 0)
+        if x:
+            odd.append((c, col))
+    return odd
 
 
 def rank(A, F, *, skip=(), lows=None):

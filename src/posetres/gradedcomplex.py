@@ -10,11 +10,13 @@ tables all live here.
 from collections import Counter, defaultdict
 from collections.abc import MutableMapping
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
+from operator import mod
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
-from .exactla import SparseMatrix, kernel_basis, rank, solve
+from .exactla import (SparseMatrix, _suspect_columns, kernel_basis, rank,
+                      solve)
 from .monomials import divides, join_closure, lcm
 
 TAYLOR_CAP = 16
@@ -154,22 +156,28 @@ class ChainComplex:
         """Raise NotAComplex unless d_n o d_{n+1} = 0 for every n >= 0, d_0
         being the augmentation, so that eps o d_1 = 0 is checked too.
 
-        Each column of d_{n+1} is composed with the columns of d_n in plain
-        Python numbers, exact for ints and Fractions alike, and reduced mod
-        p only in the zero test; a complex with no field sums over the
-        integers.  The first failing composite, in ascending n, names its
-        first nonzero entry.  GradedFreeComplex and ConicComplex run this
-        last in their constructors, so each is a complex once built."""
+        exactla._suspect_columns picks the columns of d_{n+1} to sum: over
+        GF(2), when d_n and d_{n+1} hold only ints, those whose composite
+        has an odd entry, found by XOR of bitmask columns; otherwise all of
+        them.  Each is composed with the columns of d_n in plain Python
+        numbers, exact for ints and Fractions alike, and reduced mod p only
+        in the zero test; a complex with no field sums over the integers.
+        The first failing composite, in ascending n and then in the order
+        of d_{n+1}, names its first nonzero entry.  GradedFreeComplex and
+        ConicComplex run this last in their constructors, so each is a
+        complex once built."""
         p = self.field.characteristic if self.field else 0
         for n in sorted({0, *self.d}):
             lower = self._cols(n)
-            for c, col in self.d.get(n + 1, {}).items():
+            for c, col in _suspect_columns(lower, self.d.get(n + 1, {}),
+                                           self.field):
                 comp = {}
                 get = comp.get
                 for mid, v in col.items():
                     for r, w in lower.get(mid, {}).items():
                         comp[r] = get(r, 0) + v * w
-                if any(map(p.__rmod__, comp.values()) if p else comp.values()):
+                vals = comp.values()
+                if any(map(mod, vals, repeat(p)) if p else vals):
                     r = next(r for r, v in comp.items() if (v % p if p else v))
                     raise NotAComplex(f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}")
 

@@ -191,6 +191,11 @@ def hcwify(P, F):
             raise HypothesisFailed(
                 f"top filter homology below {a!r} has rank {r}, expected 1")
         verdicts_before[a] = h == {P.dim(a) - 1: 1}
+    # verdicts_before[a] is is_homology_sphere_at(P, a, F), which
+    # fill_cavity asks only below the top dimension: seed its sphere set
+    top = max(map(P.dim, P.elements), default=0)
+    P._spheres.setdefault(F, set()).update(
+        a for a, v in verdicts_before.items() if v and P.dim(a) < top)
     ok, alpha = supports_resolution(P, F)
     if not ok:
         raise HypothesisFailed(

@@ -201,8 +201,9 @@ VERIFY_STAGES = ("complex", "resolution", "minimal_support", "conic_iso",
 
 
 @pytest.mark.parametrize("name,p,rigid", [
-    ("rp2", 0, True), ("rp2", 2, False), ("rp2", 3, True),
-    ("m", 0, False), ("m", 2, False), ("m", 3, False), ("k6-10", 2, False)])
+    ("rp2", 0, True), ("rp2", 2, False), ("rp2", 3, True), ("rp2", 5, True),
+    ("m", 0, False), ("m", 2, False), ("m", 3, False), ("m", 5, False),
+    ("k6-10", 2, False)])
 def test_verify_stdout(tmp_path, capsys, name, p, rigid):
     if name == "k6-10":
         path = tmp_path / "k6-10.ideal"

@@ -228,32 +228,121 @@ def test_check_complex_reduces_mod_p():
         ChainComplex(F, basis, {1: d1, 2: d2}).check_complex()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([0, 2, 3]), st.data())
+def _first_failing_entry(diffs, p):
+    """The message check_complex must give on the store {n: {(row, col): v}}
+    (n = 0 the augmentation, onto the row ()), or None if it is a complex:
+    the first n, ascending, with d_n o d_{n+1} != 0, its first column in
+    the store order of d_{n+1}, and there the first row, in the order that
+    column's entries reach the rows of d_n, whose dense composite entry is
+    nonzero (mod p when p > 0)."""
+    cols = columns(diffs)
+    for n in sorted(cols):
+        for c, col in cols.get(n + 1, {}).items():
+            reach = dict.fromkeys(r for m in col for r in cols.get(n, {})
+                                  .get(m, {}))
+            for r in reach:
+                v = sum(Fraction(diffs[n].get((r, m), 0)) * Fraction(w)
+                        for m, w in col.items())
+                if v % p if p else v:
+                    return f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5]), st.data())
 def test_check_complex_matches_dense_composite(p, data):
-    """d_1 o d_2 on random sparse entries (fractions over Q) vanishes exactly
-    when check_complex passes."""
+    """d_n o d_{n+1} on random sparse entries (fractions over Q), in 3 or 4
+    degrees of up to 6 ids and with or without an augmentation, vanishes
+    for every n exactly when check_complex passes; otherwise its message
+    names the reference's first nonzero entry."""
     F = FieldSpec(p)
-    sizes = [data.draw(st.integers(1, 3)) for _ in range(3)]
+    sizes = [data.draw(st.integers(1, 6))
+             for _ in range(data.draw(st.integers(3, 4)))]
     basis = {n: [f"{n}.{i}" for i in range(k)] for n, k in enumerate(sizes)}
+    rows = {-1: [()], **basis}
     values = (st.fractions(-2, 2, max_denominator=3) if p == 0
               else st.integers(0, p - 1))
-    diffs = {n: {(r, c): F(data.draw(values))
-                 for r in basis[n - 1] for c in basis[n]
-                 if data.draw(st.booleans())} for n in (1, 2)}
-    dense = {(r, c): sum(Fraction(diffs[1].get((r, m), 0))
-                         * Fraction(diffs[2].get((m, c), 0))
-                         for m in basis[1])
-             for r in basis[0] for c in basis[2]}
-    vanishes = all(v % p == 0 if p else v == 0 for v in dense.values())
-    X = ChainComplex(F, basis, columns(diffs))
-    if vanishes:
+    diffs = {n: {(r, c): v for r in rows[n - 1] for c in basis[n]
+                 if data.draw(st.booleans()) and (v := F(data.draw(values)))}
+             for n in range(1 - data.draw(st.booleans()), len(sizes))}
+    store = columns(diffs)
+    aug = {c: col[()] for c, col in store.pop(0, {}).items()}
+    X = ChainComplex(F, basis, store, aug)
+    expected = _first_failing_entry(diffs, p)
+    if expected is None:
         X.check_complex()
     else:
         with pytest.raises(NotAComplex) as exc:
             X.check_complex()
-        bad = [k for k, v in dense.items() if (v % p if p else v)]
-        assert str(exc.value) in {f"d_1 o d_2 != 0, e.g. at {k}" for k in bad}
+        assert str(exc.value) == expected
+
+
+def _as_fractions(d):
+    return {n: {c: {r: Fraction(v) for r, v in col.items()}
+                for c, col in cols.items()} for n, cols in d.items()}
+
+
+def test_check_complex_over_gf2_decides_raw_ints_by_parity():
+    """Over GF(2) a store of raw ints (not reduced mod 2) passes or fails as
+    the plain sum decides, which the same store in Fractions takes."""
+    F = FieldSpec(2)
+    basis = {0: ["a", "b"], 1: ["x", "y"], 2: ["e", "f"]}
+    d1 = {"x": {"a": 3, "b": -1}, "y": {"a": -1, "b": 3}}
+    # column e: (-3 - 3, 1 + 9) = (-6, 10); f: (3 - 1, -1 + 3) = (2, 2)
+    good = {1: d1, 2: {"e": {"x": -1, "y": 3}, "f": {"x": 1, "y": 1}}}
+    # column f: (-3 - 2, 1 + 6) = (-5, 7), odd at a and b
+    bad = {1: d1, 2: {"e": {"x": -1, "y": 3}, "f": {"x": -1, "y": 2}}}
+    aug = {"a": 1, "b": -3}  # eps o d_1 = (3 + 3, -1 - 9), even
+    for d in (good, _as_fractions(good)):
+        ChainComplex(F, basis, d, aug).check_complex()
+    for d in (bad, _as_fractions(bad)):
+        with pytest.raises(NotAComplex) as exc:
+            ChainComplex(F, basis, d, aug).check_complex()
+        assert str(exc.value) == "d_1 o d_2 != 0, e.g. at ('a', 'f')"
+    for d in (good, _as_fractions(good)):  # eps o d_1 = (3 - 2, -1 + 6)
+        with pytest.raises(NotAComplex) as exc:
+            ChainComplex(F, basis, d, {"a": 1, "b": 2}).check_complex()
+        assert str(exc.value) == "d_0 o d_1 != 0, e.g. at ((), 'x')"
+
+
+def test_check_complex_over_gf2_sums_a_degree_holding_a_fraction():
+    """A Fraction anywhere in d_n or d_{n+1} sends that composite to the
+    plain sum, which reduces each entry mod 2 as it stands: 4 * 1/2 = 2
+    passes, while 2 * 1/2 = 1 and 1/3 fail, as does an int column before
+    the column holding the Fraction."""
+    F = FieldSpec(2)
+    basis = {0: ["a"], 1: ["x", "y"], 2: ["e", "f"]}
+    d1 = {"x": {"a": 1}, "y": {"a": 1}}
+    half = {"x": {"a": Fraction(1, 2)}, "y": {"a": 1}}
+    cases = [  # (d_1, d_2, the column named, or None)
+        (half, {"e": {"x": 4}, "f": {"x": 2, "y": 1}}, None),
+        (half, {"e": {"x": 4}, "f": {"x": 2}}, "f"),
+        (d1, {"e": {"x": 1, "y": 1}, "f": {"x": Fraction(1, 3)}}, "f"),
+        (d1, {"e": {"x": 1, "y": 1}, "f": {"x": Fraction(2, 1)}}, None),
+        (d1, {"e": {"x": 1}, "f": {"x": Fraction(1, 3)}}, "e")]
+    for low, up, bad in cases:
+        X = ChainComplex(F, basis, {1: low, 2: up})
+        if bad is None:
+            X.check_complex()
+        else:
+            with pytest.raises(NotAComplex) as exc:
+                X.check_complex()
+            assert str(exc.value) == f"d_1 o d_2 != 0, e.g. at ('a', {bad!r})"
+
+
+def test_check_complex_names_the_entry_on_a_taylor_store_over_gf2():
+    """The K6-10 Taylor complex over GF(2), with the entry at t0.3.7 of
+    column t0.3.5.7 of d_3 dropped, fails at that column, and names the
+    first row of t0.3.7 that the column's entries reach: t3.7, through
+    t3.5.7, before t0.7 and t0.3."""
+    F = FieldSpec(2)
+    T = taylor_complex(minimalize(K6_EDGES[:10]), F)
+    d = {n: {c: dict(col) for c, col in cols.items()}
+         for n, cols in T.d.items()}
+    del d[3]["t0.3.5.7"]["t0.3.7"]
+    with pytest.raises(NotAComplex) as exc:
+        ChainComplex(F, T.basis, d, T.aug, T.augmented).check_complex()
+    assert str(exc.value) == "d_2 o d_3 != 0, e.g. at ('t3.7', 't0.3.5.7')"
 
 
 def test_restrict_and_matrix_keep_only_the_given_ids():

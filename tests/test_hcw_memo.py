@@ -429,10 +429,44 @@ def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
     monkeypatch.setattr(hcw, "is_homology_sphere_at", spy_sphere)
     Q, report = hcw.hcwify(P, F)
-    counts = Counter(checked)
-    assert checked and max(counts.values()) == 1
-    # every element below the top dimension was checked on some poset
+    assert max(Counter(checked).values(), default=1) == 1
+    # every element below the top dimension was checked on some poset: on
+    # P by hcwify's own precheck, which seeds the sphere set, when it found
+    # a sphere there, and by fill_cavity otherwise
     top = max(map(P.dim, P.elements))
-    assert {b for _, b in checked} == {b for b in P.elements
-                                       if P.dim(b) < top}
+    seeded = {b for b in P.elements
+              if P.dim(b) < top and report.verdicts_before[b]}
+    assert not any(P0 is P and b in seeded for P0, b in checked)
+    assert seeded | {b for _, b in checked} == {b for b in P.elements
+                                                if P.dim(b) < top}
     _assert_matches_rebuild(Q, report, F)
+
+
+@pytest.mark.parametrize("name,p", CASES, ids=[f"{n}-{p}" for n, p in CASES])
+def test_hcwify_precheck_seeds_the_fill_sphere_set(monkeypatch, name, p):
+    """On the inputs of `posetres verify`, hcwify asks fewer sphere
+    verdicts than when its precheck leaves the sphere set empty, with the
+    same report; the set it seeds holds exactly the spheres below the top
+    dimension."""
+    F = FieldSpec(p)
+    calls = []
+    sphere, supports = hcw.is_homology_sphere_at, hcw.supports_resolution
+    monkeypatch.setattr(hcw, "is_homology_sphere_at",
+                        lambda *args: calls.append(args) or sphere(*args))
+    P = _incidence(minimalize(NAMED[name]), F)
+    top = max(map(P.dim, P.elements))
+    report = hcw.hcwify(P, F)[1]
+    seeded = calls.copy()
+    R = Poset(P.elements, P.covers, deg=P.deg)
+    assert {b for b in P.elements if P.dim(b) < top} & P._spheres[F] == {
+        b for b in R.elements if R.dim(b) < top and sphere(R, b, F)}
+
+    def unseeded(P0, F):  # runs right after the precheck
+        P0._spheres.clear()
+        return supports(P0, F)
+
+    monkeypatch.setattr(hcw, "supports_resolution", unseeded)
+    calls.clear()
+    assert hcw.hcwify(_incidence(minimalize(NAMED[name]), F), F)[1].to_json(
+        ) == report.to_json()
+    assert len(seeded) < len(calls)
