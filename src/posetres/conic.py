@@ -6,14 +6,16 @@ top cycle space of the order complex of the open filter P_{<a}.  A generator
 is written [a, z]; its differential is z re-expressed in the degree-(n-1)
 cycle bases, grouping the faces of z by their top vertex.  conic_complex
 finds those cycles from the differential of the degree below, with no
-elimination on an order complex.
+elimination on an order complex: each cycle basis is the kernel basis of
+that differential as exactla.kernel_basis gives it, one scalar per cycle
+aside.
 """
 
 from collections import Counter
 
 from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
-from .exactla import _rref, rank
+from .exactla import rank
 from .gradedcomplex import ChainComplex, GradedFreeComplex, is_resolution
 from .posets import reduced_homology
 
@@ -56,13 +58,17 @@ class ConicComplex(ChainComplex):
         def gid(g):
             return {"apex": g[0], "index": g[1]}
 
+        def by_verts(fv):  # ids of mixed types compare by type name first
+            return [(type(v).__name__, v) for v in fv[0]]
+
         return {
             "characteristic": self.field.characteristic,
             "augmented": self.augmented,
             "generators": [
                 [{**gid(g),
                   "cycle": [{"verts": list(f), "coeff": _scalar_json(v)}
-                            for f, v in sorted(self.cycles[g].items())]}
+                            for f, v in sorted(self.cycles[g].items(),
+                                               key=by_verts)]}
                  for g in self.gens.get(n, [])]
                 for n in range(self.top + 1)],
             "differentials": [
@@ -81,11 +87,22 @@ def conic_complex(P, F, augmented=False):
     d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c is
     a top cycle at c and sum_c w_c = 0.  So the cycles at a are the kernel
     of the conic d_{d(a)-1} (for d(a) = 1 the augmentation) on the
-    generators with apex below a, s expanded as sum_g s_g (apex(g) *
-    cycles[g]), and s is their differential.  The basis is kernel_basis's
-    on the faces in vertex-index order: echelonized on them in descending
-    order, reversed, first coefficient 1.  TooLarge beyond FACE_CAP faces
-    of the order complex stays, as the cycles are sums over those faces.
+    generators `cols` with apex below a, s expanded as sum_g s_g (apex(g) *
+    cycles[g]), and s is their differential.  Each s is kernel_basis's, and
+    s and z are divided by z's coefficient at its smallest face in
+    vertex-index order.
+
+    That basis is echelonized on the faces in descending order, by
+    induction on d(a).  `cols` is in (apex index, i) order.  The cycles at
+    one apex c end at faces p(c, i) that increase with i, and no other
+    cycle at c is nonzero at p(c, i).  Faces compare by their apex first,
+    so z is s_g at c * p(g) and ends at c * p(g) for the last g with
+    s_g != 0.  For each column j that vanishes, kernel_basis gives the
+    vector that ends at j and is zero at every other such column: once
+    expanded, the reduced echelon basis on the faces, by ascending largest
+    face, which is unique up to the scale the smallest face fixes.
+    TooLarge beyond FACE_CAP faces of the order complex stays, as the
+    cycles are sums over those faces.
     """
     P.check_face_cap()
     if (F, augmented) in P._conic:
@@ -98,23 +115,13 @@ def conic_complex(P, F, augmented=False):
         low = ChainComplex(F, gens, d, aug)  # the degrees below n
         for a in (a for a in P.elements if P.dim(a) == n):
             cols = [g for g in gens[n - 1] if g[0] in P.below[a]]
-            rows = []
-            for s in low.kernel(n - 1, cols=cols):
+            for i, s in enumerate(low.kernel(n - 1, cols=cols)):
                 z = {}  # sum_g s_g (apex(g) * cycles[g])
                 for g, x in s.items():
                     F.row_sub(z, F.neg(x), {(g[0],) + f: v
                                             for f, v in cycles[g].items()})
-                rows.append((z, s))
-            faces = sorted({f for z, _ in rows for f in z}, reverse=True,
-                           key=lambda f: tuple(map(P.index.__getitem__, f)))
-            at = {f: j for j, f in enumerate(faces)}
-            # faces are the columns 0, 1, ...; _rref never pivots on s's ids
-            rows = [{**{at[f]: v for f, v in z.items()}, **s} for z, s in rows]
-            _rref(rows, F, len(faces))
-            for i, row in enumerate(reversed(rows)):
-                z = {faces[j]: row[j]
-                     for j in range(len(faces) - 1, -1, -1) if j in row}
-                s = {g: row[g] for g in cols if g in row}
+                z = dict(sorted(z.items(), key=lambda fv: tuple(
+                    map(P.index.__getitem__, fv[0]))))
                 inv = F.inv(next(iter(z.values())))
                 if inv != F.one:
                     z, s = ({k: F.mul(inv, v) for k, v in x.items()}

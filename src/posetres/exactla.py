@@ -14,6 +14,8 @@ and supported on j and the non-vanishing columns before it; and `solve`,
 which reduces b as a last column, returns the one solution that is zero at
 every vanishing column.  Kernel vectors come by ascending j, scaled so that
 their first nonzero coordinate is 1: the basis the RREF of A gives.
+`_reduce` is the package's one exact elimination; conic_complex reads its
+echelonized cycle bases straight off kernel_basis.
 
 Over GF(2) the module works on bitmask columns, combined by XOR: `_reduce`
 for the three functions above and `_suspect_columns` for
@@ -163,32 +165,6 @@ class SparseMatrix:
     def __repr__(self):
         nnz = sum(map(len, self.columns.values()))
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz})"
-
-
-def _rref(rows, F, ncols):
-    """In-place reduced row echelon form of rows stored as {col: nonzero
-    scalar} dicts, pivot rows first.  Returns the list of pivot columns.
-    Only conic_complex uses it, to echelonize its cycles on their faces."""
-    pivots = []
-    nrows = len(rows)
-    for c in range(ncols):
-        k = len(pivots)
-        if k == nrows:
-            break
-        pr = next((r for r in range(k, nrows) if c in rows[r]), None)
-        if pr is None:
-            continue
-        rows[k], rows[pr] = rows[pr], rows[k]
-        row = rows[k]
-        inv = F.inv(row[c])
-        if inv != F.one:
-            for j, v in row.items():
-                row[j] = F.mul(inv, v)
-        for x in rows:
-            if x is not row and c in x:
-                F.row_sub(x, x[c], row)
-        pivots.append(c)
-    return pivots
 
 
 def _reduce(A, F, cols, track=False):

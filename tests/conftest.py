@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from posetres import FieldSpec, GradedFreeComplex, minimalize
+from posetres import FieldSpec, GradedFreeComplex, Poset, minimalize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "posetres" / "fixtures"
 
@@ -72,6 +72,34 @@ def random_corpus(count=100, seed=20250823):
             if any(g):
                 gens.add(g)
         out.append(minimalize(sorted(gens)))
+    return out
+
+
+def theta_poset(apexes=2):
+    """The cone on a theta graph: two points, three edges above both and
+    `apexes` elements above the edges, whose lower filters are theta graphs
+    (a conic component of dimension 2)."""
+    edges = ["e1", "e2", "e3"]
+    tops = [f"t{k}" for k in range(1, apexes + 1)]
+    return Poset(["p", "q"] + edges + tops,
+                 [(v, e) for e in edges for v in "pq"]
+                 + [(e, t) for t in tops for e in edges])
+
+
+def random_graded_posets(count=40, seed=20261019):
+    """Deterministic random graded posets: 2-4 ranks of 2-4 elements, each
+    element above at least 2 of the rank below, listed in shuffled order."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ranks = [[(r, k) for k in range(rng.randint(2, 4))]
+                 for r in range(rng.randint(2, 4))]
+        covers = [(lo, e) for below, rank in zip(ranks, ranks[1:])
+                  for e in rank
+                  for lo in rng.sample(below, rng.randint(2, len(below)))]
+        elements = [e for rank in ranks for e in rank]
+        rng.shuffle(elements)
+        out.append(Poset(elements, covers))
     return out
 
 

@@ -177,8 +177,10 @@ def sliced_subcomplex(P, tops):
 
 
 def dense_rref(M, F, ncols):
-    """exactla._rref as it once was: in-place reduced row echelon form of
-    the dense rows M over the FieldSpec F.  Returns the pivot columns."""
+    """In-place reduced row echelon form of the dense rows M over the
+    FieldSpec F, the elimination exactla ran before its column reduction
+    (the last copy, `_rref`, echelonized conic cycles on their faces).
+    Returns the pivot columns."""
     pivots = []
     prow = 0
     nrows = len(M)

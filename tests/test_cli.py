@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import posetres.rigidity
 from posetres import Poset
 from posetres.cli import build_parser, main, parse_ideal_file
 from posetres.errors import ParseError, TooLarge, VerificationError
-from conftest import FIXTURES
+from conftest import FIXTURES, theta_poset
 
 RP2 = str(FIXTURES / "rp2.ideal")
 M = str(FIXTURES / "m.ideal")
@@ -187,6 +188,47 @@ def test_incidence_and_conic(capsys):
     assert "elements: 13" in capsys.readouterr().out
     assert main(["conic", RP2, "--char", "2"]) == 0
     assert "ranks: 10 15 7 1" in capsys.readouterr().out
+
+
+# the SHA-256 of the whole stdout of `posetres conic ... --json`: the
+# generators, their cycles over the faces and the differentials
+CONIC_JSON_SHA256 = {
+    ("theta", "--char", "3"):
+        "c52079a3a05e63937435a2b5c33914bd3932a0221d917a63d919b3e95f3e0075",
+    ("theta", "--char", "0", "--augmented"):
+        "a44977ec53d10f04f49346589e25b28ad90ae040b913b56c3ab0583c04d0a192",
+    ("rp2", "--char", "3"):
+        "d91d4745f32e9c165b3f0193afa5061319febfd47db0e5f5a29f2e82b94c0082",
+    ("m", "--char", "5", "--augmented"):
+        "77f13c03c781000c4133327dbc3cd71a0b8bfee90228135e6f060dd6f29a54b4",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CONIC_JSON_SHA256))
+def test_conic_json_pins(tmp_path, capsys, args):
+    """The two-apex theta poset has conic components of dimension 2."""
+    name, *opts = args
+    if name == "theta":
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(theta_poset(2).to_json()))
+        opts.append("--poset")
+    else:
+        path = FIXTURES / f"{name}.ideal"
+    assert main(["conic", str(path), "--json", *opts]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CONIC_JSON_SHA256[args]
+
+
+def test_conic_json_on_ids_of_mixed_types(tmp_path, capsys):
+    p = tmp_path / "mixed.json"
+    p.write_text(json.dumps({"elements": [{"id": 1}, {"id": "x"},
+                                          {"id": "top"}],
+                             "covers": [[1, "top"], ["x", "top"]]}))
+    assert main(["conic", str(p), "--poset", "--char", "2", "--json"]) == 0
+    out = capsys.readouterr().out
+    obj = json.loads(out[:out.rindex("ranks:")])
+    assert [len(gs) for gs in obj["generators"]] == [2, 1]
+    assert out.endswith("ranks: 2 1\n")
 
 
 def test_verify_all_pass(capsys):

@@ -15,7 +15,8 @@ from posetres.conic import kernel_skeleton_check, skeleton_complex
 from posetres.errors import (HypothesisFailed, NotAMorphism, PosetresError,
                              ShapeError, VerificationError)
 from posetres.incidence import incidence_poset
-from conftest import M_GENS, RP2_GENS, load_fixture_complex, random_corpus
+from conftest import (M_GENS, RP2_GENS, load_fixture_complex, random_corpus,
+                      random_graded_posets, theta_poset)
 from helpers import face_counts, is_exact
 from test_hcw_memo import K6_EDGES, _incidence
 from test_q_reference import FractionField
@@ -355,26 +356,31 @@ def _reference_posets(F):
 @pytest.mark.parametrize("F", [FieldSpec(p) for p in (0, 2, 3, 5)]
                          + [FractionField(0)], ids=["0", "2", "3", "5", "q"])
 def test_conic_complex_matches_reference(F):
-    for P in _reference_posets(F):
+    """On the incidence posets, whose conic components have dimension 1,
+    and on posets with components of dimension 2 and more."""
+    for P in (_reference_posets(F) + [theta_poset(1), theta_poset(2)]
+              + random_graded_posets()):
         for augmented in (False, True):
             assert_same_conic(conic_complex(P, F, augmented),
                               conic_complex_reference(P, F, augmented))
 
 
 def test_conic_complex_matches_reference_on_filled_posets(monkeypatch):
-    """Every poset that fill_cavity returns in hcwify over GF(2)."""
-    F, seen, fill = FieldSpec(2), {}, hcw.fill_cavity
+    """Every poset that fill_cavity returns in hcwify: on rp2 and K6-10
+    over GF(2), and on K6-15 over GF(3), which adds 3 relations."""
+    seen, fill = {}, hcw.fill_cavity
 
     def spy_fill(P0, a, n, F):
         P1, added = fill(P0, a, n, F)
-        seen[id(P1)] = P1
+        seen[id(P1)] = P1, F
         return P1, added
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
-    for gens in (RP2_GENS, K6_EDGES[:10]):
+    for gens, F in ((RP2_GENS, FieldSpec(2)), (K6_EDGES[:10], FieldSpec(2)),
+                    (K6_EDGES[:15], FieldSpec(3))):
         hcw.hcwify(_incidence(minimalize(gens), F), F)
-    assert len(seen) > 2
-    for P in seen.values():
+    assert len(seen) > 3 and {F.p for _, F in seen.values()} == {2, 3}
+    for P, F in seen.values():
         for augmented in (False, True):
             assert_same_conic(conic_complex(P, F, augmented),
                               conic_complex_reference(P, F, augmented))
