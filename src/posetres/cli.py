@@ -136,15 +136,15 @@ def _minimal_resolution(path, F):
     return ideal, minimize(taylor_complex(ideal, F))
 
 
-def _betti_line(C):
-    return "betti: " + " ".join(str(r) for r in betti_table(C).totals())
+def _betti_line(T):
+    return "betti: " + " ".join(str(r) for r in T.totals())
 
 
 def cmd_resolve(args):
     _, C = _minimal_resolution(args.ideal, _field(args))
     if args.json:
         print(json.dumps(C.to_json(), indent=2))
-    print(_betti_line(C))
+    print(_betti_line(betti_table(C)))
     return 0
 
 
@@ -153,7 +153,7 @@ def cmd_betti(args):
     T = betti_table(C)
     if args.json:
         print(json.dumps(T.to_json(), indent=2))
-    print("betti: " + " ".join(str(r) for r in T.totals()))
+    print(_betti_line(T))
     return 0
 
 
@@ -163,7 +163,7 @@ def cmd_minbasis(args):
     if args.json:
         print(json.dumps({"complex": C2.to_json(),
                           "change_log": log.to_json()}, indent=2))
-    print(_betti_line(C2))
+    print(_betti_line(betti_table(C2)))
     print(f"replacements: {len(log.steps)}")
     return 0
 

@@ -16,7 +16,8 @@ from collections import Counter
 from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
 from .exactla import rank
-from .gradedcomplex import ChainComplex, GradedFreeComplex, is_resolution
+from .gradedcomplex import (ChainComplex, GradedFreeComplex, _scalar_json,
+                            is_resolution)
 from .posets import reduced_homology
 
 
@@ -53,8 +54,6 @@ class ConicComplex(ChainComplex):
                 and self.d == other.d and self.aug == other.aug)
 
     def to_json(self):
-        from .gradedcomplex import _scalar_json
-
         def gid(g):
             return {"apex": g[0], "index": g[1]}
 

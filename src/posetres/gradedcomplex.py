@@ -15,8 +15,8 @@ from operator import mod
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
-from .exactla import (SparseMatrix, _suspect_columns, kernel_basis, rank,
-                      solve)
+from .exactla import (FieldSpec, SparseMatrix, _suspect_columns, kernel_basis,
+                      rank, solve)
 from .monomials import divides, join_closure, lcm
 
 TAYLOR_CAP = 16
@@ -359,7 +359,6 @@ class GradedFreeComplex(ChainComplex):
     @classmethod
     @malformed("complex JSON")
     def from_json(cls, obj):
-        from .exactla import FieldSpec
         F = FieldSpec(obj.get("characteristic", 0))
         labels = {n: [(e["id"], tuple(e["degree"])) for e in labs]
                   for n, labs in enumerate(obj["basis"])}

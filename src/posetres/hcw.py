@@ -61,10 +61,8 @@ def fill_cavity(P, a, n, F):
     keeps no conic complex, so C below is compared with a fresh build.
 
     Every element b with d(b) < d(a) must have a sphere below it, or
-    HypothesisFailed names the first that does not, in P.elements order.
-    Each verified b is kept in the poset's sphere set for F and not checked
-    again on P, nor on the posets extend_below makes from it unless b lies
-    above their new relations' apex.
+    HypothesisFailed names the first that does not, in P.elements order;
+    every call checks them all.
 
     The augmented conic complex C of P is taken once, and every filling is
     solved on sub = strand(C, deg(a)), the conic complex of the truncation
@@ -79,12 +77,9 @@ def fill_cavity(P, a, n, F):
         raise NotAMorphism("poset has no degree map")
     if P.dim(a) < n + 2:
         raise HypothesisFailed(f"d({a!r}) = {P.dim(a)} < n + 2 = {n + 2}")
-    da, spheres = P.dim(a), P._spheres.setdefault(F, set())
     for b in P.elements:
-        if P.dim(b) < da and b not in spheres:
-            if not is_homology_sphere_at(P, b, F):
-                raise HypothesisFailed(f"filter below {b!r} is not a sphere")
-            spheres.add(b)
+        if P.dim(b) < P.dim(a) and not is_homology_sphere_at(P, b, F):
+            raise HypothesisFailed(f"filter below {b!r} is not a sphere")
     r = reduced_homology(P.filter_complex(a), F).get(n, 0)
     if not r:
         return P, []
@@ -191,21 +186,19 @@ def hcwify(P, F):
             raise HypothesisFailed(
                 f"top filter homology below {a!r} has rank {r}, expected 1")
         verdicts_before[a] = h == {P.dim(a) - 1: 1}
-    # verdicts_before[a] is is_homology_sphere_at(P, a, F), which
-    # fill_cavity asks only below the top dimension: seed its sphere set
-    top = max(map(P.dim, P.elements), default=0)
-    P._spheres.setdefault(F, set()).update(
-        a for a, v in verdicts_before.items() if v and P.dim(a) < top)
     ok, alpha = supports_resolution(P, F)
     if not ok:
         raise HypothesisFailed(
             f"truncated conic complex at {alpha} is not exact")
     before = P
     added = []
+    # a fill below a changes only the filters of the elements >= a, all
+    # visited after a: each filter is final once its cavities are filled
     for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
         for n in range(P.dim(a) - 2, -1, -1):
-            P, new = fill_cavity(P, a, n, F)
-            added.extend(new)
+            if reduced_homology(P.filter_complex(a), F).get(n, 0):
+                P, new = fill_cavity(P, a, n, F)
+                added.extend(new)
     # each adding fill compared the conic complexes of its input and output
     verdicts_after = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
     if not all(verdicts_after.values()):

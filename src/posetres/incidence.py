@@ -6,7 +6,7 @@ from collections import defaultdict
 
 from .errors import (DegenerateColumn, NotMinimalSupport, VerificationError)
 from .conic import conic_complex, homogenize
-from .gradedcomplex import betti_table, is_resolution
+from .gradedcomplex import _scalar_json, betti_table, is_resolution
 from .minsupport import noncomparable_supports
 from .posets import Poset
 
@@ -101,7 +101,6 @@ class ConicIsoCertificate:
         self.scalars = dict(scalars)
 
     def to_json(self):
-        from .gradedcomplex import _scalar_json
         return {"scalars": {str(a): _scalar_json(v)
                             for a, v in self.scalars.items()}}
 

@@ -10,7 +10,7 @@ from functools import reduce
 from .errors import (NotACycle, NotFound, NotMinimal, ShapeError,
                      VerificationError)
 from .exactla import rank
-from .gradedcomplex import GradedFreeComplex, bar_reduce
+from .gradedcomplex import GradedFreeComplex, _scalar_json, bar_reduce
 from .monomials import divides, lcm
 
 
@@ -73,7 +73,6 @@ class BasisChangeLog:
         })
 
     def to_json(self):
-        from .gradedcomplex import _scalar_json
         return {"steps": [
             {**s, "expression": [{**t, "scalar": _scalar_json(t["scalar"])}
                                  for t in s["expression"]]}

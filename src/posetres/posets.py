@@ -25,10 +25,8 @@ class Poset:
     generate is taken.  An optional `deg` map id -> multidegree tuple must
     be monotone, its tuples all of one length with entries ints >= 0.
     Filter complexes, the chain count and conic complexes (`_conic`) are
-    memoized on it, and so are the elements fill_cavity has verified to
-    have a sphere below them (`_spheres`, a set per field).
-    `extend_below` carries the filter complexes and the verified spheres
-    of the elements it leaves untouched, never a conic complex.
+    memoized on it.  `extend_below` carries the filter complexes of the
+    elements it leaves untouched, never a conic complex.
     """
 
     def __init__(self, elements, relations, deg=None):
@@ -71,7 +69,7 @@ class Poset:
                         raise NotAMorphism(
                             f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
         self._order_complex = self._chain_count = None
-        self._filter_cache, self._conic, self._spheres = {}, {}, {}
+        self._filter_cache, self._conic = {}, {}
 
     def __len__(self):
         return len(self.elements)
@@ -98,16 +96,14 @@ class Poset:
 
     def extend_below(self, a, lows):
         """The poset with the relations (c, a), c in `lows`, added.  It takes
-        over the cached filter complexes and the verified spheres of the
+        over the cached filter complexes, and their homology memos, of the
         elements not above a: the new relations only put elements below
-        those above a, so no other filter, nor the order inside it, nor its
-        sphere verdict, changes.  No conic complex is taken."""
+        those above a, so no other filter, nor the order inside it,
+        changes.  No conic complex is taken."""
         P = Poset(self.elements, [*self.covers, *((c, a) for c in lows)],
                   deg=self.deg)
         P._filter_cache.update((c, K) for c, K in self._filter_cache.items()
                                if not self.leq(a, c))
-        P._spheres.update((F, {c for c in s if not self.leq(a, c)})
-                          for F, s in self._spheres.items())
         return P
 
     def chain_count(self):

@@ -366,13 +366,13 @@ def test_conic_complex_matches_reference(F):
 
 
 def test_conic_complex_matches_reference_on_filled_posets(monkeypatch):
-    """Every poset that fill_cavity returns in hcwify: on rp2 and K6-10
-    over GF(2), and on K6-15 over GF(3), which adds 3 relations."""
+    """Every poset that fill_cavity takes or returns in hcwify: on rp2 and
+    K6-10 over GF(2), and on K6-15 over GF(3), which adds 3 relations."""
     seen, fill = {}, hcw.fill_cavity
 
     def spy_fill(P0, a, n, F):
         P1, added = fill(P0, a, n, F)
-        seen[id(P1)] = P1, F
+        seen.update({id(P0): (P0, F), id(P1): (P1, F)})
         return P1, added
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)

@@ -117,17 +117,18 @@ def test_filter_complex_matches_on_corpus_incidence_posets(p):
 @pytest.mark.parametrize("name", list(NAMED))
 def test_filter_complex_matches_on_hcwify_posets(monkeypatch, name):
     F = FieldSpec(2)
-    returned = []
+    P = _incidence(minimalize(NAMED[name]), F)
+    returned = [P]
     fill = hcw.fill_cavity
 
     def spy_fill(P0, a, n, F):
         out = fill(P0, a, n, F)
-        returned.append(out[0])
+        returned.extend((P0, out[0]))
         return out
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
-    Q, _ = hcw.hcwify(_incidence(minimalize(NAMED[name]), F), F)
-    assert returned and returned[-1] is Q
+    Q, _ = hcw.hcwify(P, F)
+    assert returned[-1] is Q
     for P in {id(P): P for P in returned}.values():
         _assert_filters_match(P)  # carried filters included
         _assert_filters_match(Poset(P.elements, P.covers, deg=P.deg))

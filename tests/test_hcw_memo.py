@@ -3,8 +3,7 @@
 `reduced_homology` memoizes on each OrientedComplex per FieldSpec,
 `conic_complex` on each Poset per FieldSpec and augmentation, and
 `fill_cavity` carries the filter complexes (never the conic complexes) of
-elements not above the filled apex into the new poset, with the elements
-whose lower filter it has verified to be a sphere.  Every poset
+elements not above the filled apex into the new poset.  Every poset
 `hcwify` returns is rebuilt here from its elements and covers alone, and
 what its memos and carried complexes say must equal what the rebuild
 computes.
@@ -133,15 +132,17 @@ def test_verify_fill_runs_once_per_adding_fill(monkeypatch, name, n_adding):
     P = _incidence(minimalize(NAMED[name]), F)
     fills, verified, compared, built = _spy(monkeypatch)
     Q, report = hcw.hcwify(P, F)
+    # hcwify fills only where there is a cavity, and every fill adds; each
+    # fill starts from the previous one's result
     adding = [(P0, P1) for P0, P1, new in fills if new]
-    # each fill starts from the previous one's result
-    assert fills[0][0] is P and fills[-1][1] is Q
-    assert all(fills[i + 1][0] is fills[i][1] for i in range(len(fills) - 1))
-    assert len(adding) == n_adding and bool(report.added) == bool(n_adding)
+    chain = [P, *(P1 for _, P1 in adding)]
+    assert len(adding) == len(fills) == n_adding
+    assert bool(report.added) == bool(n_adding)
+    assert all(P0 is chain[i] for i, (P0, _) in enumerate(adding))
+    assert chain[-1] is Q
     assert len(verified) == len(adding)
     assert all(v[0] is f[0] and v[1] is f[1] and v[0] is not v[1]
                for v, f in zip(verified, adding))
-    assert all(P1 is P0 for P0, P1, new in fills if not new)
     # one comparison in each _verify_fill, of the fill's input and output,
     # and one conic complex built for each; by the chain above they compose
     # to P against Q
@@ -161,8 +162,8 @@ def test_noop_fill_returns_same_poset_unverified(monkeypatch):
     assert P2 is P and added == []
     Q, report = hcw.hcwify(P, F)
     assert Q is P and report.added == []
-    assert fills and all(P1 is P0 for P0, P1, _ in fills)
-    assert verified == [] and compared == [] and built == []
+    # no cavity below any element: hcwify calls no fill at all
+    assert fills == verified == compared == built == []
 
 
 def chain_poset(edges=("e1", "e2", "e3", "e4", "e5")):
@@ -352,23 +353,72 @@ def test_verify_fill_compares_a_fresh_conic_complex(monkeypatch, p):
     assert fill_cavity(corrupted(), "a", 0, F)[1]
 
 
-# --- each lower sphere is checked once per poset ---------------------------
+# --- hcwify fills only where there is a cavity -----------------------------
 
-@pytest.mark.parametrize("name", ["rp2", "k6-10"])
-def test_extend_below_carries_only_spheres_not_above_the_apex(name):
-    F = FieldSpec(2)
-    Q, _ = hcw.hcwify(_incidence(minimalize(NAMED[name]), F), F)
-    z = max(Q.elements, key=Q.dim)
-    assert fill_cavity(Q, z, 0, F) == (Q, [])
-    verified = Q._spheres[F]
-    assert verified == {b for b in Q.elements if Q.dim(b) < Q.dim(z)}
-    dropped = 0
-    for a in Q.elements:
-        carried = Q.extend_below(a, [])._spheres[F]
-        assert carried == {b for b in verified if not Q.leq(a, b)}, a
-        dropped += len(verified) - len(carried)
-    assert dropped > len(verified)
+def _hcwify_filling_everywhere(P, F):
+    """hcwify's fill loop calling fill_cavity at every (a, n), cavity or
+    not: (result, added relations)."""
+    added = []
+    for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
+        for n in range(P.dim(a) - 2, -1, -1):
+            P, new = fill_cavity(P, a, n, F)
+            added.extend(new)
+    return P, added
 
+
+def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
+    """Each fill_cavity call of hcwify has H~_n != 0 below its apex and adds
+    a relation.  The lower spheres a fill checks, each on its input and
+    once per (poset, element), have their final filters there, so their
+    verdicts are the report's: the calls hcwify skips would have taken the
+    same verdicts.  The result and report equal those of a loop that calls
+    fill_cavity at every (a, n)."""
+    fills, checks, inside = [], [], []
+    fill, sphere = hcw.fill_cavity, hcw.is_homology_sphere_at
+
+    def spy_fill(P0, a, n, F):
+        cavity = reduced_homology(P0.filter_complex(a), F).get(n, 0)
+        start = len(checks)
+        inside.append(a)
+        P1, added = fill(P0, a, n, F)
+        inside.pop()
+        fills.append((P0, a, n, cavity, added, checks[start:]))
+        return P1, added
+
+    def spy_sphere(P0, b, F):
+        verdict = sphere(P0, b, F)
+        if inside:
+            checks.append((P0, b, verdict))
+        return verdict
+
+    monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
+    monkeypatch.setattr(hcw, "is_homology_sphere_at", spy_sphere)
+    named = [(RP2_GENS, 2), (K6_EDGES[:13], 2), (K6_EDGES[:15], 2),
+             (K6_EDGES[:15], 3)]
+    for I, p in [(minimalize(gens), p) for gens, p in named] + [
+            (I, p) for p in (0, 2, 3, 5) for I in random_corpus(100)]:
+        F, start = FieldSpec(p), len(fills)
+        P = _incidence(I, F)
+        Q, report = hcw.hcwify(P, F)
+        for Pi, a, n, cavity, added, seen in fills[start:]:
+            assert cavity and added, (a, n)
+            assert [b for _, b, _ in seen] == [
+                b for b in Pi.elements if Pi.dim(b) < Pi.dim(a)]
+            for P0, b, verdict in seen:
+                assert P0 is Pi and Q.below[b] == Pi.below[b], b
+                assert verdict == report.verdicts_after[b], b
+        _assert_matches_rebuild(Q, report, F)
+        P = _incidence(I, F)
+        R, added = _hcwify_filling_everywhere(P, F)
+        expected = hcw.HcwReport(P, R, added,
+                                 *({a: sphere(Pi, a, F) for a in Pi.elements}
+                                   for Pi in (P, R)))
+        assert report.to_json() == expected.to_json()
+    assert len(fills) == 12
+    assert max(Counter((id(P0), b) for P0, b, _ in checks).values()) == 1
+
+
+# --- fill_cavity checks every lower sphere on every call -------------------
 
 def _first_non_sphere(P, a, F):
     """The element fill_cavity(P, a, ...) must name: the first one in
@@ -382,8 +432,8 @@ def _first_non_sphere(P, a, F):
 def test_fill_names_the_first_non_sphere_on_every_call():
     """w covers one element x of dimension 2, so its filter is a cone, and
     z covers w.  fill_cavity below z names the first non-sphere on each
-    call, before and after a fill below the apex `top` on the same lineage
-    (which records the spheres it verified)."""
+    call, before and after a fill below the apex `top` on the same lineage,
+    for it checks every lower sphere on every call."""
     F = FieldSpec(2)
     P = incidence_poset(load_fixture_complex("pp_res.json", 2))
     top = next(e for e in P.elements if P.dim(e) == 3)
@@ -409,12 +459,16 @@ def test_fill_names_the_first_non_sphere_on_every_call():
 @pytest.mark.parametrize("name,p", [("rp2", 2), ("m", 3), ("k6-10", 2),
                                     ("k6-13", 2), ("k6-13", 0)])
 def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
+    """Each fill_cavity call of hcwify checks every element below its
+    apex's dimension, in element order, on the fill's own input, and no
+    (poset, element) pair is checked twice inside the fills."""
     F = FieldSpec(p)
     P = _incidence(minimalize(NAMED[name]), F)
-    checked, inside = [], []
+    fills, checked, inside = [], [], []
     fill, sphere = hcw.fill_cavity, hcw.is_homology_sphere_at
 
     def spy_fill(P0, a, n, F):
+        fills.append((P0, a))
         inside.append(a)
         try:
             return fill(P0, a, n, F)
@@ -429,44 +483,10 @@ def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
     monkeypatch.setattr(hcw, "is_homology_sphere_at", spy_sphere)
     Q, report = hcw.hcwify(P, F)
-    assert max(Counter(checked).values(), default=1) == 1
-    # every element below the top dimension was checked on some poset: on
-    # P by hcwify's own precheck, which seeds the sphere set, when it found
-    # a sphere there, and by fill_cavity otherwise
-    top = max(map(P.dim, P.elements))
-    seeded = {b for b in P.elements
-              if P.dim(b) < top and report.verdicts_before[b]}
-    assert not any(P0 is P and b in seeded for P0, b in checked)
-    assert seeded | {b for _, b in checked} == {b for b in P.elements
-                                                if P.dim(b) < top}
+    assert max(Counter((id(P0), b) for P0, b in checked).values(),
+               default=1) == 1
+    expected = [(id(P0), b) for P0, a in fills
+                for b in P0.elements if P0.dim(b) < P0.dim(a)]
+    assert [(id(P0), b) for P0, b in checked] == expected
+    assert bool(fills) == bool(report.added)
     _assert_matches_rebuild(Q, report, F)
-
-
-@pytest.mark.parametrize("name,p", CASES, ids=[f"{n}-{p}" for n, p in CASES])
-def test_hcwify_precheck_seeds_the_fill_sphere_set(monkeypatch, name, p):
-    """On the inputs of `posetres verify`, hcwify asks fewer sphere
-    verdicts than when its precheck leaves the sphere set empty, with the
-    same report; the set it seeds holds exactly the spheres below the top
-    dimension."""
-    F = FieldSpec(p)
-    calls = []
-    sphere, supports = hcw.is_homology_sphere_at, hcw.supports_resolution
-    monkeypatch.setattr(hcw, "is_homology_sphere_at",
-                        lambda *args: calls.append(args) or sphere(*args))
-    P = _incidence(minimalize(NAMED[name]), F)
-    top = max(map(P.dim, P.elements))
-    report = hcw.hcwify(P, F)[1]
-    seeded = calls.copy()
-    R = Poset(P.elements, P.covers, deg=P.deg)
-    assert {b for b in P.elements if P.dim(b) < top} & P._spheres[F] == {
-        b for b in R.elements if R.dim(b) < top and sphere(R, b, F)}
-
-    def unseeded(P0, F):  # runs right after the precheck
-        P0._spheres.clear()
-        return supports(P0, F)
-
-    monkeypatch.setattr(hcw, "supports_resolution", unseeded)
-    calls.clear()
-    assert hcw.hcwify(_incidence(minimalize(NAMED[name]), F), F)[1].to_json(
-        ) == report.to_json()
-    assert len(seeded) < len(calls)

@@ -3,6 +3,8 @@ minimize(taylor_complex(I, F)) against the oracle, and under relabelling of
 the variables and reordering of the generators; and of the hcw layer: what
 hcw_support returns is hcw and supports the resolution."""
 
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from oracle import betti_numbers
@@ -29,8 +31,16 @@ def resolve(I, F):
 @settings(max_examples=100, deadline=None)
 @given(ideals(), FIELDS)
 def test_betti_table_matches_oracle(I, F):
-    assert betti_table(resolve(I, F)).entries == betti_numbers(
-        I.generators, F.characteristic)
+    entries = betti_table(resolve(I, F)).entries
+    assert entries == betti_numbers(I.generators, F.characteristic)
+    # a Scarf face, a generator subset whose lcm no other subset shares,
+    # gives a Betti number 1 in degree |subset| - 1 at that lcm
+    sizes = {}
+    for k in range(1, len(I.generators) + 1):
+        for sigma in combinations(I.generators, k):
+            sizes.setdefault(tuple(map(max, zip(*sigma))), []).append(k)
+    assert all(entries.get((ks[0] - 1, m)) == 1
+               for m, ks in sizes.items() if len(ks) == 1)
 
 
 @settings(max_examples=100, deadline=None)
