@@ -8,10 +8,13 @@ cycle bases, grouping the faces of z by their top vertex.  conic_complex
 finds those cycles from the differential of the degree below, with no
 elimination on an order complex: each cycle basis is the kernel basis of
 that differential as exactla.kernel_basis gives it, one scalar per cycle
-aside.
+aside.  The augmented complex restricted to the apexes below a computes
+the homology of the filter below a whenever every lower filter is a sphere
+(the paper's theorem), which is how hcw takes its sphere verdicts.
 """
 
 from collections import Counter
+from copy import copy
 
 from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
@@ -80,16 +83,21 @@ class ConicComplex(ChainComplex):
 
 def conic_complex(P, F, augmented=False):
     """The conic chain complex of P over F with echelonized cycle bases,
-    memoized on P per (F, augmented), built bottom-up in d(a).
+    built bottom-up in d(a), once per (P, F), and memoized on P per
+    (F, augmented): the other augmentation is the same gens, cycles, d and
+    aug stores with only the `augmented` flag flipped, as the constructor's
+    d o d check covers eps o d_1 either way.
 
     Each top face of Delta(P_{<a}) is c * f with d(c) = d(a) - 1, and
     d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c is
     a top cycle at c and sum_c w_c = 0.  So the cycles at a are the kernel
     of the conic d_{d(a)-1} (for d(a) = 1 the augmentation) on the
     generators `cols` with apex below a, s expanded as sum_g s_g (apex(g) *
-    cycles[g]), and s is their differential.  Each s is kernel_basis's, and
-    s and z are divided by z's coefficient at its smallest face in
-    vertex-index order.
+    cycles[g]), and s is their differential.  Each s is kernel_basis's (as
+    ChainComplex.kernel reads it, sparse), and s and z are divided by z's
+    coefficient at its smallest face in vertex-index order.  hcwify and
+    fill_cavity read the homology of each filter off the augmented complex
+    restricted to the apexes below it (hcw._homology_below).
 
     That basis is echelonized on the faces in descending order, by
     induction on d(a).  `cols` is in (apex index, i) order.  The cycles at
@@ -106,6 +114,11 @@ def conic_complex(P, F, augmented=False):
     P.check_face_cap()
     if (F, augmented) in P._conic:
         return P._conic[F, augmented]
+    if (other := P._conic.get((F, not augmented))) is not None:
+        C = copy(other)  # the same stores; d o d was checked with eps o d_1
+        C.augmented = augmented
+        P._conic[F, augmented] = C
+        return C
     gens = {P.dim(a): [] for a in P.elements}  # degrees in the order met
     gens[0] = [(a, 0) for a in P.elements if not P.dim(a)]
     cycles, d = {g: {(): F.one} for g in gens[0]}, {}

@@ -14,8 +14,9 @@ and supported on j and the non-vanishing columns before it; and `solve`,
 which reduces b as a last column, returns the one solution that is zero at
 every vanishing column.  Kernel vectors come by ascending j, scaled so that
 their first nonzero coordinate is 1: the basis the RREF of A gives.
-`_reduce` is the package's one exact elimination; conic_complex reads its
-echelonized cycle bases straight off kernel_basis.
+`_reduce` is the package's one exact elimination; ChainComplex.kernel,
+behind conic_complex, reads that basis as sparse vectors off
+`_kernel_vectors`, which kernel_basis writes out dense.
 
 Over GF(2) the module works on bitmask columns, combined by XOR: `_reduce`
 for the three functions above and `_suspect_columns` for
@@ -273,20 +274,29 @@ def rank(A, F, *, skip=(), lows=None):
     return len(pivots)
 
 
+def _kernel_vectors(A, F):
+    """The basis kernel_basis gives, as sparse {column: scalar} dicts in
+    ascending column order: each vector _reduce leaves at a column that
+    vanished, scaled so that its first nonzero coordinate is 1."""
+    _, left = _reduce(A, F, range(A.cols), track=True)
+    basis = []
+    for x in left.values():
+        x = dict(sorted(x.items()))
+        lead = next(iter(x.values()))
+        if lead != F.one:
+            inv = F.inv(lead)
+            x = {j: F.mul(inv, v) for j, v in x.items()}
+        basis.append(x)
+    return basis
+
+
 def kernel_basis(A, F):
     """Echelonized basis of the right null space of A over F: one vector
     for each column j that is a combination of the columns before it, by
     ascending j, scaled so that its first nonzero coordinate is 1.
     """
-    _, left = _reduce(A, F, range(A.cols), track=True)
-    basis = []
-    for x in left.values():
-        lead = x[min(x)]
-        if lead != F.one:
-            inv = F.inv(lead)
-            x = {j: F.mul(inv, v) for j, v in x.items()}
-        basis.append([x.get(j, F.zero) for j in range(A.cols)])
-    return basis
+    return [[x.get(j, F.zero) for j in range(A.cols)]
+            for x in _kernel_vectors(A, F)]
 
 
 def solve(A, b, F):

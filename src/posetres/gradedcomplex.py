@@ -15,8 +15,8 @@ from operator import mod
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
-from .exactla import (FieldSpec, SparseMatrix, _suspect_columns, kernel_basis,
-                      rank, solve)
+from .exactla import (FieldSpec, SparseMatrix, _kernel_vectors,
+                      _suspect_columns, rank, solve)
 from .monomials import divides, join_closure, lcm
 
 TAYLOR_CAP = 16
@@ -136,11 +136,12 @@ class ChainComplex:
 
     def kernel(self, n, cols=None, F=None):
         """Basis of the n-cycles supported on `cols` (default: all of
-        degree n), echelonized as kernel_basis gives it."""
+        degree n), echelonized as kernel_basis gives it, each a sparse
+        chain in the order of `cols`."""
         F = F or self.field
         cols = self._in_degree(n, cols)
-        return [{c: x for c, x in zip(cols, v) if x}
-                for v in kernel_basis(self.matrix(n, cols=cols), F)]
+        return [{cols[j]: v for j, v in x.items()}
+                for x in _kernel_vectors(self.matrix(n, cols=cols), F)]
 
     def preimage(self, n, chain, cols=None, F=None):
         """Some n-chain on `cols` (default: all of degree n) whose d_n is

@@ -50,6 +50,54 @@ def antichain_form(P, a, w, m, F):
     return w
 
 
+def _homology_below(C, below):
+    """H~(Delta(P_{<a})) for below = P.below[a], read off the augmented
+    conic complex C of P: C._homology_on the generators whose apex lies in
+    `below`, a subcomplex as `below` is a down-set.
+
+    By the paper's theorem this is the reduced homology of Delta(P_{<a})
+    whenever every b < a has H~(Delta(P_{<b})) concentrated in degree
+    d(b) - 1, e.g. when each of them is a sphere.  Its top rank needs no
+    hypothesis: Delta(P_{<a}) has dimension d(a) - 1, each top face is c * f
+    with d(c) = d(a) - 1, and d(sum_c c * w_c) = sum_c w_c - sum_c c * dw_c,
+    so the top cycles are exactly the kernel conic_complex takes at a, and
+    the top rank is component_dims()[a]."""
+    return C._homology_on({n: gs for n, ids in C.gens.items()
+                           if (gs := [g for g in ids if g[0] in below])},
+                          C.field)
+
+
+def _filter_homology(C, a, spheres, memo):
+    """H~(Delta(P_{<a})) over C.field, C being the augmented conic complex
+    of P = C.poset.  When every element below a lies in `spheres`, elements
+    whose filters were found spheres on P, it is read off C
+    (_homology_below); otherwise the filter complex of a is built, and its
+    simplicial homology taken.
+
+    `memo` maps each set of apexes read to its homology: it holds for every
+    conic complex with the matrices of C."""
+    below = C.poset.below[a]
+    if not below <= spheres:
+        return reduced_homology(C.poset.filter_complex(a), C.field)
+    if below not in memo:
+        memo[below] = _homology_below(C, below)
+    return memo[below]
+
+
+def _sphere_verdicts(C, down, memo):
+    """{b: whether Delta(P_{<b}) is a homology sphere} for the elements of
+    the down-set `down` of P = C.poset, taken in (dimension, index) order,
+    so that each b whose lower elements all are spheres is read off the
+    conic complex C; an element above a non-sphere falls back to its filter
+    complex."""
+    P, spheres, out = C.poset, set(), {}
+    for b in sorted(down, key=lambda e: (P.dim(e), P.index[e])):
+        out[b] = _filter_homology(C, b, spheres, memo) == {P.dim(b) - 1: 1}
+        if out[b]:
+            spheres.add(b)
+    return out
+
+
 def fill_cavity(P, a, n, F):
     """Add down-edges (c, a) until H~_n of Delta(P_{<a}) vanishes.
 
@@ -62,28 +110,34 @@ def fill_cavity(P, a, n, F):
 
     Every element b with d(b) < d(a) must have a sphere below it, or
     HypothesisFailed names the first that does not, in P.elements order;
-    every call checks them all.
+    every call checks them all, in (dimension, index) order, on P's
+    augmented conic complex C (_sphere_verdicts).  A filter complex is
+    built only for an element above a non-sphere, and then the call fails.
 
-    The augmented conic complex C of P is taken once, and every filling is
-    solved on sub = strand(C, deg(a)), the conic complex of the truncation
+    Every homology rank below a is read off C (_homology_below), which is
+    exact once the lower spheres are checked.  Every filling is solved on
+    sub = strand(C, deg(a)), the conic complex of the truncation
     P_{<=deg(a)} (the apexes of degree <= deg(a)).  Each class is found in
-    R, sub on the apexes below a, which computes H~(Delta(P_{<a})) (see
-    conic_vs_simplicial) as every element of dimension < d(a) is checked to
-    be a sphere first.  extend_below only puts elements of dimension n + 1
-    below a and changes no filter of an apex in conic degrees n-1 to n+1
-    (all the solves read): this holds for each later R, and C is kept.
+    R, sub on the apexes below a.  extend_below only puts elements of
+    dimension n + 1 below a, whose filters it leaves as they are, and
+    changes no filter below a nor of an apex in conic degrees n-1 to n+1
+    (all the solves read): so the cavity rank after it is C's on the new
+    elements below a, each later R is C's too, and C is kept.
+    _verify_fill then proves that the result's conic complex is C.
     """
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
     if P.dim(a) < n + 2:
         raise HypothesisFailed(f"d({a!r}) = {P.dim(a)} < n + 2 = {n + 2}")
+    C = conic_complex(P, F, augmented=True)
+    verdicts = _sphere_verdicts(
+        C, [b for b in P.elements if P.dim(b) < P.dim(a)], {})
     for b in P.elements:
-        if P.dim(b) < P.dim(a) and not is_homology_sphere_at(P, b, F):
+        if not verdicts.get(b, True):
             raise HypothesisFailed(f"filter below {b!r} is not a sphere")
-    r = reduced_homology(P.filter_complex(a), F).get(n, 0)
+    r = _homology_below(C, P.below[a]).get(n, 0)
     if not r:
         return P, []
-    C = conic_complex(P, F, augmented=True)
     sub = strand(C, P.deg[a])
     if sub.homology_ranks().get(n, 0):
         raise HypothesisFailed(
@@ -119,7 +173,7 @@ def fill_cavity(P, a, n, F):
                 "filling chain lies below the apex; class was a boundary")
         P = P.extend_below(a, new_c)
         added.extend((c, a) for c in new_c)
-        r, r_prev = reduced_homology(P.filter_complex(a), F).get(n, 0), r
+        r, r_prev = _homology_below(C, P.below[a]).get(n, 0), r
         if r >= r_prev:
             raise VerificationError("cavity rank failed to decrease")
     _verify_fill(P0, P, a, n, F, C)
@@ -128,7 +182,13 @@ def fill_cavity(P, a, n, F):
 
 def _verify_fill(P0, P1, a, n, F, C0):
     """Machine-check the lemma's conclusions (1)-(6); C0 is the augmented
-    conic complex of P0."""
+    conic complex of P0.
+
+    The homology below a is read off the conic complexes of P0 and P1.
+    That is exact: fill_cavity checked every element of dimension < d(a)
+    to be a sphere on P0 first, the filters of the elements below a are
+    checked here to be P0's, and the conic complexes are proved equal
+    before the homology is compared."""
     for lo, hi in P0.covers:
         if not P1.leq(lo, hi):
             raise VerificationError("order extension lost a relation")
@@ -137,10 +197,11 @@ def _verify_fill(P0, P1, a, n, F, C0):
             raise VerificationError(f"filter of untouched element {c!r} changed")
         if P0.dim(c) != P1.dim(c):
             raise VerificationError(f"dimension of {c!r} changed")
-    if not C0.same_matrices(conic_complex(P1, F, True)):
+    C1 = conic_complex(P1, F, True)
+    if not C0.same_matrices(C1):
         raise VerificationError("conic complex changed by cavity filling")
-    h0 = reduced_homology(P0.filter_complex(a), F)
-    h1 = reduced_homology(P1.filter_complex(a), F)
+    h0 = _homology_below(C0, P0.below[a])
+    h1 = _homology_below(C1, P1.below[a])
     for k in set(h0) | set(h1):
         if k >= n + 1 and h0.get(k, 0) != h1.get(k, 0):
             raise VerificationError(
@@ -173,34 +234,47 @@ class HcwReport:
 
 
 def hcwify(P, F):
-    """Apply cavity filling over all elements until the poset is hcw."""
+    """Apply cavity filling over all elements until the poset is hcw.
+
+    The augmented conic complex of P is built once.  The precheck reads
+    each top rank as its component dimension, which needs no hypothesis
+    (_homology_below), in P.elements order, and the sphere verdicts before
+    filling in (dimension, index) order (_sphere_verdicts): only an element
+    above a non-sphere has its filter complex built.  Then the elements are
+    filled in that order.  A fill below a changes only the filters of the
+    elements >= a, all visited after a, so every element below a has its
+    final filter, found a sphere, when a is visited: the cavity ranks and
+    the verdict after filling at a are read off the conic complex of the
+    poset at hand (each fill's output has one, built by _verify_fill)."""
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
-    # the filter complex below a has top dimension d(a) - 1, so it is a
-    # sphere iff its homology is {d(a) - 1: 1}
-    verdicts_before = {}
+    C = conic_complex(P, F, augmented=True)
+    tops = C.component_dims()
     for a in P.elements:
-        h = reduced_homology(P.filter_complex(a), F)
-        r = h.get(P.dim(a) - 1, 0)
-        if r != 1:
+        if (r := tops.get(a, 0)) != 1:
             raise HypothesisFailed(
                 f"top filter homology below {a!r} has rank {r}, expected 1")
-        verdicts_before[a] = h == {P.dim(a) - 1: 1}
+    memo = {}  # every poset visited has P's conic matrices (_verify_fill)
+    verdicts = _sphere_verdicts(C, P.elements, memo)
+    verdicts_before = {a: verdicts[a] for a in P.elements}
     ok, alpha = supports_resolution(P, F)
     if not ok:
         raise HypothesisFailed(
             f"truncated conic complex at {alpha} is not exact")
     before = P
-    added = []
-    # a fill below a changes only the filters of the elements >= a, all
-    # visited after a: each filter is final once its cavities are filled
+    added, spheres = [], set()
     for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
+        h = _filter_homology(C, a, spheres, memo)
         for n in range(P.dim(a) - 2, -1, -1):
-            if reduced_homology(P.filter_complex(a), F).get(n, 0):
+            if h.get(n, 0):
                 P, new = fill_cavity(P, a, n, F)
                 added.extend(new)
+                C = conic_complex(P, F, True)
+                h = _filter_homology(C, a, spheres, memo)
+        if h == {P.dim(a) - 1: 1}:
+            spheres.add(a)
     # each adding fill compared the conic complexes of its input and output
-    verdicts_after = {a: is_homology_sphere_at(P, a, F) for a in P.elements}
+    verdicts_after = {a: a in spheres for a in P.elements}
     if not all(verdicts_after.values()):
         raise VerificationError("hcwify result is not hcw")
     return P, HcwReport(before, P, added, verdicts_before, verdicts_after)

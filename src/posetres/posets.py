@@ -26,7 +26,10 @@ class Poset:
     be monotone, its tuples all of one length with entries ints >= 0.
     Filter complexes, the chain count and conic complexes (`_conic`) are
     memoized on it.  `extend_below` carries the filter complexes of the
-    elements it leaves untouched, never a conic complex.
+    elements it leaves untouched, never a conic complex.  hcwify and
+    fill_cavity read their sphere verdicts and cavity ranks off the conic
+    complex, so a filter complex is built there only for an element above
+    a non-sphere; is_hcw and conic_vs_simplicial still build them all.
     """
 
     def __init__(self, elements, relations, deg=None):

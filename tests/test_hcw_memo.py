@@ -1,12 +1,13 @@
 """The memoized cavity filling against a rebuild from scratch.
 
-`reduced_homology` memoizes on each OrientedComplex per FieldSpec,
-`conic_complex` on each Poset per FieldSpec and augmentation, and
-`fill_cavity` carries the filter complexes (never the conic complexes) of
-elements not above the filled apex into the new poset.  Every poset
-`hcwify` returns is rebuilt here from its elements and covers alone, and
-what its memos and carried complexes say must equal what the rebuild
-computes.
+`conic_complex` memoizes on each Poset per FieldSpec and augmentation, and
+`hcwify` and `fill_cavity` read their sphere verdicts and cavity ranks off
+the augmented one; `reduced_homology` memoizes on each OrientedComplex per
+FieldSpec, and `fill_cavity` carries the filter complexes (never the conic
+complexes) of elements not above the filled apex into the new poset.  Every
+poset `hcwify` returns is rebuilt here from its elements and covers alone,
+and what its memos and carried complexes say must equal what the rebuild
+computes on its filter complexes.
 """
 
 from collections import Counter
@@ -40,12 +41,16 @@ def _incidence(I, F):
 
 
 def _assert_poset_matches_rebuild(Q, F):
-    """Q against its rebuild R from elements and covers; returns R."""
+    """Q against its rebuild R from elements and covers; returns R.  Every
+    element of Q lies above spheres only, so the conic complex the last
+    sphere verdicts read gives the simplicial homology of R's filters."""
     R = Poset(Q.elements, Q.covers, deg=Q.deg)
+    assert (F, True) in Q._conic  # the last sphere verdicts left it
+    C = Q._conic[F, True]
     for a in Q.elements:
         K, L = Q.filter_complex(a), R.filter_complex(a)
         assert K.faces == L.faces, a
-        assert F in K._homology, a  # the last sphere test left it
+        assert hcw._homology_below(C, Q.below[a]) == reduced_homology(L, F), a
         assert reduced_homology(K, F) == reduced_homology(L, F), a
     assert is_hcw(Q, F) == is_hcw(R, F)
     assert conic_complex(Q, F, True).same_matrices(
@@ -95,11 +100,13 @@ def test_cavity_fill_carries_only_untouched_filters():
 # --- the checks still run on every fill that adds a relation -------------
 
 def _spy(monkeypatch):
-    """Record the calls of fill_cavity (inside hcwify), _verify_fill,
-    ConicComplex.same_matrices and conic_complex (inside hcw)."""
+    """Record the calls of fill_cavity (inside hcwify), _verify_fill and
+    ConicComplex.same_matrices, and the poset of each conic complex built
+    (ConicComplex.__init__, which neither a memo hit nor the other
+    augmentation of a memoized complex runs)."""
     fills, verified, compared, built = [], [], [], []
     fill, verify = hcw.fill_cavity, hcw._verify_fill
-    same, conic = ConicComplex.same_matrices, hcw.conic_complex
+    same, init = ConicComplex.same_matrices, ConicComplex.__init__
 
     def spy_fill(P0, a, n, F):
         out = fill(P0, a, n, F)
@@ -114,14 +121,14 @@ def _spy(monkeypatch):
         compared.append((C.poset, D.poset))
         return same(C, D)
 
-    def spy_conic(P, F, augmented=False):
-        built.append(P)
-        return conic(P, F, augmented)
+    def spy_init(C, poset, *args):
+        built.append(poset)
+        init(C, poset, *args)
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
     monkeypatch.setattr(hcw, "_verify_fill", spy_verify)
     monkeypatch.setattr(ConicComplex, "same_matrices", spy_same)
-    monkeypatch.setattr(hcw, "conic_complex", spy_conic)
+    monkeypatch.setattr(ConicComplex, "__init__", spy_init)
     return fills, verified, compared, built
 
 
@@ -143,11 +150,12 @@ def test_verify_fill_runs_once_per_adding_fill(monkeypatch, name, n_adding):
     assert len(verified) == len(adding)
     assert all(v[0] is f[0] and v[1] is f[1] and v[0] is not v[1]
                for v, f in zip(verified, adding))
-    # one comparison in each _verify_fill, of the fill's input and output,
-    # and one conic complex built for each; by the chain above they compose
-    # to P against Q
+    # one comparison in each _verify_fill, of the fill's input and output;
+    # by the chain above they compose to P against Q.  One conic complex is
+    # built for each poset on the chain, P's by the precheck and each
+    # output's by _verify_fill, and every verdict and rank is read off them
     assert compared == adding
-    assert built == [Pi for P0, P1 in adding for Pi in (P0, P1)]
+    assert built == chain
     if not adding:
         assert Q is P
     _assert_matches_rebuild(Q, report, F)
@@ -162,8 +170,10 @@ def test_noop_fill_returns_same_poset_unverified(monkeypatch):
     assert P2 is P and added == []
     Q, report = hcw.hcwify(P, F)
     assert Q is P and report.added == []
-    # no cavity below any element: hcwify calls no fill at all
-    assert fills == verified == compared == built == []
+    # no cavity below any element: hcwify calls no fill at all, and reads
+    # the one conic complex of P, which the no-op fill built
+    assert fills == verified == compared == []
+    assert built == [P]
 
 
 def chain_poset(edges=("e1", "e2", "e3", "e4", "e5")):
@@ -315,6 +325,9 @@ def test_conic_memo_per_field_and_augmentation():
     assert conic_complex(P, FieldSpec(0)) is C
     A = conic_complex(P, FieldSpec(0), True)
     assert A is not C and A.augmented and not C.augmented
+    # built once per (poset, field): the other augmentation shares the stores
+    assert all(getattr(A, k) is getattr(C, k)
+               for k in ("gens", "cycles", "d", "aug"))
     assert conic_complex(P, FieldSpec(0), True) is A
     D = conic_complex(P, FractionField(0))
     assert D is not C and D.same_matrices(C)
@@ -366,18 +379,25 @@ def _hcwify_filling_everywhere(P, F):
     return P, added
 
 
+def _by_dimension(P, elements):
+    return sorted(elements, key=lambda e: (P.dim(e), P.index[e]))
+
+
 def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
-    """Each fill_cavity call of hcwify has H~_n != 0 below its apex and adds
-    a relation.  The lower spheres a fill checks, each on its input and
-    once per (poset, element), have their final filters there, so their
-    verdicts are the report's: the calls hcwify skips would have taken the
-    same verdicts.  The result and report equal those of a loop that calls
-    fill_cavity at every (a, n)."""
+    """Each fill_cavity call of hcwify has H~_n != 0 below its apex (on the
+    rebuilt filter complex) and adds a relation.  The lower spheres a fill
+    checks, each on its input, in (dimension, index) order, on the conic
+    complex and once per (poset, element), have their final filters there,
+    so their verdicts are the report's: the calls hcwify skips would have
+    taken the same verdicts.  The result and report equal those of a loop
+    that calls fill_cavity at every (a, n), with simplicial verdicts."""
     fills, checks, inside = [], [], []
-    fill, sphere = hcw.fill_cavity, hcw.is_homology_sphere_at
+    fill, homology = hcw.fill_cavity, hcw._filter_homology
+    sphere = is_homology_sphere_at
 
     def spy_fill(P0, a, n, F):
-        cavity = reduced_homology(P0.filter_complex(a), F).get(n, 0)
+        R0 = Poset(P0.elements, P0.covers, deg=P0.deg)
+        cavity = reduced_homology(R0.filter_complex(a), F).get(n, 0)
         start = len(checks)
         inside.append(a)
         P1, added = fill(P0, a, n, F)
@@ -385,14 +405,15 @@ def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
         fills.append((P0, a, n, cavity, added, checks[start:]))
         return P1, added
 
-    def spy_sphere(P0, b, F):
-        verdict = sphere(P0, b, F)
+    def spy_homology(C, b, spheres, memo):
+        h, P0 = homology(C, b, spheres, memo), C.poset
         if inside:
-            checks.append((P0, b, verdict))
-        return verdict
+            assert P0.below[b] <= spheres, b  # read off the conic complex
+            checks.append((P0, b, h == {P0.dim(b) - 1: 1}))
+        return h
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
-    monkeypatch.setattr(hcw, "is_homology_sphere_at", spy_sphere)
+    monkeypatch.setattr(hcw, "_filter_homology", spy_homology)
     named = [(RP2_GENS, 2), (K6_EDGES[:13], 2), (K6_EDGES[:15], 2),
              (K6_EDGES[:15], 3)]
     for I, p in [(minimalize(gens), p) for gens, p in named] + [
@@ -402,8 +423,8 @@ def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
         Q, report = hcw.hcwify(P, F)
         for Pi, a, n, cavity, added, seen in fills[start:]:
             assert cavity and added, (a, n)
-            assert [b for _, b, _ in seen] == [
-                b for b in Pi.elements if Pi.dim(b) < Pi.dim(a)]
+            assert [b for _, b, _ in seen] == _by_dimension(
+                Pi, [b for b in Pi.elements if Pi.dim(b) < Pi.dim(a)])
             for P0, b, verdict in seen:
                 assert P0 is Pi and Q.below[b] == Pi.below[b], b
                 assert verdict == report.verdicts_after[b], b
@@ -460,12 +481,14 @@ def test_fill_names_the_first_non_sphere_on_every_call():
                                     ("k6-13", 2), ("k6-13", 0)])
 def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
     """Each fill_cavity call of hcwify checks every element below its
-    apex's dimension, in element order, on the fill's own input, and no
+    apex's dimension, in (dimension, index) order, on the fill's own input
+    and off its conic complex, building no filter complex, and no
     (poset, element) pair is checked twice inside the fills."""
     F = FieldSpec(p)
     P = _incidence(minimalize(NAMED[name]), F)
-    fills, checked, inside = [], [], []
-    fill, sphere = hcw.fill_cavity, hcw.is_homology_sphere_at
+    fills, checked, inside, built = [], [], [], []
+    fill, homology = hcw.fill_cavity, hcw._filter_homology
+    subcomplex = Poset.subcomplex
 
     def spy_fill(P0, a, n, F):
         fills.append((P0, a))
@@ -475,18 +498,25 @@ def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
         finally:
             inside.pop()
 
-    def spy_sphere(P0, b, F):
+    def spy_homology(C, b, spheres, memo):
         if inside:
-            checked.append((P0, b))
-        return sphere(P0, b, F)
+            checked.append((C.poset, b, C.poset.below[b] <= spheres))
+        return homology(C, b, spheres, memo)
+
+    def spy_subcomplex(P0, tops):
+        if inside:
+            built.append(tops)
+        return subcomplex(P0, tops)
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
-    monkeypatch.setattr(hcw, "is_homology_sphere_at", spy_sphere)
+    monkeypatch.setattr(hcw, "_filter_homology", spy_homology)
+    monkeypatch.setattr(Poset, "subcomplex", spy_subcomplex)
     Q, report = hcw.hcwify(P, F)
-    assert max(Counter((id(P0), b) for P0, b in checked).values(),
+    assert max(Counter((id(P0), b) for P0, b, _ in checked).values(),
                default=1) == 1
-    expected = [(id(P0), b) for P0, a in fills
-                for b in P0.elements if P0.dim(b) < P0.dim(a)]
-    assert [(id(P0), b) for P0, b in checked] == expected
+    expected = [(id(P0), b) for P0, a in fills for b in _by_dimension(
+        P0, [b for b in P0.elements if P0.dim(b) < P0.dim(a)])]
+    assert [(id(P0), b) for P0, b, _ in checked] == expected
+    assert all(conic for _, _, conic in checked) and built == []
     assert bool(fills) == bool(report.added)
     _assert_matches_rebuild(Q, report, F)
