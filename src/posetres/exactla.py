@@ -20,7 +20,13 @@ behind conic_complex, reads that basis as sparse vectors off
 
 Over GF(2) the module works on bitmask columns, combined by XOR: `_reduce`
 for the three functions above and `_suspect_columns` for
-ChainComplex.check_complex.  These are the only places that pick them.
+ChainComplex.check_complex.  Over every other field, and with none,
+`_suspect_columns` gives each column of d_n whose values are all units
+(an int = +1 or -1 mod p) two signed masks, of its +1 rows and of its -1
+rows, and clears each column of d_{n+1} whose paths pair up: every row
+reached by exactly one +1 path and one -1 path, which makes the integer
+lift of the composite exactly 0.  These are the only places that pick
+masks.
 """
 
 from dataclasses import dataclass
@@ -107,6 +113,8 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic:
             return pow(a, -1, self.characteristic)
+        if type(a) is int and (a == 1 or a == -1):
+            return a
         return _rational(Fraction(1, a))
 
     def div(self, a, b):
@@ -222,41 +230,127 @@ def _reduce(A, F, cols, track=False):
     return pivots, left
 
 
+def _row_bits(lower, shift):
+    """{row: bit} over the rows of the columns `lower`, in order of first
+    appearance, from bit `shift` up."""
+    seen = {}
+    for col in lower.values():
+        seen.update(col)
+    return dict(zip(seen, range(shift, shift + len(seen))))
+
+
 def _suspect_columns(lower, upper, F):
     """The items (c, column) of `upper`, in its order, whose composite with
     `lower` may be nonzero over F: `upper` holds the columns {c: {mid:
     scalar}} of d_{n+1} and `lower` the columns {mid: {row: scalar}} of d_n.
+    Every other column of `upper` composes to 0 over F, so summing only the
+    suspects decides d_n o d_{n+1} = 0 and finds its first failing column.
+    Each row of d_n gets a bit, in order of first appearance, and each
+    column of d_n its masks over those bits, kept for this call only: in a
+    dict by mid over GF(2), else in lists by the column's position in
+    `lower`.
 
-    Over GF(2), when every value of both is an int, these are exactly the
-    columns whose composite has an odd entry.  An entry v*w is odd iff v
-    and w are, so each row of d_n gets a bit, in order of first appearance,
-    each column of d_n a mask of its odd entries, and a column of d_{n+1}
-    is suspect iff the XOR of the masks at its odd entries is nonzero.
-    Otherwise (another field, no field, or a value that is not an int)
-    every column is a suspect.
+    Over GF(2), when every value of both is an int, the mask of a column
+    of d_n holds its odd entries.  An entry v*w is odd iff v and w are, so
+    a column of d_{n+1} composes to 0 mod 2 iff the XOR of the masks at
+    its odd entries is 0.  A value that is not an int makes every column
+    of the degree a suspect.
+
+    Over any other field, or with none (F None), a unit is an `int` = +1
+    or -1 mod p (exactly +1 or -1 when p = 0).  A column of d_n whose every
+    value is a unit gets two masks, P of its +1 rows and N of its -1 rows;
+    any other column gets none.  A column of d_{n+1} is cleared iff every
+    value is a unit, every mid has masks or no column, and, taking N for P
+    and P for N at its -1 entries, the P masks are pairwise disjoint, the
+    N masks are pairwise disjoint and the two unions are equal.  Then every
+    row is reached by exactly one +1 path and one -1 path or by none, so
+    the composite of the integer lifts (+1 or -1 for each unit) is exactly
+    0 at every row, and hence 0 mod p.
+
+    The test adds masks instead of comparing them: X sums the P masks and
+    Y the N masks, N and P at the -1 entries, each mask also holding its
+    column's length below bit K, so both count fields hold the number L of
+    paths.  Adding masks that share a bit carries, and each carry loses
+    one set bit, so the row bits of X and Y number L, less one per carry.
+    X == Y says the two sums are equal, so their row bits number the same;
+    when they number L / 2 each, there was no carry: the masks were
+    pairwise disjoint, each sum is their union, and the unions are equal.
     """
-    if not (F and F.characteristic == 2):
-        return upper.items()
-    bit, masks = {}, {}
-    for mid, col in lower.items():
-        m = 0
+    if not lower or not upper:  # every composite is empty
+        return []
+    p = F.characteristic if F else 0
+    suspect = []
+    if p == 2:
+        bit = _row_bits(lower, 0)
+        masks = {}
+        for mid, col in lower.items():
+            m = 0
+            for r, v in col.items():
+                if type(v) is not int:
+                    return upper.items()
+                if v & 1:
+                    m |= 1 << bit[r]
+            masks[mid] = m
+        for c, col in upper.items():
+            x = 0
+            for mid, v in col.items():
+                if type(v) is not int:
+                    return upper.items()
+                if v & 1:
+                    x ^= masks.get(mid, 0)
+            if x:
+                suspect.append((c, col))
+        return suspect
+    m1 = p - 1 if p else -1  # -1 as the field keeps it
+    # L, at most len(col) * (rows per mid), stays below bit K
+    K = (max(map(len, lower.values()))
+         * max(map(len, upper.values()))).bit_length()
+    bit = _row_bits(lower, K)
+    # the masks of the k-th column of lower are pos[k] and neg[k]; a mid
+    # with no column is at z, whose masks are 0
+    z = len(lower)
+    at = dict(zip(lower, range(z)))
+    pos, neg = [0] * (z + 1), [0] * (z + 1)
+    for k, (mid, col) in enumerate(lower.items()):
+        P = N = len(col)
         for r, v in col.items():
             if type(v) is not int:
-                return upper.items()
-            if v & 1:
-                m |= 1 << bit.setdefault(r, len(bit))
-        masks[mid] = m
-    odd = []
+                break
+            if v == 1:  # the field's own +1 and -1 come first
+                P |= 1 << bit[r]
+            elif v == m1 or p and v % p == m1:
+                N |= 1 << bit[r]
+            elif p and v % p == 1:
+                P |= 1 << bit[r]
+            else:
+                break
+        else:
+            pos[k], neg[k] = P, N
+            continue
+        at[mid] = None
+    low = (1 << K) - 1
     for c, col in upper.items():
-        x = 0
+        X = Y = 0
         for mid, v in col.items():
-            if type(v) is not int:
-                return upper.items()
-            if v & 1:
-                x ^= masks.get(mid, 0)
-        if x:
-            odd.append((c, col))
-    return odd
+            k = at.get(mid, z)
+            if type(v) is not int or k is None:
+                break
+            if v == 1:
+                X += pos[k]
+                Y += neg[k]
+            elif v == m1 or p and v % p == m1:
+                X += neg[k]
+                Y += pos[k]
+            elif p and v % p == 1:
+                X += pos[k]
+                Y += neg[k]
+            else:
+                break
+        else:
+            if X == Y and 2 * (X >> K).bit_count() == X & low:
+                continue
+        suspect.append((c, col))
+    return suspect
 
 
 def rank(A, F, *, skip=(), lows=None):

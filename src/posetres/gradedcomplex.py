@@ -157,12 +157,19 @@ class ChainComplex:
         """Raise NotAComplex unless d_n o d_{n+1} = 0 for every n >= 0, d_0
         being the augmentation, so that eps o d_1 = 0 is checked too.
 
-        exactla._suspect_columns picks the columns of d_{n+1} to sum: over
-        GF(2), when d_n and d_{n+1} hold only ints, those whose composite
-        has an odd entry, found by XOR of bitmask columns; otherwise all of
-        them.  Each is composed with the columns of d_n in plain Python
-        numbers, exact for ints and Fractions alike, and reduced mod p only
-        in the zero test; a complex with no field sums over the integers.
+        exactla._suspect_columns picks the columns of d_{n+1} to sum, and
+        every column it leaves out composes to 0.  Over GF(2), when d_n and
+        d_{n+1} hold only ints, it leaves out the columns whose composite is
+        even, found by XOR of bitmask columns.  Over any other field, and
+        with none, it leaves out the columns whose values, and those of
+        their mids' columns, are units (ints = +1 or -1 mod p) and whose +1
+        and -1 paths pair up: every row of d_n reached by exactly one of
+        each, found by adding signed row masks.  The integer lift of such a
+        composite is exactly 0, so it is 0 mod p too.  A Fraction or another
+        non-unit, or an unpaired path, sends the column to the sum.  Each
+        suspect is composed with the columns of d_n in plain Python numbers,
+        exact for ints and Fractions alike, and reduced mod p only in the
+        zero test; a complex with no field sums over the integers.
         The first failing composite, in ascending n and then in the order
         of d_{n+1}, names its first nonzero entry.  GradedFreeComplex and
         ConicComplex run this last in their constructors, so each is a
@@ -293,7 +300,10 @@ class GradedFreeComplex(ChainComplex):
 
     def __init__(self, num_vars, field, labels, d):
         self.num_vars = num_vars
-        self.labels = {n: [(i, tuple(d)) for i, d in labs]
+        # an (id, degree tuple) pair is shared, not copied: taylor_complex's
+        # 2^r - 1 labels would otherwise be held twice while d o d is checked
+        self.labels = {n: [x if type(x) is tuple and type(d) is tuple
+                           else (i, tuple(d)) for x in labs for i, d in [x]]
                        for n, labs in labels.items() if labs}
         super().__init__(field, {n: [i for i, _ in labs]
                                  for n, labs in self.labels.items()},

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -19,6 +20,7 @@ from posetres.errors import (InvalidField, NotAComplex, NotMinimal, ParseError,
                              PosetresError, ShapeError, TooLarge,
                              VerificationError)
 from posetres import gradedcomplex, monomials
+from posetres.exactla import _suspect_columns
 from posetres.gradedcomplex import TAYLOR_CAP
 from conftest import (FIXTURES, M_GENS, RP2_GENS, SQUAREFREE3, columns,
                       json_values, random_corpus)
@@ -275,6 +277,95 @@ def test_check_complex_matches_dense_composite(p, data):
         with pytest.raises(NotAComplex) as exc:
             X.check_complex()
         assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("p", [0, 3, 5])
+def test_suspect_columns_clear_every_taylor_column(p):
+    """Over Q and GF(p), p odd, every column of every Taylor differential
+    reaches each row by one +1 and one -1 path, so _suspect_columns leaves
+    no column to sum in any degree: K6-10 and the corpus ideals."""
+    F = FieldSpec(p)
+    for I in [minimalize(K6_EDGES[:10])] + random_corpus(100):
+        T = taylor_complex(I, F)
+        for n in sorted({0, *T.d}):
+            assert _suspect_columns(T._cols(n), T.d.get(n + 1, {}), F) == []
+
+
+def _taylor_mutant(p, kind, seed):
+    """The basis and the store {n: {(row, col): v}} of the augmented Taylor
+    complex of K6's first five edges over GF(p) (over Q for p 0 or None),
+    with one change drawn by `seed`: a sign flipped ("flip"), an entry
+    dropped ("drop") or set to 2 ("two") or to Fraction(1) ("frac"), or, in
+    a column c of d_{n+1}, an entry added at a mid outside c that meets a
+    row r of c's mids, signed so that r is reached by two +1 paths and one
+    -1 path ("path")."""
+    F = FieldSpec(p or 0)
+    T = taylor_complex(minimalize(K6_EDGES[:5]), F)
+    diffs = {n: {(r, c): v for c, col in cols.items() for r, v in col.items()}
+             for n, cols in T.d.items()}
+    diffs[0] = {((), c): F.one for c in T.basis[0]}
+    rng = random.Random(seed)
+    if kind == "path":
+        n, c, m3, r = rng.choice([
+            (n, c, m3, r) for n in T.d if n + 1 in T.d
+            for c, col in T.d[n + 1].items()
+            for m3, low in T.d[n].items() if m3 not in col
+            for r in low if any(r in T.d[n][m] for m in col)])
+        diffs[n + 1][(m3, c)] = T.d[n][m3][r]  # (m3, r) then gives +1
+        return T.basis, diffs
+    n = rng.choice(sorted(diffs))
+    rc = rng.choice(list(diffs[n]))
+    if kind == "drop":
+        del diffs[n][rc]
+    else:
+        diffs[n][rc] = {"flip": F.neg(diffs[n][rc]), "two": F(2),
+                        "frac": Fraction(1)}[kind]
+    return T.basis, diffs
+
+
+@pytest.mark.parametrize("p", [0, 3, 5, None])
+@pytest.mark.parametrize("kind", ["flip", "drop", "two", "frac", "path"])
+def test_check_complex_matches_dense_composite_on_taylor_mutants(p, kind):
+    """On unit-valued mutants of a Taylor store, over Q, GF(3), GF(5) and
+    with no field, check_complex passes exactly when every composite
+    vanishes and otherwise names the reference's first nonzero entry."""
+    for seed in range(12):
+        basis, diffs = _taylor_mutant(p, kind, seed)
+        store = columns(diffs)
+        aug = {c: col[()] for c, col in store.pop(0).items()}
+        X = ChainComplex(p if p is None else FieldSpec(p), basis, store, aug)
+        expected = _first_failing_entry(diffs, p or 0)
+        if kind in ("flip", "path"):
+            assert expected is not None
+        if expected is None:
+            X.check_complex()
+        else:
+            with pytest.raises(NotAComplex) as exc:
+                X.check_complex()
+            assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("p", [0, 3, 5, None])
+def test_check_complex_sums_a_carry_and_a_non_unit_mid(p):
+    """Two stores that pair their paths only in a weaker sense, each failing
+    at one row.  In the first, row x is reached by two +1 paths and row y
+    by one -1 path, so the sums of the +1 and the -1 path masks agree
+    (x's two bits carry into y's) while the composite is (2, -1).  In the
+    second, the column's unit mids cancel at x and its mid m, whose column
+    is not all units, reaches y alone."""
+    F = p if p is None else FieldSpec(p)
+    neg = -1 if p is None else F(-1)
+    carry = {1: {"a": {"x": 1}, "b": {"x": 1}, "m": {"y": neg}},
+             2: {"e": {"a": 1, "b": 1, "m": 1}}}
+    cases = [(carry, "x")] + [
+        ({1: {"a": {"x": 1}, "b": {"x": neg}, "m": {"y": v}},
+          2: {"e": {"a": 1, "b": 1, "m": 1}}}, "y")
+        for v in [Fraction(1, 2)] + ([2] if p != 3 else [])]
+    basis = {0: ["x", "y"], 1: ["a", "b", "m"], 2: ["e"]}
+    for d, row in cases:
+        with pytest.raises(NotAComplex) as exc:
+            ChainComplex(F, basis, d).check_complex()
+        assert str(exc.value) == f"d_1 o d_2 != 0, e.g. at ({row!r}, 'e')"
 
 
 def _as_fractions(d):
