@@ -67,18 +67,10 @@ def _homology_below(C, below):
                           C.field)
 
 
-def _filter_homology(C, a, spheres, memo):
-    """H~(Delta(P_{<a})) over C.field, C being the augmented conic complex
-    of P = C.poset.  When every element below a lies in `spheres`, elements
-    whose filters were found spheres on P, it is read off C
-    (_homology_below); otherwise the filter complex of a is built, and its
-    simplicial homology taken.
-
-    `memo` maps each set of apexes read to its homology: it holds for every
-    conic complex with the matrices of C."""
-    below = C.poset.below[a]
-    if not below <= spheres:
-        return reduced_homology(C.poset.filter_complex(a), C.field)
+def _memo_below(C, below, memo):
+    """_homology_below(C, below) through `memo`, which maps each set of
+    apexes read to its homology: it holds for every conic complex with the
+    matrices of C."""
     if below not in memo:
         memo[below] = _homology_below(C, below)
     return memo[below]
@@ -88,11 +80,13 @@ def _sphere_verdicts(C, down, memo):
     """{b: whether Delta(P_{<b}) is a homology sphere} for the elements of
     the down-set `down` of P = C.poset, taken in (dimension, index) order,
     so that each b whose lower elements all are spheres is read off the
-    conic complex C; an element above a non-sphere falls back to its filter
-    complex."""
+    conic complex C (_memo_below); an element above a non-sphere falls back
+    to the simplicial homology of its filter complex."""
     P, spheres, out = C.poset, set(), {}
     for b in sorted(down, key=lambda e: (P.dim(e), P.index[e])):
-        out[b] = _filter_homology(C, b, spheres, memo) == {P.dim(b) - 1: 1}
+        h = (_memo_below(C, P.below[b], memo) if P.below[b] <= spheres
+             else reduced_homology(P.filter_complex(b), C.field))
+        out[b] = h == {P.dim(b) - 1: 1}
         if out[b]:
             spheres.add(b)
     return out
@@ -104,9 +98,8 @@ def fill_cavity(P, a, n, F):
     Returns (new poset, list of added relations) and verifies the
     conclusions of the underlying lemma on the result.  When nothing is
     added it returns P itself, for which they hold trivially.  Each new
-    poset keeps the filter complexes, and their memos, of the elements not
-    above a (Poset.extend_below); conclusion (2) checks those filters.  It
-    keeps no conic complex, so C below is compared with a fresh build.
+    poset (Poset.extend_below) keeps no memo, so C below is compared with
+    a fresh build.
 
     Every element b with d(b) < d(a) must have a sphere below it, or
     HypothesisFailed names the first that does not, in P.elements order;
@@ -245,7 +238,8 @@ def hcwify(P, F):
     elements >= a, all visited after a, so every element below a has its
     final filter, found a sphere, when a is visited: the cavity ranks and
     the verdict after filling at a are read off the conic complex of the
-    poset at hand (each fill's output has one, built by _verify_fill)."""
+    poset at hand (each fill's output has one, built by _verify_fill), and
+    an element that is no sphere after its fills raises at once."""
     if P.deg is None:
         raise NotAMorphism("poset has no degree map")
     C = conic_complex(P, F, augmented=True)
@@ -261,22 +255,17 @@ def hcwify(P, F):
     if not ok:
         raise HypothesisFailed(
             f"truncated conic complex at {alpha} is not exact")
-    before = P
-    added, spheres = [], set()
+    before, added = P, []
     for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
-        h = _filter_homology(C, a, spheres, memo)
         for n in range(P.dim(a) - 2, -1, -1):
-            if h.get(n, 0):
+            if _memo_below(C, P.below[a], memo).get(n, 0):
                 P, new = fill_cavity(P, a, n, F)
                 added.extend(new)
                 C = conic_complex(P, F, True)
-                h = _filter_homology(C, a, spheres, memo)
-        if h == {P.dim(a) - 1: 1}:
-            spheres.add(a)
+        if _memo_below(C, P.below[a], memo) != {P.dim(a) - 1: 1}:
+            raise VerificationError("hcwify result is not hcw")
     # each adding fill compared the conic complexes of its input and output
-    verdicts_after = {a: a in spheres for a in P.elements}
-    if not all(verdicts_after.values()):
-        raise VerificationError("hcwify result is not hcw")
+    verdicts_after = dict.fromkeys(P.elements, True)
     return P, HcwReport(before, P, added, verdicts_before, verdicts_after)
 
 

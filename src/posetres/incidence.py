@@ -16,8 +16,8 @@ def incidence_poset(C):
     differential entries, graded by homological degree.
 
     The poset is memoized on C, so every caller shares one Poset with its
-    filter complexes and their homology memos; complexes are not mutated
-    after construction.  A build that raises is not stored."""
+    conic complexes; complexes are not mutated after construction.  A
+    build that raises is not stored."""
     P = getattr(C, "_incidence_poset", None)
     if P is not None:
         return P

@@ -24,9 +24,8 @@ class Poset:
     `relations` may be any set of (lower, upper) pairs; the order they
     generate is taken.  An optional `deg` map id -> multidegree tuple must
     be monotone, its tuples all of one length with entries ints >= 0.
-    Filter complexes, the chain count and conic complexes (`_conic`) are
-    memoized on it.  `extend_below` carries the filter complexes of the
-    elements it leaves untouched, never a conic complex.  hcwify and
+    The chain count and conic complexes (`_conic`) are memoized on it;
+    filter complexes are built afresh on each call.  hcwify and
     fill_cavity read their sphere verdicts and cavity ranks off the conic
     complex, so a filter complex is built there only for an element above
     a non-sphere; is_hcw and conic_vs_simplicial still build them all.
@@ -71,8 +70,7 @@ class Poset:
                     if not divides(self.deg[x], self.deg[e]):
                         raise NotAMorphism(
                             f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
-        self._order_complex = self._chain_count = None
-        self._filter_cache, self._conic = {}, {}
+        self._chain_count, self._conic = None, {}
 
     def __len__(self):
         return len(self.elements)
@@ -98,16 +96,10 @@ class Poset:
         return Poset(elems, rels, deg=deg)
 
     def extend_below(self, a, lows):
-        """The poset with the relations (c, a), c in `lows`, added.  It takes
-        over the cached filter complexes, and their homology memos, of the
-        elements not above a: the new relations only put elements below
-        those above a, so no other filter, nor the order inside it,
-        changes.  No conic complex is taken."""
-        P = Poset(self.elements, [*self.covers, *((c, a) for c in lows)],
-                  deg=self.deg)
-        P._filter_cache.update((c, K) for c, K in self._filter_cache.items()
-                               if not self.leq(a, c))
-        return P
+        """The poset with the relations (c, a), c in `lows`, added; it
+        takes over no memo."""
+        return Poset(self.elements, [*self.covers, *((c, a) for c in lows)],
+                     deg=self.deg)
 
     def chain_count(self):
         """Number of faces of the order complex, the empty face included:
@@ -149,21 +141,16 @@ class Poset:
         return OrientedComplex(faces)
 
     def order_complex(self):
-        """All chains of the poset as an OrientedComplex (cached); more than
+        """All chains of the poset as an OrientedComplex; more than
         FACE_CAP faces raise TooLarge."""
-        if self._order_complex is None:
-            self._order_complex = self.subcomplex(self.elements)
-        return self._order_complex
+        return self.subcomplex(self.elements)
 
     def filter_complex(self, a):
-        """Order complex of the open filter P_{<a}: subcomplex(below[a]),
-        cached per element.  It raises TooLarge exactly when order_complex
-        would."""
+        """Order complex of the open filter P_{<a}: subcomplex(below[a]).
+        It raises TooLarge exactly when order_complex would."""
         if a not in self.index:
             raise NotFound(f"unknown element {a!r}")
-        if a not in self._filter_cache:
-            self._filter_cache[a] = self.subcomplex(self.below[a])
-        return self._filter_cache[a]
+        return self.subcomplex(self.below[a])
 
     def to_json(self):
         out = {"elements": [], "covers": sorted(
@@ -219,7 +206,6 @@ class OrientedComplex(ChainComplex):
     def __init__(self, faces):
         super().__init__(None, faces, {}, dict.fromkeys(faces.get(0, ()), 1),
                          bool(faces.get(-1)))
-        self._homology = {}
         faces = self.basis
         if 0 in faces and -1 not in faces:
             raise VerificationError("complex not closed: missing face ()")
@@ -242,11 +228,8 @@ class OrientedComplex(ChainComplex):
         return self.basis
 
 def reduced_homology(K, F):
-    """Reduced homology ranks of an OrientedComplex over F, per dimension
-    (memoized on K per FieldSpec, class included; a fresh dict per call)."""
-    if F not in K._homology:
-        K._homology[F] = K.homology_ranks(F)
-    return dict(K._homology[F])
+    """Reduced homology ranks of an OrientedComplex over F, per dimension."""
+    return K.homology_ranks(F)
 
 
 def is_homology_sphere_at(P, a, F):

@@ -130,7 +130,7 @@ def test_filter_complex_matches_on_hcwify_posets(monkeypatch, name):
     Q, _ = hcw.hcwify(P, F)
     assert returned[-1] is Q
     for P in {id(P): P for P in returned}.values():
-        _assert_filters_match(P)  # carried filters included
+        _assert_filters_match(P)
         _assert_filters_match(Poset(P.elements, P.covers, deg=P.deg))
 
 

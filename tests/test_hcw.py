@@ -5,10 +5,11 @@ import pytest
 
 from oracle import betti_numbers, boundary_of_chain
 from posetres import (FieldSpec, Poset, antichain_form, betti_table,
-                      conic_complex, fill_cavity, hcw_support, hcwify,
+                      conic_complex, fill_cavity, hcw, hcw_support, hcwify,
                       incidence_poset, is_hcw, minimalize, minimize,
                       taylor_complex)
-from posetres.errors import HypothesisFailed, NotACycle, NotFound
+from posetres.errors import (HypothesisFailed, NotACycle, NotFound,
+                             VerificationError)
 from posetres.posets import reduced_homology
 from conftest import M_GENS, RP2_GENS, load_fixture_complex, random_corpus
 from test_hcw_memo import K6_EDGES, _incidence
@@ -120,6 +121,14 @@ def test_hcwify_rp2_adds_one_relation():
     dot = report.to_dot()
     assert "dashed" in dot
     assert report.to_json()["added_relations"] == [list(report.added[0])]
+
+
+def test_hcwify_raises_when_a_cavity_stays_open(monkeypatch):
+    # a fill that adds nothing leaves rp2's cavity over GF(2) in place
+    P = incidence_poset(load_fixture_complex("pp_res.json", 2))
+    monkeypatch.setattr(hcw, "fill_cavity", lambda P, a, n, F: (P, []))
+    with pytest.raises(VerificationError, match="hcwify result is not hcw"):
+        hcwify(P, GF2)
 
 
 def test_hcwify_precondition_failure():

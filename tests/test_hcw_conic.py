@@ -105,31 +105,61 @@ def test_verdict_above_a_non_sphere_falls_back():
 
 
 def _filters_built(monkeypatch, I, F):
-    """The (poset, tops) of every Poset.subcomplex call of hcw_support."""
-    calls, subcomplex = [], Poset.subcomplex
+    """hcw_support(I, F), recording hcwify's input poset, each fill_cavity
+    call as (apex, added relations), and each Poset.subcomplex call as
+    (poset, tops, number of fills made before it)."""
+    inputs, fills, calls = [], [], []
+    hcwify, fill, subcomplex = hcw.hcwify, hcw.fill_cavity, Poset.subcomplex
+
+    def spy_hcwify(P, F):
+        inputs.append(P)
+        return hcwify(P, F)
+
+    def spy_fill(P0, a, n, F):
+        P1, added = fill(P0, a, n, F)
+        fills.append((a, added))
+        return P1, added
 
     def spy(P, tops):
-        calls.append((P, frozenset(tops)))
+        calls.append((P, frozenset(tops), len(fills)))
         return subcomplex(P, tops)
 
-    monkeypatch.setattr(Poset, "subcomplex", spy)
-    hcw.hcw_support(I, F)
-    monkeypatch.setattr(Poset, "subcomplex", subcomplex)
-    return calls
+    with monkeypatch.context() as m:
+        m.setattr(hcw, "hcwify", spy_hcwify)
+        m.setattr(hcw, "fill_cavity", spy_fill)
+        m.setattr(Poset, "subcomplex", spy)
+        hcw.hcw_support(I, F)
+    return inputs[0], fills, calls
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
 def test_hcw_support_builds_no_filter_complex_on_corpus(monkeypatch, p):
     F = FieldSpec(p)
     for I in random_corpus(100):
-        assert _filters_built(monkeypatch, I, F) == []
+        assert _filters_built(monkeypatch, I, F)[2] == []
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])
 def test_hcw_support_builds_only_fallback_filters_on_k6_13(monkeypatch, p):
     F = FieldSpec(p)
-    calls = _filters_built(monkeypatch, minimalize(K6_EDGES[:13]), F)
+    P, _, calls = _filters_built(monkeypatch, minimalize(K6_EDGES[:13]), F)
     if p != 2:
         assert calls == []
     else:
-        assert [P.below[WITNESS] == tops for P, tops in calls] == [True]
+        assert [(Pc is P, Pc.below[WITNESS] == tops, done)
+                for Pc, tops, done in calls] == [(True, True, 0)]
+
+
+def test_hcw_support_builds_only_precheck_filters_on_k6_15(monkeypatch):
+    """Over GF(2) two elements of K6-15 lie above a non-sphere, and the
+    precheck builds their filter complexes on hcwify's input.  The fill
+    loop then fills at both, adding 16 relations in all, and builds no
+    filter complex: each element it visits has only spheres below."""
+    P, fills, calls = _filters_built(
+        monkeypatch, minimalize(K6_EDGES[:15]), FieldSpec(2))
+    fallback = [a for a in P.elements if P.below[a] in
+                {tops for _, tops, _ in calls}]
+    assert len(calls) == len(fallback) == 2
+    assert all(Pc is P and done == 0 for Pc, _, done in calls)
+    assert set(fallback) <= {a for a, _ in fills}
+    assert sum(len(added) for _, added in fills) == 16

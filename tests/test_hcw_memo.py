@@ -2,11 +2,9 @@
 
 `conic_complex` memoizes on each Poset per FieldSpec and augmentation, and
 `hcwify` and `fill_cavity` read their sphere verdicts and cavity ranks off
-the augmented one; `reduced_homology` memoizes on each OrientedComplex per
-FieldSpec, and `fill_cavity` carries the filter complexes (never the conic
-complexes) of elements not above the filled apex into the new poset.  Every
-poset `hcwify` returns is rebuilt here from its elements and covers alone,
-and what its memos and carried complexes say must equal what the rebuild
+the augmented one; each fill's new poset (`Poset.extend_below`) takes over
+no memo.  Every poset `hcwify` returns is rebuilt here from its elements
+and covers alone, and what its memos say must equal what the rebuild
 computes on its filter complexes.
 """
 
@@ -79,22 +77,18 @@ def test_memoized_hcwify_matches_rebuild_on_corpus(p):
         _assert_matches_rebuild(Q, report, F)
 
 
-def test_cavity_fill_carries_only_untouched_filters():
+def test_cavity_fill_filters_match_rebuild():
     F = FieldSpec(2)
     P = incidence_poset(load_fixture_complex("pp_res.json", 2))
     top = next(e for e in P.elements if P.dim(e) == 3)
     # an element above the apex, whose filter the fill must change
     P = Poset([*P.elements, "u"], [*P.covers, (top, "u")],
               deg={**P.deg, "u": P.deg[top]})
-    for e in P.elements:
-        P.filter_complex(e)
     P2, added = fill_cavity(P, top, 1, F)
     assert added and P2 is not P
     R = Poset(P2.elements, P2.covers, deg=P2.deg)
     for c in P.elements:
-        K = P2.filter_complex(c)
-        assert (K is P.filter_complex(c)) == (not P.leq(top, c)), c
-        assert K.faces == R.filter_complex(c).faces, c
+        assert P2.filter_complex(c).faces == R.filter_complex(c).faces, c
 
 
 # --- the checks still run on every fill that adds a relation -------------
@@ -391,9 +385,9 @@ def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
     so their verdicts are the report's: the calls hcwify skips would have
     taken the same verdicts.  The result and report equal those of a loop
     that calls fill_cavity at every (a, n), with simplicial verdicts."""
-    fills, checks, inside = [], [], []
-    fill, homology = hcw.fill_cavity, hcw._filter_homology
-    sphere = is_homology_sphere_at
+    fills, checks, inside, built = [], [], [], []
+    fill, verdicts = hcw.fill_cavity, hcw._sphere_verdicts
+    sphere, subcomplex = is_homology_sphere_at, Poset.subcomplex
 
     def spy_fill(P0, a, n, F):
         R0 = Poset(P0.elements, P0.covers, deg=P0.deg)
@@ -405,15 +399,20 @@ def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
         fills.append((P0, a, n, cavity, added, checks[start:]))
         return P1, added
 
-    def spy_homology(C, b, spheres, memo):
-        h, P0 = homology(C, b, spheres, memo), C.poset
+    def spy_verdicts(C, down, memo):
+        out = verdicts(C, down, memo)
         if inside:
-            assert P0.below[b] <= spheres, b  # read off the conic complex
-            checks.append((P0, b, h == {P0.dim(b) - 1: 1}))
-        return h
+            checks.extend((C.poset, b, v) for b, v in out.items())
+        return out
+
+    def spy_subcomplex(P0, tops):
+        if inside:
+            built.append(tops)
+        return subcomplex(P0, tops)
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
-    monkeypatch.setattr(hcw, "_filter_homology", spy_homology)
+    monkeypatch.setattr(hcw, "_sphere_verdicts", spy_verdicts)
+    monkeypatch.setattr(Poset, "subcomplex", spy_subcomplex)
     named = [(RP2_GENS, 2), (K6_EDGES[:13], 2), (K6_EDGES[:15], 2),
              (K6_EDGES[:15], 3)]
     for I, p in [(minimalize(gens), p) for gens, p in named] + [
@@ -421,6 +420,7 @@ def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
         F, start = FieldSpec(p), len(fills)
         P = _incidence(I, F)
         Q, report = hcw.hcwify(P, F)
+        assert built == []  # every verdict in a fill read off the conic
         for Pi, a, n, cavity, added, seen in fills[start:]:
             assert cavity and added, (a, n)
             assert [b for _, b, _ in seen] == _by_dimension(
@@ -487,7 +487,7 @@ def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
     F = FieldSpec(p)
     P = _incidence(minimalize(NAMED[name]), F)
     fills, checked, inside, built = [], [], [], []
-    fill, homology = hcw.fill_cavity, hcw._filter_homology
+    fill, verdicts = hcw.fill_cavity, hcw._sphere_verdicts
     subcomplex = Poset.subcomplex
 
     def spy_fill(P0, a, n, F):
@@ -498,10 +498,12 @@ def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
         finally:
             inside.pop()
 
-    def spy_homology(C, b, spheres, memo):
-        if inside:
-            checked.append((C.poset, b, C.poset.below[b] <= spheres))
-        return homology(C, b, spheres, memo)
+    def spy_verdicts(C, down, memo):
+        out = verdicts(C, down, memo)
+        if inside:  # conic: every element below b was found a sphere
+            checked.extend((C.poset, b, all(out[x] for x in C.poset.below[b]))
+                           for b in out)
+        return out
 
     def spy_subcomplex(P0, tops):
         if inside:
@@ -509,7 +511,7 @@ def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
         return subcomplex(P0, tops)
 
     monkeypatch.setattr(hcw, "fill_cavity", spy_fill)
-    monkeypatch.setattr(hcw, "_filter_homology", spy_homology)
+    monkeypatch.setattr(hcw, "_sphere_verdicts", spy_verdicts)
     monkeypatch.setattr(Poset, "subcomplex", spy_subcomplex)
     Q, report = hcw.hcwify(P, F)
     assert max(Counter((id(P0), b) for P0, b, _ in checked).values(),
