@@ -2,19 +2,17 @@
 the resolution-support criterion.
 
 The degree-n component sits at the apexes a with d(a) = n and is the full
-top cycle space of the order complex of the open filter P_{<a}.  A generator
-is written [a, z]; its differential is z re-expressed in the degree-(n-1)
-cycle bases, grouping the faces of z by their top vertex.  conic_complex
-finds those cycles from the differential of the degree below, with no
-elimination on an order complex: each cycle basis is the kernel basis of
-that differential as exactla.kernel_basis gives it, one scalar per cycle
-aside.  The augmented complex restricted to the apexes below a computes
-the homology of the filter below a whenever every lower filter is a sphere
-(the paper's theorem), which is how hcw takes its sphere verdicts.
+top cycle space of the order complex of the open filter P_{<a}.  The
+differentials fix those cycles, so conic_complex builds matrices only and
+ConicComplex.cycles expands the cycles over the faces on demand.  The
+augmented complex restricted to the apexes below a computes the homology
+of the filter below a whenever every lower filter is a sphere (the paper's
+theorem), which is how hcw takes its sphere verdicts.
 """
 
 from collections import Counter
 from copy import copy
+from functools import cached_property
 
 from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
@@ -28,7 +26,6 @@ class ConicComplex(ChainComplex):
     """Field chain complex with one component per poset element.
 
     gens:      dict n -> ordered list of (apex, index) pairs, the basis ids
-    cycles:    dict (apex, index) -> sparse cycle {face: scalar}
     d:         dict n -> {(apex_c, i_c): {(apex_r, i_r): scalar}} for n >= 1
     aug:       dict (apex, index) -> scalar, the augmentation on degree 0
     degree_of: dict (apex, index) -> deg of the apex ({} without P.deg)
@@ -36,10 +33,9 @@ class ConicComplex(ChainComplex):
     The constructor checks d o d = 0 last, eps o d_1 = 0 included.
     """
 
-    def __init__(self, poset, field, gens, cycles, d, aug, augmented):
+    def __init__(self, poset, field, gens, d, aug, augmented):
         super().__init__(field, gens, d, aug, augmented)
         self.poset = poset
-        self.cycles = dict(cycles)
         self.degree_of = {g: poset.deg[g[0]] for gs in self.basis.values()
                           for g in gs} if poset.deg else {}
         self.check_complex()
@@ -51,10 +47,29 @@ class ConicComplex(ChainComplex):
     def component_dims(self):
         return dict(Counter(a for gs in self.gens.values() for a, _ in gs))
 
+    @cached_property
+    def cycles(self):
+        """{(apex, index): cycle {face: scalar}} on first read: {(): 1} in
+        degree 0, else sum_h d(g)_h (apex(h) * cycles[h]), faces and gens
+        in index order.  TooLarge if the order complex exceeds FACE_CAP faces."""
+        P, F = self.poset, self.field
+        P.check_face_cap()
+        cycles = {g: {(): F.one} for g in self.gens.get(0, [])}
+        for n in sorted(self.gens)[1:]:
+            for g in self.gens[n]:
+                z = {}
+                for h, x in self._column(n, g).items():
+                    F.row_sub(z, F.neg(x), {(h[0],) + f: v
+                                            for f, v in cycles[h].items()})
+                cycles[g] = dict(sorted(z.items(), key=lambda fv: tuple(
+                    map(P.index.__getitem__, fv[0]))))
+        return dict(sorted(cycles.items(), key=lambda gz: P.index[gz[0][0]]))
+
     def same_matrices(self, other):
-        """Entry-wise equality of generators, cycles and differentials."""
-        return (self.gens == other.gens and self.cycles == other.cycles
-                and self.d == other.d and self.aug == other.aug)
+        """Entry-wise equality of generators and differentials, which fix
+        the cycles."""
+        return (self.gens == other.gens and self.d == other.d
+                and self.aug == other.aug)
 
     def to_json(self):
         def gid(g):
@@ -82,36 +97,24 @@ class ConicComplex(ChainComplex):
 
 
 def conic_complex(P, F, augmented=False):
-    """The conic chain complex of P over F with echelonized cycle bases,
-    built bottom-up in d(a), once per (P, F), and memoized on P per
-    (F, augmented): the other augmentation is the same gens, cycles, d and
-    aug stores with only the `augmented` flag flipped, as the constructor's
-    d o d check covers eps o d_1 either way.
+    """The conic chain complex of P over F, built bottom-up in d(a) with no
+    face, once per (P, F), and memoized on P per (F, augmented): the other
+    augmentation shares the gens, d and aug stores with only `augmented`
+    flipped, as the constructor's d o d check covers eps o d_1 either way.
 
     Each top face of Delta(P_{<a}) is c * f with d(c) = d(a) - 1, and
     d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c is
     a top cycle at c and sum_c w_c = 0.  So the cycles at a are the kernel
     of the conic d_{d(a)-1} (for d(a) = 1 the augmentation) on the
-    generators `cols` with apex below a, s expanded as sum_g s_g (apex(g) *
-    cycles[g]), and s is their differential.  Each s is kernel_basis's (as
-    ChainComplex.kernel reads it, sparse), and s and z are divided by z's
-    coefficient at its smallest face in vertex-index order.  hcwify and
-    fill_cavity read the homology of each filter off the augmented complex
-    restricted to the apexes below it (hcw._homology_below).
-
-    That basis is echelonized on the faces in descending order, by
-    induction on d(a).  `cols` is in (apex index, i) order.  The cycles at
-    one apex c end at faces p(c, i) that increase with i, and no other
-    cycle at c is nonzero at p(c, i).  Faces compare by their apex first,
-    so z is s_g at c * p(g) and ends at c * p(g) for the last g with
-    s_g != 0.  For each column j that vanishes, kernel_basis gives the
-    vector that ends at j and is zero at every other such column: once
-    expanded, the reduced echelon basis on the faces, by ascending largest
-    face, which is unique up to the scale the smallest face fixes.
-    TooLarge beyond FACE_CAP faces of the order complex stays, as the
-    cycles are sums over those faces.
+    generators `cols` with apex below a: z = sum_g s_g (apex(g) * cycles[g])
+    has differential s.  Each s is kernel_basis's (as ChainComplex.kernel
+    reads it, sparse), divided by mu, z's coefficient at its smallest face
+    in vertex-index order.  Faces compare by their top vertex first, and the
+    cycles at one apex are independent, so that face is c * f for the
+    lowest-index apex c in the support of s, and f the smallest face of the
+    cycle that d(s restricted to c) stands for one degree down.  The descent
+    ends in eps, 1 on every vertex: mu is the entry at the lowest vertex.
     """
-    P.check_face_cap()
     if (F, augmented) in P._conic:
         return P._conic[F, augmented]
     if (other := P._conic.get((F, not augmented))) is not None:
@@ -121,29 +124,24 @@ def conic_complex(P, F, augmented=False):
         return C
     gens = {P.dim(a): [] for a in P.elements}  # degrees in the order met
     gens[0] = [(a, 0) for a in P.elements if not P.dim(a)]
-    cycles, d = {g: {(): F.one} for g in gens[0]}, {}
-    aug = dict.fromkeys(gens[0], F.one)
+    d, aug = {}, dict.fromkeys(gens[0], F.one)
     for n in sorted(gens)[1:]:
         low = ChainComplex(F, gens, d, aug)  # the degrees below n
         for a in (a for a in P.elements if P.dim(a) == n):
             cols = [g for g in gens[n - 1] if g[0] in P.below[a]]
             for i, s in enumerate(low.kernel(n - 1, cols=cols)):
-                z = {}  # sum_g s_g (apex(g) * cycles[g])
-                for g, x in s.items():
-                    F.row_sub(z, F.neg(x), {(g[0],) + f: v
-                                            for f, v in cycles[g].items()})
-                z = dict(sorted(z.items(), key=lambda fv: tuple(
-                    map(P.index.__getitem__, fv[0]))))
-                inv = F.inv(next(iter(z.values())))
+                t = s  # mu, by descent on the lowest apex down to eps
+                for m in range(n - 1, -1, -1):
+                    c = min((g[0] for g in t), key=P.index.get)
+                    t = low.boundary(m, {g: v for g, v in t.items()
+                                         if g[0] == c})
+                inv = F.inv(t[()])
                 if inv != F.one:
-                    z, s = ({k: F.mul(inv, v) for k, v in x.items()}
-                            for x in (z, s))
+                    s = {g: F.mul(inv, v) for g, v in s.items()}
                 gens[n].append((a, i))
-                cycles[(a, i)] = z
                 d.setdefault(n, {})[(a, i)] = s
-    cycles = dict(sorted(cycles.items(), key=lambda gz: P.index[gz[0][0]]))
     try:
-        C = ConicComplex(P, F, gens, cycles, d, aug, augmented)
+        C = ConicComplex(P, F, gens, d, aug, augmented)
     except NotAComplex as exc:
         raise VerificationError(f"conic {exc}") from exc
     P._conic[F, augmented] = C

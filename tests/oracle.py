@@ -263,7 +263,8 @@ def conic_coords(P, cycles, chain, n, F):
 def conic_complex_reference(P, F, augmented=False):
     """conic_complex as it once was, in two stages: the top cycles of each
     filter complex Delta(P_{<a}) (cycle_space), then each cycle's
-    differential read back into the conic bases by conic_coords."""
+    differential read back into the conic bases by conic_coords.  Those
+    cycles are set on the result in place of its expanded view."""
     from posetres.conic import ConicComplex
     from posetres.posets import cycle_space
     gens, cycles = {}, {}
@@ -276,4 +277,6 @@ def conic_complex_reference(P, F, augmented=False):
     d = {n: {g: conic_coords(P, cycles, cycles[g], n - 1, F) for g in gs}
          for n, gs in sorted(gens.items()) if n}
     aug = {g: cycles[g].get((), F.zero) for g in gens.get(0, [])}
-    return ConicComplex(P, F, gens, cycles, d, aug, augmented)
+    C = ConicComplex(P, F, gens, d, aug, augmented)
+    C.cycles = cycles
+    return C

@@ -164,7 +164,9 @@ def test_cap_exit_code(tmp_path, monkeypatch):
         P.order_complex()
     p = tmp_path / "v.json"
     p.write_text(json.dumps(P.to_json()))
-    assert main(["conic", str(p), "--poset"]) == 3
+    # the conic complex builds no face; only its JSON expands the cycles
+    assert main(["conic", str(p), "--poset"]) == 0
+    assert main(["conic", str(p), "--poset", "--json"]) == 3
 
 
 def test_hcwify_summaries(capsys):

@@ -13,7 +13,7 @@ from posetres import (FieldSpec, Poset, bar_reduce, betti_table,
                       strand, supports_resolution, taylor_complex)
 from posetres.conic import kernel_skeleton_check, skeleton_complex
 from posetres.errors import (HypothesisFailed, NotAMorphism, PosetresError,
-                             ShapeError, VerificationError)
+                             ShapeError, TooLarge, VerificationError)
 from posetres.incidence import incidence_poset
 from conftest import (M_GENS, RP2_GENS, load_fixture_complex, random_corpus,
                       random_graded_posets, theta_poset)
@@ -397,3 +397,29 @@ def test_conic_complex_builds_no_order_complex(monkeypatch):
         monkeypatch.setattr(Poset, name, refuse)
     for P, F in posets:
         assert conic_complex(P, F, True).poset is P
+
+
+def test_conic_complex_past_the_face_cap_builds_no_face(monkeypatch):
+    """With FACE_CAP one below the face count of the K6-15 order complex,
+    conic_complex builds no face and gives the matrices it gives with the
+    cap lifted; only the cycles, expanded over the faces, raise TooLarge."""
+    F = FieldSpec(2)
+    P = _incidence(minimalize(K6_EDGES[:15]), F)
+    calls, subcomplex = [], Poset.subcomplex
+
+    def spy(self, tops):
+        calls.append(tops)
+        return subcomplex(self, tops)
+
+    monkeypatch.setattr(Poset, "subcomplex", spy)
+    monkeypatch.setattr("posetres.posets.FACE_CAP", P.chain_count() - 1)
+    C = conic_complex(P, F)
+    assert calls == []
+    with pytest.raises(TooLarge):
+        C.cycles
+    monkeypatch.undo()
+    P._conic.clear()
+    D = conic_complex(P, F)
+    for name in ("gens", "d", "aug"):
+        assert _ordered(getattr(C, name)) == _ordered(getattr(D, name)), name
+    assert D.cycles

@@ -320,8 +320,8 @@ def test_conic_memo_per_field_and_augmentation():
     A = conic_complex(P, FieldSpec(0), True)
     assert A is not C and A.augmented and not C.augmented
     # built once per (poset, field): the other augmentation shares the stores
-    assert all(getattr(A, k) is getattr(C, k)
-               for k in ("gens", "cycles", "d", "aug"))
+    assert all(getattr(A, k) is getattr(C, k) for k in ("gens", "d", "aug"))
+    assert A.cycles == C.cycles
     assert conic_complex(P, FieldSpec(0), True) is A
     D = conic_complex(P, FractionField(0))
     assert D is not C and D.same_matrices(C)
@@ -334,17 +334,16 @@ def test_conic_memo_per_field_and_augmentation():
 def test_verify_fill_compares_a_fresh_conic_complex(monkeypatch, p):
     """extend_below carries no conic complex, so _verify_fill compares the
     memoized complex of a fill's input with one built afresh for its
-    output, and a wrong cycle coefficient in the memo (cycles are compared,
-    never solved on) is caught.  An extend_below that carried the memo
+    output, and a wrong memo entry that leaves the fill as it is gets
+    caught: d(e3) = u - v becomes u - w, still a complex, and the fill
+    still adds e1, e2, e4 and e5.  An extend_below that carried the memo
     would compare the complex with itself."""
     F = FieldSpec(p)
 
     def corrupted():
         P = chain_poset()
-        C = conic_complex(P, F, True)
-        z = C.cycles[C.gens[1][0]]
-        f = next(iter(z))
-        z[f] = F.add(z[f], F.one)
+        col = conic_complex(P, F, True).d[1][("e3", 0)]
+        col[("w", 0)] = col.pop(("v", 0))
         return P
 
     with pytest.raises(VerificationError, match="conic complex changed"):
@@ -357,7 +356,8 @@ def test_verify_fill_compares_a_fresh_conic_complex(monkeypatch, p):
         return P
 
     monkeypatch.setattr(Poset, "extend_below", carrying)
-    assert fill_cavity(corrupted(), "a", 0, F)[1]
+    assert fill_cavity(corrupted(), "a", 0, F)[1] == [
+        (e, "a") for e in ("e1", "e2", "e4", "e5")]
 
 
 # --- hcwify fills only where there is a cavity -----------------------------
