@@ -284,6 +284,30 @@ def _in_field(d, F):
                 for c, col in cols.items()} for n, cols in d.items()}
 
 
+def _check_placed(C):
+    """Raise ShapeError unless every column of C.d lies in its degree with
+    its rows one degree below, and every entry is homogeneous.  Homogeneity
+    is tested once per distinct pair of row and column degrees; the row
+    sets this keeps per column degree are freed on return, before d o d is
+    checked."""
+    deg = C.degree_of
+    under = defaultdict(set)  # column degree -> the rows of its columns
+    for n, cols in C.d.items():
+        rows = set(C.basis.get(n - 1, ()))
+        for c, col in cols.items():
+            if C.hdeg_of.get(c) != n or not rows.issuperset(col):
+                r = next((r for r in col if r not in rows), next(iter(col)))
+                raise ShapeError(f"entry ({r},{c}) misplaced in degree {n}")
+            under[deg[c]].update(col)
+    for dc, ids in under.items():
+        if not all(divides(dr, dc) for dr in set(map(deg.__getitem__, ids))):
+            r, c = next((r, c) for cols in C.d.values()
+                        for c, col in cols.items() for r in col
+                        if not divides(deg[r], deg[c]))
+            raise ShapeError(f"inhomogeneous entry ({r},{c}): "
+                             f"deg {deg[c]} - {deg[r]} < 0")
+
+
 class GradedFreeComplex(ChainComplex):
     """Chain complex of free Z^m-graded modules with a labeled basis.
 
@@ -317,22 +341,7 @@ class GradedFreeComplex(ChainComplex):
                 if len(d) != num_vars:
                     raise ShapeError(f"label degree length != num_vars for {i!r}")
                 self.degree_of[i] = d
-        deg = self.degree_of
-        under = defaultdict(set)  # column degree -> the rows of its columns
-        for n, cols in self.d.items():
-            rows = set(self.basis.get(n - 1, ()))
-            for c, col in cols.items():
-                if self.hdeg_of.get(c) != n or not rows.issuperset(col):
-                    r = next((r for r in col if r not in rows), next(iter(col)))
-                    raise ShapeError(f"entry ({r},{c}) misplaced in degree {n}")
-                under[deg[c]].update(col)
-        for dc, ids in under.items():
-            if not all(divides(dr, dc) for dr in set(map(deg.__getitem__, ids))):
-                r, c = next((r, c) for cols in self.d.values()
-                            for c, col in cols.items() for r in col
-                            if not divides(deg[r], deg[c]))
-                raise ShapeError(f"inhomogeneous entry ({r},{c}): "
-                                 f"deg {deg[c]} - {deg[r]} < 0")
+        _check_placed(self)
         self.check_complex()
 
     def exponent(self, r, c):
@@ -427,7 +436,11 @@ def taylor_complex(ideal, F):
     """Taylor complex of a monomial ideal: one generator per nonempty subset
     of the minimal generators, labeled by the subset lcm, with the standard
     alternating-sign differential.  More than TAYLOR_CAP generators raise
-    TooLarge."""
+    TooLarge.
+
+    A face's lcm comes from a memo keyed by (parent face's lcm, added
+    generator), which holds one tuple per element of the lcm lattice: one
+    `lcm` call per distinct key, and equal labels share one degree tuple."""
     gens = ideal.generators
     r = len(gens)
     if r > TAYLOR_CAP:
@@ -435,14 +448,20 @@ def taylor_complex(ideal, F):
     sign = (F(1), F(-1))
     # bitmask of a subset -> (id, lcm) for the subsets of one size; each
     # subset of the next size adds one larger index to one of them, in lex
-    # order, and its faces clear one bit each, lowest first
+    # order, and its faces clear one bit each, lowest first.  join maps
+    # (parent lcm, k) to the lcm, as the one tuple `one` keeps per value.
     prev = {1 << k: (f"t{k}", g) for k, g in enumerate(gens)}
     labels = {0: list(prev.values())}
+    join, one = {}, {g: g for g in gens}
     d = {}
     for n in range(1, r):
-        cur = {S | 1 << k: (f"{sid}.{k}", lcm(deg, gens[k]))
-               for S, (sid, deg) in prev.items()
-               for k in range(S.bit_length(), r)}
+        cur = {}
+        for S, (sid, deg) in prev.items():
+            for k in range(S.bit_length(), r):
+                if (x := join.get((deg, k))) is None:
+                    x = lcm(deg, gens[k])
+                    x = join[deg, k] = one.setdefault(x, x)
+                cur[S | 1 << k] = (f"{sid}.{k}", x)
         labels[n] = list(cur.values())
         cols = d[n] = {}
         for S, (cid, _) in cur.items():

@@ -163,17 +163,38 @@ def test_taylor_cap():
 
 def test_taylor_matches_reference():
     ideals = ([minimalize(SQUAREFREE3), minimalize(M_GENS),
-               minimalize(K6_EDGES[:7]),
+               minimalize(K6_EDGES[:7]), minimalize(K6_EDGES[:10]),
                minimalize([(3, 0, 0), (2, 1, 0), (0, 2, 1), (1, 0, 2),
                            (0, 3, 0), (0, 0, 3), (1, 1, 1)])]
               + random_corpus(100))
-    assert {len(I.generators) for I in ideals} == set(range(1, 8))
+    assert {len(I.generators) for I in ideals} == {*range(1, 8), 10}
     for I in ideals:
-        for F in (Q, FieldSpec(3)):
+        for F in FIELDS:
             T, R = taylor_complex(I, F), taylor_reference(I, F)
             assert T.to_json() == R.to_json()
             assert T.labels == R.labels
             assert_same_complex(T, R)
+
+
+def test_taylor_joins_each_lcm_once_per_lattice_element(monkeypatch):
+    """On K6-13 each lcm is joined once per (parent lcm, added generator):
+    at most (distinct label degrees) x r calls, against one per face of two
+    or more generators (8,178) when every face is joined anew.  Equal
+    labels share one degree tuple."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return lcm(a, b)
+
+    I = minimalize(K6_EDGES[:13])
+    monkeypatch.setattr(gradedcomplex, "lcm", spy)
+    T = taylor_complex(I, FieldSpec(3))
+    degs = [d for labs in T.labels.values() for _, d in labs]
+    assert len(degs) == 2 ** 13 - 1
+    assert len(set(degs)) == 54
+    assert len(calls) <= len(set(degs)) * len(I.generators)
+    assert len({id(d) for d in degs}) == len(set(degs))
 
 
 def test_homogeneity_enforced():
