@@ -25,7 +25,10 @@ ChainComplex.check_complex.  Over every other field, and with none,
 (an int = +1 or -1 mod p) two signed masks, of its +1 rows and of its -1
 rows, and clears each column of d_{n+1} whose paths pair up: every row
 reached by exactly one +1 path and one -1 path, which makes the integer
-lift of the composite exactly 0.  These are the only places that pick
+lift of the composite exactly 0.  It takes one pass per differential,
+walking the degrees upward: the loop that adds up the masks of d_n over a
+column of d_{n+1} also builds that column's own masks, so the masks of
+two degrees are held at once.  These are the only places that pick
 masks.
 """
 
@@ -230,36 +233,35 @@ def _reduce(A, F, cols, track=False):
     return pivots, left
 
 
-def _row_bits(lower, shift):
-    """{row: bit} over the rows of the columns `lower`, in order of first
-    appearance, from bit `shift` up."""
-    seen = {}
-    for col in lower.values():
-        seen.update(col)
-    return dict(zip(seen, range(shift, shift + len(seen))))
+def _suspect_columns(rows, diffs, F):
+    """Yield (n, c, column) for each column c of d_n whose composite with
+    d_{n-1} may be nonzero over F, in ascending n and then in the order of
+    d_n: `diffs` lists (ids, columns) for d_0, d_1, ... in turn, ids the
+    basis of degree n, and `rows` the rows of d_0.  Every other column
+    composes to 0 over F, so summing only the suspects decides
+    d_{n-1} o d_n = 0 and finds its first failing column.
 
+    One loop per differential both adds up the masks of the columns of
+    d_{n-1} over each column of d_n and builds that column's own masks,
+    when a d_{n+1} will read them.  A row of d_n is the bit of its position
+    in the basis of degree n - 1 (in `rows` for d_0), and the masks of d_n
+    are kept by the position of their column in the basis of degree n, an
+    index that serves as the row index of d_{n+1}; so the masks of two
+    differentials are held at once.  A column of d_n with a row outside
+    that basis, or with a value the masks cannot read, gets no masks, and
+    any column of d_{n+1} that meets it is a suspect, as is any column
+    with such a value or with a mid outside the basis.
 
-def _suspect_columns(lower, upper, F):
-    """The items (c, column) of `upper`, in its order, whose composite with
-    `lower` may be nonzero over F: `upper` holds the columns {c: {mid:
-    scalar}} of d_{n+1} and `lower` the columns {mid: {row: scalar}} of d_n.
-    Every other column of `upper` composes to 0 over F, so summing only the
-    suspects decides d_n o d_{n+1} = 0 and finds its first failing column.
-    Each row of d_n gets a bit, in order of first appearance, and each
-    column of d_n its masks over those bits, kept for this call only: in a
-    dict by mid over GF(2), else in lists by the column's position in
-    `lower`.
-
-    Over GF(2), when every value of both is an int, the mask of a column
-    of d_n holds its odd entries.  An entry v*w is odd iff v and w are, so
-    a column of d_{n+1} composes to 0 mod 2 iff the XOR of the masks at
-    its odd entries is 0.  A value that is not an int makes every column
-    of the degree a suspect.
+    Over GF(2) the mask of a column whose values are all ints holds its
+    odd entries, above a count field (below) that the test ignores.  An
+    entry v*w is odd iff v and w are, so a column of d_n of ints composes
+    to 0 mod 2 iff the XOR of the masks at its odd entries is 0 above the
+    count field.
 
     Over any other field, or with none (F None), a unit is an `int` = +1
     or -1 mod p (exactly +1 or -1 when p = 0).  A column of d_n whose every
     value is a unit gets two masks, P of its +1 rows and N of its -1 rows;
-    any other column gets none.  A column of d_{n+1} is cleared iff every
+    any other column gets none.  A column of d_n is cleared iff every
     value is a unit, every mid has masks or no column, and, taking N for P
     and P for N at its -1 entries, the P masks are pairwise disjoint, the
     N masks are pairwise disjoint and the two unions are equal.  Then every
@@ -270,87 +272,76 @@ def _suspect_columns(lower, upper, F):
     The test adds masks instead of comparing them: X sums the P masks and
     Y the N masks, N and P at the -1 entries, each mask also holding its
     column's length below bit K, so both count fields hold the number L of
-    paths.  Adding masks that share a bit carries, and each carry loses
-    one set bit, so the row bits of X and Y number L, less one per carry.
-    X == Y says the two sums are equal, so their row bits number the same;
-    when they number L / 2 each, there was no carry: the masks were
-    pairwise disjoint, each sum is their union, and the unions are equal.
+    paths.  K is the bit length of the product of the two basis sizes,
+    which bounds L.  Adding masks that share a bit carries, and each carry
+    loses one set bit, so the row bits of X and Y number L, less one per
+    carry.  X == Y says the two sums are equal, so their row bits number
+    the same; when they number L / 2 each, there was no carry: the masks
+    were pairwise disjoint, each sum is their union, and the unions are
+    equal.
     """
-    if not lower or not upper:  # every composite is empty
-        return []
     p = F.characteristic if F else 0
-    suspect = []
-    if p == 2:
-        bit = _row_bits(lower, 0)
-        masks = {}
-        for mid, col in lower.items():
-            m = 0
-            for r, v in col.items():
-                if type(v) is not int:
-                    return upper.items()
-                if v & 1:
-                    m |= 1 << bit[r]
-            masks[mid] = m
-        for c, col in upper.items():
-            x = 0
-            for mid, v in col.items():
-                if type(v) is not int:
-                    return upper.items()
-                if v & 1:
-                    x ^= masks.get(mid, 0)
-            if x:
-                suspect.append((c, col))
-        return suspect
     m1 = p - 1 if p else -1  # -1 as the field keeps it
-    # L, at most len(col) * (rows per mid), stays below bit K
-    K = (max(map(len, lower.values()))
-         * max(map(len, upper.values()))).bit_length()
-    bit = _row_bits(lower, K)
-    # the masks of the k-th column of lower are pos[k] and neg[k]; a mid
-    # with no column is at z, whose masks are 0
-    z = len(lower)
-    at = dict(zip(lower, range(z)))
-    pos, neg = [0] * (z + 1), [0] * (z + 1)
-    for k, (mid, col) in enumerate(lower.items()):
-        P = N = len(col)
-        for r, v in col.items():
-            if type(v) is not int:
-                break
-            if v == 1:  # the field's own +1 and -1 come first
-                P |= 1 << bit[r]
-            elif v == m1 or p and v % p == m1:
-                N |= 1 << bit[r]
-            elif p and v % p == 1:
-                P |= 1 << bit[r]
-            else:
-                break
-        else:
-            pos[k], neg[k] = P, N
+    # the row index of d_n, the masks of the columns of d_{n-1} by position,
+    # the width K of their count fields, and the columns given no masks
+    at = pos = neg = None
+    K, bad = 0, set()
+    for n, (ids, cols) in enumerate(diffs):
+        test = n and diffs[n - 1][1]  # else d_{n-1} o d_n is 0
+        keep = n + 1 < len(diffs) and diffs[n + 1][1]  # d_{n+1} reads masks
+        if not cols or not (test or keep):
             continue
-        at[mid] = None
-    low = (1 << K) - 1
-    for c, col in upper.items():
-        X = Y = 0
-        for mid, v in col.items():
-            k = at.get(mid, z)
-            if type(v) is not int or k is None:
-                break
-            if v == 1:
-                X += pos[k]
-                Y += neg[k]
-            elif v == m1 or p and v % p == m1:
-                X += neg[k]
-                Y += pos[k]
-            elif p and v % p == 1:
-                X += pos[k]
-                Y += neg[k]
-            else:
-                break
+        if not test:  # nothing below to add up: masks of 0
+            rows = diffs[n - 1][0] if n else rows
+            at = dict(zip(rows, range(len(rows))))
+            pos = neg = [0] * len(at)
+        width = (len(at) * len(ids)).bit_length()  # K of d_n's masks
+        if keep:  # ix: column of d_n -> its position, d_{n+1}'s row index
+            ix = dict(zip(ids, range(len(ids))))
+            bit = list(map((1).__lshift__, range(width, width + len(at))))
         else:
-            if X == Y and 2 * (X >> K).bit_count() == X & low:
+            ix, bit = {}, [0] * len(at)
+        P_of, N_of, nbad = [0] * len(ix), [0] * len(ix), set()
+        low = (1 << K) - 1
+        for c, col in cols.items():
+            X = Y = 0
+            P = N = len(col)
+            for mid, v in col.items():
+                k = at.get(mid)
+                if k is None or type(v) is not int:
+                    break
+                if p == 2:
+                    if v & 1:
+                        X ^= pos[k]
+                        P |= bit[k]
+                elif v == 1:  # the field's own +1 and -1 come first
+                    X += pos[k]
+                    Y += neg[k]
+                    P |= bit[k]
+                elif v == m1 or p and v % p == m1:
+                    X += neg[k]
+                    Y += pos[k]
+                    N |= bit[k]
+                elif p and v % p == 1:
+                    X += pos[k]
+                    Y += neg[k]
+                    P |= bit[k]
+                else:
+                    break
+            else:
+                if (j := ix.get(c)) is not None:
+                    P_of[j], N_of[j] = P, N
+                if not test or (not bad or bad.isdisjoint(col)) and (
+                        X >> K == 0 if p == 2 else X == Y and
+                        2 * (X >> K).bit_count() == X & low):
+                    continue
+                yield n, c, col
                 continue
-        suspect.append((c, col))
-    return suspect
+            nbad.add(c)
+            if test:
+                yield n, c, col
+        if keep:
+            at, pos, neg, K, bad = ix, P_of, N_of, width, nbad
 
 
 def rank(A, F, *, skip=(), lows=None):

@@ -158,36 +158,44 @@ class ChainComplex:
         being the augmentation, so that eps o d_1 = 0 is checked too.
 
         exactla._suspect_columns picks the columns of d_{n+1} to sum, and
-        every column it leaves out composes to 0.  Over GF(2), when d_n and
-        d_{n+1} hold only ints, it leaves out the columns whose composite is
-        even, found by XOR of bitmask columns.  Over any other field, and
-        with none, it leaves out the columns whose values, and those of
-        their mids' columns, are units (ints = +1 or -1 mod p) and whose +1
-        and -1 paths pair up: every row of d_n reached by exactly one of
-        each, found by adding signed row masks.  The integer lift of such a
-        composite is exactly 0, so it is 0 mod p too.  A Fraction or another
-        non-unit, or an unpaired path, sends the column to the sum.  Each
-        suspect is composed with the columns of d_n in plain Python numbers,
-        exact for ints and Fractions alike, and reduced mod p only in the
-        zero test; a complex with no field sums over the integers.
+        every column it leaves out composes to 0.  It walks the degrees
+        upward in one pass per differential: the loop that adds up the
+        masks of d_n over a column of d_{n+1} also builds that column's own
+        masks, its rows numbered by their position in basis[n].  Over
+        GF(2) it leaves out the columns of ints whose composite is even,
+        found by XOR of bitmask columns.  Over any other field, and with
+        none, it leaves out the columns whose values, and those of their
+        mids' columns, are units (ints = +1 or -1 mod p) and whose +1 and -1
+        paths pair up: every row of d_n reached by exactly one of each,
+        found by adding signed row masks.  The integer lift of such a
+        composite is exactly 0, so it is 0 mod p too.  In every field a
+        Fraction or another value the masks cannot read, an id outside the
+        basis, or an unpaired path sends the columns it touches to the
+        sum.  With fewer than two differentials there is nothing to
+        compose.  Each suspect is composed with the columns of d_n in plain
+        Python numbers, exact for ints and Fractions alike, and reduced mod
+        p only in the zero test; a complex with no field sums over the
+        integers.
         The first failing composite, in ascending n and then in the order
         of d_{n+1}, names its first nonzero entry.  GradedFreeComplex and
         ConicComplex run this last in their constructors, so each is a
         complex once built."""
+        if len(self.d) + bool(self.aug) < 2:  # no two maps to compose
+            return
         p = self.field.characteristic if self.field else 0
-        for n in sorted({0, *self.d}):
-            lower = self._cols(n)
-            for c, col in _suspect_columns(lower, self.d.get(n + 1, {}),
-                                           self.field):
-                comp = {}
-                get = comp.get
-                for mid, v in col.items():
-                    for r, w in lower.get(mid, {}).items():
-                        comp[r] = get(r, 0) + v * w
-                vals = comp.values()
-                if any(map(mod, vals, repeat(p)) if p else vals):
-                    r = next(r for r, v in comp.items() if (v % p if p else v))
-                    raise NotAComplex(f"d_{n} o d_{n + 1} != 0, e.g. at {(r, c)}")
+        diffs = [(self.basis.get(n, []), self._cols(n))
+                 for n in range(max(self.d, default=0) + 1)]
+        for n, c, col in _suspect_columns([()], diffs, self.field):
+            lower = diffs[n - 1][1]
+            comp = {}
+            get = comp.get
+            for mid, v in col.items():
+                for r, w in lower.get(mid, {}).items():
+                    comp[r] = get(r, 0) + v * w
+            vals = comp.values()
+            if any(map(mod, vals, repeat(p)) if p else vals):
+                r = next(r for r, v in comp.items() if (v % p if p else v))
+                raise NotAComplex(f"d_{n - 1} o d_{n} != 0, e.g. at {(r, c)}")
 
     def homology_ranks(self, F=None):
         """Nonzero homology ranks per degree; includes degree -1, spanned by
@@ -487,11 +495,17 @@ def minimize(C):
     r0 from every other column with `row_sub`.  Columns cancelled as pivot
     rows of d_{n+1} are left out.  The sweep runs in two phases.
 
-    Phase 1 sweeps the unit parts of the columns only (rows of the
-    column's own multidegree).  Entries are homogeneous, so a pivot at
-    multidegree alpha changes unit entries only in columns of degree alpha,
-    and only through its own unit part: the unit parts evolve as in the
-    full sweep, and phase 1 finds the same pivots.
+    Phase 1 (`_unit_pivots`) finds the pivots on the unit parts of the
+    columns only (rows of the column's own multidegree).  Entries are
+    homogeneous, so a pivot at multidegree alpha changes unit entries only
+    in columns of degree alpha, and only through its own unit part: the
+    unit parts evolve as in the full sweep.  It finds them in one column
+    sweep, each column reduced by its top row against the pivot columns
+    before it.  The row sweep and the column sweep both add only earlier
+    columns to later ones and end with distinct top rows, and the pairs
+    such a reduction ends with are unique (the pairing lemma of
+    Cohen-Steiner, Edelsbrunner and Morozov, "Vines and vineyards", 2006),
+    so phase 1 finds the row sweep's pivots.
 
     Phase 2 reduces only the kept columns, those that are neither pivot
     columns of d_n nor pivot rows of d_{n+1} (`_kept_columns`).  Each is
@@ -502,34 +516,8 @@ def minimize(C):
     depend only on itself and on those pivot columns, so its values, dict
     order and scalar types are the full sweep's.
     """
-    F, deg = C.field, C.degree_of
     pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
-    pivots = {}  # n -> {r0: c0}, the pivots of d_n
-    for n in sorted(C.d):
-        below = set(pivots.get(n - 1, {}).values())  # rows cancelled below
-        unit, rows = {}, defaultdict(set)  # rows: {r: columns with a unit in r}
-        for c, x in C.d[n].items():
-            dc = deg[c]
-            u = {r: v for r, v in x.items() if deg[r] == dc and r not in below}
-            if u:
-                unit[c] = u
-                for r in u:
-                    rows[r].add(c)
-        piv = pivots[n] = {}
-        for r0 in C.basis.get(n - 1, []):
-            live = [c for c in rows.pop(r0, ()) if r0 in unit.get(c, ())]
-            if not live:
-                continue
-            c0 = piv[r0] = min(live, key=pos.__getitem__)
-            pivot = unit.pop(c0)
-            uinv = F.inv(pivot.pop(r0))
-            for c2 in live:
-                if c2 != c0:
-                    v = unit[c2].pop(r0)
-                    if pivot:  # most pivots clear only row r0
-                        F.row_sub(unit[c2], F.mul(uinv, v), pivot)
-            for r in pivot:
-                rows[r].update(live)
+    pivots = _unit_pivots(C, pos)
     dead, store = set(), {}
     for n, piv in pivots.items():
         dead.update(piv, piv.values())
@@ -538,10 +526,48 @@ def minimize(C):
         store[n] = _kept_columns(C, n, gone, piv, below, pos)
     labels = {n: [(i, d) for i, d in labs if i not in dead]
               for n, labs in C.labels.items()}
-    out = GradedFreeComplex(C.num_vars, F, labels, store)
+    out = GradedFreeComplex(C.num_vars, C.field, labels, store)
     if not out.is_minimal():
         raise VerificationError("minimization left a unit entry")
     return out
+
+
+def _unit_pivots(C, pos):
+    """Phase 1 of `minimize`: {n: {r0: c0}}, the pivots of each d_n, d_1
+    first.  The columns of d_n are walked in label order, each as its unit
+    part without the rows in `below` (the pivot columns of d_{n-1}), and
+    reduced by its top row, the one of least position, against the pivots
+    found so far, through a heap of row positions.  A column whose top row
+    has no pivot yet becomes that row's pivot, kept as (1/unit, the rest)
+    for the columns after it."""
+    F, deg = C.field, C.degree_of
+    pivots = {}
+    for n in sorted(C.d):
+        below = set(pivots.get(n - 1, {}).values())
+        ids, cols = C.basis[n - 1], C.d[n]
+        piv = pivots[n] = {}
+        done = {}  # r0 -> (1/unit, rest) of its pivot column
+        for c in C.basis[n]:
+            dc = deg[c]
+            x = {r: v for r, v in cols.get(c, {}).items()
+                 if deg[r] == dc and r not in below}
+            heap = [pos[r] for r in x]
+            heapify(heap)
+            while heap:
+                r = ids[heappop(heap)]
+                if r not in x:
+                    continue
+                if r not in done:
+                    piv[r] = c
+                    done[r] = F.inv(x.pop(r)), x
+                    break
+                uinv, rest = done[r]
+                v = x.pop(r)
+                if rest:  # most pivots clear only their own row
+                    F.row_sub(x, F.mul(uinv, v), rest)
+                    for r in rest:
+                        heappush(heap, pos[r])
+    return pivots
 
 
 def _kept_columns(C, n, gone, piv, below, pos):

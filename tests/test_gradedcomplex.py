@@ -22,6 +22,7 @@ from posetres.errors import (InvalidField, NotAComplex, NotMinimal, ParseError,
 from posetres import gradedcomplex, monomials
 from posetres.exactla import _suspect_columns
 from posetres.gradedcomplex import TAYLOR_CAP
+from helpers import row_sweep_pivots
 from conftest import (FIXTURES, M_GENS, RP2_GENS, SQUAREFREE3, columns,
                       json_values, random_corpus)
 
@@ -300,16 +301,18 @@ def test_check_complex_matches_dense_composite(p, data):
         assert str(exc.value) == expected
 
 
-@pytest.mark.parametrize("p", [0, 3, 5])
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
 def test_suspect_columns_clear_every_taylor_column(p):
-    """Over Q and GF(p), p odd, every column of every Taylor differential
-    reaches each row by one +1 and one -1 path, so _suspect_columns leaves
-    no column to sum in any degree: K6-10 and the corpus ideals."""
+    """Every column of every Taylor differential, d_1 under the augmentation
+    too, reaches each row by one +1 and one -1 path, so over Q and GF(p), p
+    odd, their masks pair up, and over GF(2) their XOR is 0: the one pass
+    of _suspect_columns leaves no column to sum in any degree, on K6-10 and
+    the corpus ideals."""
     F = FieldSpec(p)
     for I in [minimalize(K6_EDGES[:10])] + random_corpus(100):
-        T = taylor_complex(I, F)
-        for n in sorted({0, *T.d}):
-            assert _suspect_columns(T._cols(n), T.d.get(n + 1, {}), F) == []
+        X = bar_reduce(taylor_complex(I, F))
+        diffs = [(X.basis.get(n, []), X._cols(n)) for n in range(X.top + 1)]
+        assert list(_suspect_columns([()], diffs, F)) == []
 
 
 def _taylor_mutant(p, kind, seed):
@@ -387,6 +390,64 @@ def test_check_complex_sums_a_carry_and_a_non_unit_mid(p):
         with pytest.raises(NotAComplex) as exc:
             ChainComplex(F, basis, d).check_complex()
         assert str(exc.value) == f"d_1 o d_2 != 0, e.g. at ({row!r}, 'e')"
+
+
+FALLBACKS = {  # name: (basis, store {n: {(row, col): v}}, message over Q)
+    # a has the row z outside basis[0], so it gets no masks; read without
+    # z its masks would pair with b's and clear e
+    "row outside the basis": (
+        {0: ["x"], 1: ["a", "b"], 2: ["e"]},
+        {1: {("x", "a"): 1, ("z", "a"): 1, ("x", "b"): 1},
+         2: {("a", "e"): 1, ("b", "e"): -1}},
+        "d_1 o d_2 != 0, e.g. at ('z', 'e')"),
+    # w, a column of d_2 outside basis[2], has no masks for g to read;
+    # read as a zero column it would clear g
+    "column outside the basis": (
+        {0: ["x"], 1: ["a", "b"], 2: ["e"], 3: ["g"]},
+        {1: {("x", "a"): 1, ("x", "b"): 1},
+         2: {("a", "e"): 1, ("b", "e"): -1, ("a", "w"): 1, ("b", "w"): -1},
+         3: {("w", "g"): 1}},
+        "d_2 o d_3 != 0, e.g. at ('a', 'g')"),
+    # d_2 is empty, so the masks of d_3 are built with no sums under them
+    "empty differential between two": (
+        {0: ["x"], 1: ["a"], 2: ["e", "f"], 3: ["g", "k"], 4: ["h", "i"]},
+        {1: {("x", "a"): 1},
+         3: {("e", "g"): 1, ("f", "g"): -1, ("e", "k"): 1, ("f", "k"): -1},
+         4: {("g", "h"): 1, ("k", "h"): -1, ("g", "i"): 1}},
+        "d_3 o d_4 != 0, e.g. at ('e', 'i')"),
+    # m holds 3, a unit over no field but GF(2), under a column of units
+    "non-unit column below units": (
+        {0: ["x", "y"], 1: ["a", "b", "m"], 2: ["e"]},
+        {1: {("x", "a"): 1, ("x", "b"): -1, ("y", "m"): 3},
+         2: {("a", "e"): 1, ("b", "e"): 1, ("m", "e"): 1}},
+        "d_1 o d_2 != 0, e.g. at ('y', 'e')"),
+    # a Fraction in d_1: 2 * 1/2 + 2 * 1 = 3 is odd; with the parity masks
+    # of the int entries alone, e (both entries even) would be cleared
+    "fraction": (
+        {0: ["x"], 1: ["a", "b"], 2: ["e"]},
+        {1: {("x", "a"): Fraction(1, 2), ("x", "b"): 1},
+         2: {("a", "e"): 2, ("b", "e"): 2}},
+        "d_1 o d_2 != 0, e.g. at ('x', 'e')"),
+}
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, None])
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_check_complex_sends_what_it_cannot_mask_to_the_sum(name, p):
+    """Each case holds a column of d_{n+1} that only the exact sum can
+    decide, and check_complex gives the dense composite's verdict and
+    message on it over every field and with none."""
+    basis, diffs, message = FALLBACKS[name]
+    X = ChainComplex(p if p is None else FieldSpec(p), basis, columns(diffs))
+    expected = _first_failing_entry(diffs, p or 0)
+    if p in (0, None):
+        assert expected == message
+    if expected is None:
+        X.check_complex()
+    else:
+        with pytest.raises(NotAComplex) as exc:
+            X.check_complex()
+        assert str(exc.value) == expected
 
 
 def _as_fractions(d):
@@ -645,17 +706,21 @@ def test_scalars_are_stored_reduced_into_the_field():
             GradedFreeComplex(2, Q, labels, {1: {"c": {"a": bad}}})
 
 
-@pytest.mark.parametrize("F", [FieldSpec(p) for p in (0, 2, 3)])
-def test_minimize_pivots_on_a_unit_made_by_fill_in(F):
+def unit_filled_in(F):
     """The pivot (r0, c0) fills in c2 at row r1, a unit; in row r1 it sits
     at a lower position than the unit at c1, although c1 holds its unit
     first in dict order.  So r1 is pivoted on c2, and c1 survives."""
     labels = {0: [("r0", (1,)), ("r1", (1,))],
               1: [("c0", (1,)), ("c2", (1,)), ("c1", (1,))]}
     d = {1: {"c0": {"r0": 1, "r1": 1}, "c2": {"r0": 1}, "c1": {"r1": 1}}}
-    M = minimize(GradedFreeComplex(1, F, labels, d))
+    return GradedFreeComplex(1, F, labels, d)
+
+
+@pytest.mark.parametrize("F", [FieldSpec(p) for p in (0, 2, 3)])
+def test_minimize_pivots_on_a_unit_made_by_fill_in(F):
+    M = minimize(unit_filled_in(F))
     assert M.labels == {1: [("c1", (1,))]} and M.d == {}
-    assert_same_complex(M, minimize_reference(GradedFreeComplex(1, F, labels, d)))
+    assert_same_complex(M, minimize_reference(unit_filled_in(F)))
 
 
 def test_minimize_koszul_unchanged():
@@ -702,15 +767,17 @@ def test_minimize_matches_reference_on_random_ideals(gens, m, F):
                         minimize_reference(taylor_complex(I, F)))
 
 
-@pytest.mark.parametrize("F", FIELDS)
-def test_minimize_reduces_kept_columns_through_filled_pivots(F):
+FILLED_A = (1, 1)
+
+
+def pivots_filled_in(F):
     """Row r0 pivots on c0, whose rest {r1: 2, s: 1} fills c1 and e in the
     non-unit row s; r1 then pivots on c1 and r2 on c2, which c1 filled at
     s and t.  So the kept column k is reduced through c2 and c1, pivot
     columns with non-unit fill-in from earlier pivots, and e, which d_2
     cancels as the pivot row of g, carries non-unit fill-in too.  c0 also
     holds the later pivot row r1 when it pivots."""
-    a = (1, 1)
+    a = FILLED_A
     labels = {0: [("r0", a), ("r1", a), ("r2", a), ("s", (1, 0)),
                   ("t", (0, 1))],
               1: [("c0", a), ("c1", a), ("c2", a), ("k", a), ("e", a)],
@@ -720,10 +787,16 @@ def test_minimize_reduces_kept_columns_through_filled_pivots(F):
              "c2": {"r1": 1, "r2": 1}, "k": {"r2": 1, "s": 1},
              "e": {"r0": 1, "r1": 1, "t": 1}},
          2: {"g": {"e": 1, "c1": -1}}}
-    C = GradedFreeComplex(2, F, labels, d)
+    return GradedFreeComplex(2, F, labels, d)
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_minimize_reduces_kept_columns_through_filled_pivots(F):
+    C = pivots_filled_in(F)
     M = minimize(C)
     # k = r2 + s - (t - s) over Q: c2 = r2 + t - s once it pivots
-    assert M.labels == {0: [("s", (1, 0)), ("t", (0, 1))], 1: [("k", a)]}
+    assert M.labels == {0: [("s", (1, 0)), ("t", (0, 1))],
+                        1: [("k", FILLED_A)]}
     k = {"s": F(2), "t": F(-1)} if F.p != 2 else {"t": 1}  # 2 = 0 in GF(2)
     assert M.d == {1: {"k": k}}
     assert_same_complex(M, minimize_reference(C))
@@ -782,6 +855,31 @@ def test_minimize_matches_reference_after_a_change_of_basis(gens, F, data):
                 col[b2] = F.sub(col.get(b2, 0), F.mul(lam, col[b]))
     C = GradedFreeComplex(T.num_vars, F, T.labels, d)
     assert_same_complex(minimize(C), minimize_reference(C))
+    for X in (T, C):
+        assert unit_pivots(X) == row_sweep_pivots(X)
+
+
+def unit_pivots(C):
+    """minimize's phase 1 on C: {n: {r0: c0}}."""
+    pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
+    return gradedcomplex._unit_pivots(C, pos)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_column_sweep_finds_the_row_sweeps_pivots(p):
+    """Both sweeps add only earlier columns to later ones and end with
+    distinct top rows, so they pair the same rows and columns: on K6-10,
+    K6-13, the corpus and the two complexes whose pivots come from
+    fill-in (the K5 subsets, with and without changes of basis, are in
+    test_minimize_matches_reference_after_a_change_of_basis)."""
+    F = FieldSpec(p)
+    complexes = [unit_filled_in(F), pivots_filled_in(F)] + [
+        taylor_complex(I, F) for I in [minimalize(K6_EDGES[:10]),
+                                       minimalize(K6_EDGES[:13])]
+        + random_corpus(100)]
+    for C in complexes:
+        assert unit_pivots(C) == row_sweep_pivots(C)
+    assert sum(map(len, unit_pivots(complexes[3]).values())) == 4047
 
 
 def test_minimize_leaves_no_reference_cycle():
