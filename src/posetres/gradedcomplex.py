@@ -505,7 +505,10 @@ def minimize(C):
     columns to later ones and end with distinct top rows, and the pairs
     such a reduction ends with are unique (the pairing lemma of
     Cohen-Steiner, Edelsbrunner and Morozov, "Vines and vineyards", 2006),
-    so phase 1 finds the row sweep's pivots.
+    so phase 1 finds the row sweep's pivots.  A pivot column whose unit
+    part is its own row alone once reduced makes that row dead: reducing
+    by it only deletes the row, so phase 1 drops dead rows wherever they
+    appear instead, and reduces no column by their pivots.
 
     Phase 2 reduces only the kept columns, those that are neither pivot
     columns of d_n nor pivot rows of d_{n+1} (`_kept_columns`).  Each is
@@ -539,18 +542,25 @@ def _unit_pivots(C, pos):
     reduced by its top row, the one of least position, against the pivots
     found so far, through a heap of row positions.  A column whose top row
     has no pivot yet becomes that row's pivot, kept as (1/unit, the rest)
-    for the columns after it."""
+    for the columns after it.
+
+    A row is dead once its pivot column's rest is empty: reducing by that
+    pivot only deletes the row, and touches no other entry.  So dead rows
+    join `gone` with the rows in `below`: they are dropped from each unit
+    part when it is read and from each fill-in, never pushed.  A dead row
+    has a pivot, so it is never a top row, and every column ends with the
+    top row and pivot it would have had reduced by the dead pivots."""
     F, deg = C.field, C.degree_of
     pivots = {}
     for n in sorted(C.d):
-        below = set(pivots.get(n - 1, {}).values())
+        gone = set(pivots.get(n - 1, {}).values())  # below, then dead rows
         ids, cols = C.basis[n - 1], C.d[n]
         piv = pivots[n] = {}
-        done = {}  # r0 -> (1/unit, rest) of its pivot column
+        done = {}  # r0 -> (1/unit, rest) of its pivot column, rest nonempty
         for c in C.basis[n]:
             dc = deg[c]
             x = {r: v for r, v in cols.get(c, {}).items()
-                 if deg[r] == dc and r not in below}
+                 if r not in gone and deg[r] == dc}
             heap = [pos[r] for r in x]
             heapify(heap)
             while heap:
@@ -559,13 +569,18 @@ def _unit_pivots(C, pos):
                     continue
                 if r not in done:
                     piv[r] = c
-                    done[r] = F.inv(x.pop(r)), x
+                    u = x.pop(r)
+                    if x:
+                        done[r] = F.inv(u), x
+                    else:
+                        gone.add(r)
                     break
                 uinv, rest = done[r]
-                v = x.pop(r)
-                if rest:  # most pivots clear only their own row
-                    F.row_sub(x, F.mul(uinv, v), rest)
-                    for r in rest:
+                F.row_sub(x, F.mul(uinv, x.pop(r)), rest)
+                for r in rest:
+                    if r in gone:  # died after this rest was stored
+                        x.pop(r, None)
+                    else:
                         heappush(heap, pos[r])
     return pivots
 
