@@ -7,7 +7,7 @@ differentials fix those cycles, so conic_complex builds matrices only and
 ConicComplex.cycles expands the cycles over the faces on demand.  The
 augmented complex restricted to the apexes below a computes the homology
 of the filter below a whenever every lower filter is a sphere (the paper's
-theorem), which is how hcw takes its sphere verdicts.
+theorem), which is how hcw and posets.is_hcw take their sphere verdicts.
 """
 
 from collections import Counter

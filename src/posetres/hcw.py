@@ -9,18 +9,22 @@ from .conic import conic_complex, homogenize, supports_resolution
 from .gradedcomplex import betti_table, minimize, strand, taylor_complex
 from .incidence import incidence_poset
 from .minsupport import make_minimal_support_basis
-from .posets import is_homology_sphere_at, reduced_homology
+from .posets import reduced_homology
 
 
 def antichain_form(P, a, w, m, F):
     """Rewrite an m-cycle of Delta(P_{<a}) as a homologous cycle all of whose
     cone apexes have dimension exactly m (the antichain form).  Faces outside
     Delta(P_{<a}) raise NotFound, chains that are not cycles NotACycle.
-    Kept as public API; fill_cavity finds its classes as conic cycles."""
+    Kept as public API; fill_cavity finds its classes as conic cycles.
+    The elements below a of dimension > m must be spheres, or
+    HypothesisFailed names the first that is not, in (dimension, index)
+    order (_sphere_verdicts)."""
     if P.filter_complex(a).boundary(m, w, F):
         raise NotACycle(f"chain is not an {m}-cycle below {a!r}")
-    for b in P.below[a]:
-        if P.dim(b) > m and not is_homology_sphere_at(P, b, F):
+    for b, sphere in _sphere_verdicts(conic_complex(P, F, True),
+                                      P.below[a], {}):
+        if P.dim(b) > m and not sphere:
             raise HypothesisFailed(f"filter below {b!r} is not a sphere")
     w = {f: v for f, v in w.items() if v}
     while True:
@@ -77,19 +81,19 @@ def _memo_below(C, below, memo):
 
 
 def _sphere_verdicts(C, down, memo):
-    """{b: whether Delta(P_{<b}) is a homology sphere} for the elements of
-    the down-set `down` of P = C.poset, taken in (dimension, index) order,
-    so that each b whose lower elements all are spheres is read off the
-    conic complex C (_memo_below); an element above a non-sphere falls back
-    to the simplicial homology of its filter complex."""
-    P, spheres, out = C.poset, set(), {}
+    """Yield (b, whether Delta(P_{<b}) is a homology sphere) for the
+    elements of the down-set `down` of P = C.poset, in (dimension, index)
+    order, so that each b whose lower elements all are spheres is read off
+    the conic complex C (_memo_below); an element above a non-sphere falls
+    back to the simplicial homology of its filter complex.  The first miss
+    has only spheres below it, so every verdict up to it is a conic one."""
+    P, spheres = C.poset, set()
     for b in sorted(down, key=lambda e: (P.dim(e), P.index[e])):
         h = (_memo_below(C, P.below[b], memo) if P.below[b] <= spheres
              else reduced_homology(P.filter_complex(b), C.field))
-        out[b] = h == {P.dim(b) - 1: 1}
-        if out[b]:
+        if h == {P.dim(b) - 1: 1}:
             spheres.add(b)
-    return out
+        yield b, b in spheres
 
 
 def fill_cavity(P, a, n, F):
@@ -123,8 +127,8 @@ def fill_cavity(P, a, n, F):
     if P.dim(a) < n + 2:
         raise HypothesisFailed(f"d({a!r}) = {P.dim(a)} < n + 2 = {n + 2}")
     C = conic_complex(P, F, augmented=True)
-    verdicts = _sphere_verdicts(
-        C, [b for b in P.elements if P.dim(b) < P.dim(a)], {})
+    verdicts = dict(_sphere_verdicts(
+        C, [b for b in P.elements if P.dim(b) < P.dim(a)], {}))
     for b in P.elements:
         if not verdicts.get(b, True):
             raise HypothesisFailed(f"filter below {b!r} is not a sphere")
@@ -249,7 +253,7 @@ def hcwify(P, F):
             raise HypothesisFailed(
                 f"top filter homology below {a!r} has rank {r}, expected 1")
     memo = {}  # every poset visited has P's conic matrices (_verify_fill)
-    verdicts = _sphere_verdicts(C, P.elements, memo)
+    verdicts = dict(_sphere_verdicts(C, P.elements, memo))
     verdicts_before = {a: verdicts[a] for a in P.elements}
     ok, alpha = supports_resolution(P, F)
     if not ok:

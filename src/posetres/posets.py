@@ -25,10 +25,10 @@ class Poset:
     generate is taken.  An optional `deg` map id -> multidegree tuple must
     be monotone, its tuples all of one length with entries ints >= 0.
     The chain count and conic complexes (`_conic`) are memoized on it;
-    filter complexes are built afresh on each call.  hcwify and
+    filter complexes are built afresh on each call.  is_hcw, hcwify and
     fill_cavity read their sphere verdicts and cavity ranks off the conic
     complex, so a filter complex is built there only for an element above
-    a non-sphere; is_hcw and conic_vs_simplicial still build them all.
+    a non-sphere, and never in is_hcw; conic_vs_simplicial builds them all.
     """
 
     def __init__(self, elements, relations, deg=None):
@@ -239,8 +239,16 @@ def is_homology_sphere_at(P, a, F):
 
 
 def is_hcw(P, F):
-    """True iff every open filter is a homology sphere over F."""
-    return all(is_homology_sphere_at(P, a, F) for a in P.elements)
+    """True iff every open filter is a homology sphere over F.
+
+    The verdicts are hcw._sphere_verdicts' on P's augmented conic complex,
+    in (dimension, index) order up to the first miss, which has only
+    spheres below it: so each is read off the conic complex, exact by the
+    paper's theorem, and no filter complex is built nor FACE_CAP read."""
+    from .conic import conic_complex  # conic and hcw import this module
+    from .hcw import _sphere_verdicts
+    return all(v for _, v in _sphere_verdicts(conic_complex(P, F, True),
+                                              P.elements, {}))
 
 
 def cycle_space(K, n, F):

@@ -4,9 +4,9 @@ Deliberately self-contained: its own field arithmetic, its own dense
 elimination, and its own simplicial homology, so that agreement with the
 minimization pipeline is a genuine cross-check.  The exceptions are
 `supports_resolution_loop`, `sliced_subcomplex`, `dense_rref`,
-`dense_kernel`, `strand_reference`, `conic_coords` and `conic_complex_reference`,
-references kept from an earlier posetres that run on posetres complexes
-and fields.
+`dense_kernel`, `strand_reference`, `conic_coords`, `conic_complex_reference`
+and `is_hcw_reference`, references kept from an earlier posetres that run
+on posetres complexes and fields.
 """
 
 from fractions import Fraction
@@ -164,6 +164,13 @@ def strand_reference(C, alpha):
                 d.setdefault(n, {}).setdefault(c, {})[r] = v
     aug = {i: v for i, v in C.aug.items() if i in keep}
     return ChainComplex(C.field, basis, d, aug, C.augmented)
+
+
+def is_hcw_reference(P, F):
+    """posets.is_hcw as it once was: the simplicial homology of every
+    filter complex, one element at a time in P.elements order."""
+    from posetres.posets import is_homology_sphere_at
+    return all(is_homology_sphere_at(P, a, F) for a in P.elements)
 
 
 def sliced_subcomplex(P, tops):

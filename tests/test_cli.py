@@ -12,7 +12,7 @@ import posetres.cli
 import posetres.gradedcomplex
 import posetres.posets
 import posetres.rigidity
-from posetres import Poset
+from posetres import FieldSpec, Poset
 from posetres.cli import build_parser, main, parse_ideal_file
 from posetres.errors import ParseError, TooLarge, VerificationError
 from conftest import FIXTURES, theta_poset
@@ -167,6 +167,20 @@ def test_cap_exit_code(tmp_path, monkeypatch):
     # the conic complex builds no face; only its JSON expands the cycles
     assert main(["conic", str(p), "--poset"]) == 0
     assert main(["conic", str(p), "--poset", "--json"]) == 3
+
+
+def test_is_hcw_and_betti_poset_answer_past_the_face_cap(monkeypatch, capsys):
+    """is_hcw reads the conic complex, which builds no face, so FACE_CAP
+    does not bound it: betti-poset exits 0 where it once exited 3."""
+    monkeypatch.setattr(posetres.posets, "FACE_CAP", 3)
+    S0, theta = Poset(["a", "b", "t"], [("a", "t"), ("b", "t")]), theta_poset()
+    for P in (S0, theta):
+        with pytest.raises(TooLarge):
+            P.order_complex()
+    assert posetres.posets.is_hcw(S0, FieldSpec(2))
+    assert not posetres.posets.is_hcw(theta, FieldSpec(2))
+    assert main(["betti-poset", RP2, "--char", "2"]) == 0
+    assert capsys.readouterr().out == "elements: 32\nhcw: false\n"
 
 
 def test_hcwify_summaries(capsys):

@@ -1,18 +1,22 @@
 """Sphere verdicts and cavity ranks read off the conic complex.
 
-`hcwify` and `fill_cavity` read the homology of each filter Delta(P_{<a})
-off the augmented conic complex of P, restricted to the apexes below a.
-The paper's theorem makes that exact once every element below a is a
-sphere; an element above a non-sphere falls back to its filter complex.
-Here both readings are compared with the simplicial homology of a rebuilt
-poset, on every poset `hcwify` visits.
+`hcwify`, `fill_cavity` and `is_hcw` read the homology of each filter
+Delta(P_{<a}) off the augmented conic complex of P, restricted to the
+apexes below a.  The paper's theorem makes that exact once every element
+below a is a sphere; an element above a non-sphere falls back to its
+filter complex.  Here both readings are compared with the simplicial
+homology of a rebuilt poset, on every poset `hcwify` visits, and `is_hcw`
+with the simplicial one it replaced.
 """
 
 import pytest
 
-from posetres import FieldSpec, Poset, hcw, minimalize
+from posetres import (FieldSpec, Poset, betti_poset, betti_table, hcw,
+                      is_hcw, minimalize, minimize, taylor_complex)
 from posetres.posets import is_homology_sphere_at, reduced_homology
-from conftest import random_corpus
+from conftest import (RP2_GENS, random_corpus, random_graded_posets,
+                      theta_poset)
+from oracle import is_hcw_reference
 from test_hcw_memo import K6_EDGES, _by_dimension, _incidence
 
 K6_NAMED = {"k6-13": K6_EDGES[:13], "k6-15": K6_EDGES[:15]}
@@ -57,7 +61,7 @@ def _assert_conic_matches_simplicial(V, F):
             fallback.append(a)
         if h == {R.dim(a) - 1: 1}:
             spheres.add(a)
-    assert hcw._sphere_verdicts(C, V.elements, {}) == {
+    assert dict(hcw._sphere_verdicts(C, V.elements, {})) == {
         a: is_homology_sphere_at(R, a, F) for a in R.elements}
     return fallback
 
@@ -163,3 +167,36 @@ def test_hcw_support_builds_only_precheck_filters_on_k6_15(monkeypatch):
     assert all(Pc is P and done == 0 for Pc, _, done in calls)
     assert set(fallback) <= {a for a, _ in fills}
     assert sum(len(added) for _, added in fills) == 16
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_is_hcw_equals_reference_and_builds_no_filter_complex(
+        monkeypatch, p):
+    """is_hcw against the simplicial reference on the Betti, incidence
+    and hcwify posets of the corpus and of rp2 (over GF(2) a filter with
+    homology {1: 1, 2: 1}, top rank 1 but no sphere), on theta cones, on
+    the random graded posets, listed in shuffled order, and on the empty
+    poset.  Its walk stops at the first miss in (dimension, index) order,
+    which has only spheres below it, so no verdict falls back to a filter
+    complex."""
+    F = FieldSpec(p)
+    posets = [Poset([], []), *map(theta_poset, (1, 2, 3)),
+              *random_graded_posets()]
+    for I in random_corpus(100) + [minimalize(RP2_GENS)]:
+        P = _incidence(I, F)
+        posets += [betti_poset(betti_table(minimize(taylor_complex(I, F)))),
+                   P, hcw.hcwify(P, F)[0]]
+    built, subcomplex = [], Poset.subcomplex
+
+    def spy(P, tops):
+        built.append((P, tops))
+        return subcomplex(P, tops)
+
+    verdicts = []
+    for P in posets:
+        with monkeypatch.context() as m:
+            m.setattr(Poset, "subcomplex", spy)
+            verdicts.append(is_hcw(P, F))
+        assert verdicts[-1] == is_hcw_reference(P, F), P.elements
+    assert built == []
+    assert len(posets) == 347 and True in verdicts and False in verdicts

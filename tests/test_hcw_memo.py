@@ -400,10 +400,10 @@ def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
         return P1, added
 
     def spy_verdicts(C, down, memo):
-        out = verdicts(C, down, memo)
+        out = dict(verdicts(C, down, memo))
         if inside:
             checks.extend((C.poset, b, v) for b, v in out.items())
-        return out
+        return out.items()
 
     def spy_subcomplex(P0, tops):
         if inside:
@@ -499,11 +499,11 @@ def test_fill_checks_each_lower_sphere_once_per_poset(monkeypatch, name, p):
             inside.pop()
 
     def spy_verdicts(C, down, memo):
-        out = verdicts(C, down, memo)
+        out = dict(verdicts(C, down, memo))
         if inside:  # conic: every element below b was found a sphere
             checked.extend((C.poset, b, all(out[x] for x in C.poset.below[b]))
                            for b in out)
-        return out
+        return out.items()
 
     def spy_subcomplex(P0, tops):
         if inside:

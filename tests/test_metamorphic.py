@@ -1,16 +1,17 @@
 """Metamorphic properties of the resolve layer: the Betti table of
 minimize(taylor_complex(I, F)) against the oracle, and under relabelling of
 the variables and reordering of the generators; and of the hcw layer: what
-hcw_support returns is hcw and supports the resolution."""
+hcw_support returns is hcw and supports the resolution, and the Betti
+poset is hcw exactly when the ideal is rigid."""
 
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from oracle import betti_numbers
-from posetres import (FieldSpec, MonomialIdeal, betti_table, hcw_support,
-                      is_hcw, minimalize, minimize, supports_resolution,
-                      taylor_complex)
+from oracle import betti_numbers, is_hcw_reference
+from posetres import (FieldSpec, MonomialIdeal, betti_table,
+                      check_rigid_iff_hcw, hcw_support, minimalize, minimize,
+                      supports_resolution, taylor_complex)
 
 FIELDS = st.sampled_from([FieldSpec(p) for p in (0, 2, 3, 5)])
 
@@ -79,7 +80,13 @@ def test_hcw_support_is_hcw_and_supports_the_resolution(I, F):
     sphere (simplicial) and every truncation is exact (conic), and the
     homogenized conic complex has the oracle's Betti table."""
     Q, _, H = hcw_support(I, F)
-    assert is_hcw(Q, F)
+    assert is_hcw_reference(Q, F)
     assert supports_resolution(Q, F) == (True, None)
     assert betti_table(H).entries == betti_numbers(I.generators,
                                                    F.characteristic)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals(), FIELDS)
+def test_rigid_iff_betti_poset_is_hcw(I, F):
+    assert check_rigid_iff_hcw(I, F)
