@@ -26,15 +26,15 @@ class ConicComplex(ChainComplex):
     """Field chain complex with one component per poset element.
 
     gens:      dict n -> ordered list of (apex, index) pairs, the basis ids
-    d:         dict n -> {(apex_c, i_c): {(apex_r, i_r): scalar}} for n >= 1
-    aug:       dict (apex, index) -> scalar, the augmentation on degree 0
+    d:         dict n -> {(apex_c, i_c): {(apex_r, i_r): scalar}}, with d_0
+               the augmentation {(apex, index): {(): scalar}}
     degree_of: dict (apex, index) -> deg of the apex ({} without P.deg)
 
     The constructor checks d o d = 0 last, eps o d_1 = 0 included.
     """
 
-    def __init__(self, poset, field, gens, d, aug, augmented):
-        super().__init__(field, gens, d, aug, augmented)
+    def __init__(self, poset, field, gens, d, augmented):
+        super().__init__(field, gens, d, augmented)
         self.poset = poset
         self.degree_of = {g: poset.deg[g[0]] for gs in self.basis.values()
                           for g in gs} if poset.deg else {}
@@ -56,9 +56,10 @@ class ConicComplex(ChainComplex):
         P.check_face_cap()
         cycles = {g: {(): F.one} for g in self.gens.get(0, [])}
         for n in sorted(self.gens)[1:]:
+            cols = self.d.get(n, {})
             for g in self.gens[n]:
                 z = {}
-                for h, x in self._column(n, g).items():
+                for h, x in cols.get(g, {}).items():
                     F.row_sub(z, F.neg(x), {(h[0],) + f: v
                                             for f, v in cycles[h].items()})
                 cycles[g] = dict(sorted(z.items(), key=lambda fv: tuple(
@@ -68,8 +69,7 @@ class ConicComplex(ChainComplex):
     def same_matrices(self, other):
         """Entry-wise equality of generators and differentials, which fix
         the cycles."""
-        return (self.gens == other.gens and self.d == other.d
-                and self.aug == other.aug)
+        return self.gens == other.gens and self.d == other.d
 
     def to_json(self):
         def gid(g):
@@ -99,13 +99,13 @@ class ConicComplex(ChainComplex):
 def conic_complex(P, F, augmented=False):
     """The conic chain complex of P over F, built bottom-up in d(a) with no
     face, once per (P, F), and memoized on P per (F, augmented): the other
-    augmentation shares the gens, d and aug stores with only `augmented`
+    augmentation shares the gens and d stores with only `augmented`
     flipped, as the constructor's d o d check covers eps o d_1 either way.
 
     Each top face of Delta(P_{<a}) is c * f with d(c) = d(a) - 1, and
     d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c is
     a top cycle at c and sum_c w_c = 0.  So the cycles at a are the kernel
-    of the conic d_{d(a)-1} (for d(a) = 1 the augmentation) on the
+    of the conic d_{d(a)-1} (for d(a) = 1 the augmentation d_0) on the
     generators `cols` with apex below a: z = sum_g s_g (apex(g) * cycles[g])
     has differential s.  Each s is kernel_basis's (as ChainComplex.kernel
     reads it, sparse), divided by mu, z's coefficient at its smallest face
@@ -113,7 +113,7 @@ def conic_complex(P, F, augmented=False):
     cycles at one apex are independent, so that face is c * f for the
     lowest-index apex c in the support of s, and f the smallest face of the
     cycle that d(s restricted to c) stands for one degree down.  The descent
-    ends in eps, 1 on every vertex: mu is the entry at the lowest vertex.
+    ends in d_0, 1 on every vertex: mu is the entry at the lowest vertex.
     """
     if (F, augmented) in P._conic:
         return P._conic[F, augmented]
@@ -124,13 +124,13 @@ def conic_complex(P, F, augmented=False):
         return C
     gens = {P.dim(a): [] for a in P.elements}  # degrees in the order met
     gens[0] = [(a, 0) for a in P.elements if not P.dim(a)]
-    d, aug = {}, dict.fromkeys(gens[0], F.one)
+    d = {0: {g: {(): F.one} for g in gens[0]}}
     for n in sorted(gens)[1:]:
-        low = ChainComplex(F, gens, d, aug)  # the degrees below n
+        low = ChainComplex(F, gens, d)  # the degrees below n
         for a in (a for a in P.elements if P.dim(a) == n):
             cols = [g for g in gens[n - 1] if g[0] in P.below[a]]
             for i, s in enumerate(low.kernel(n - 1, cols=cols)):
-                t = s  # mu, by descent on the lowest apex down to eps
+                t = s  # mu, by descent on the lowest apex down to d_0
                 for m in range(n - 1, -1, -1):
                     c = min((g[0] for g in t), key=P.index.get)
                     t = low.boundary(m, {g: v for g, v in t.items()
@@ -141,7 +141,7 @@ def conic_complex(P, F, augmented=False):
                 gens[n].append((a, i))
                 d.setdefault(n, {})[(a, i)] = s
     try:
-        C = ConicComplex(P, F, gens, d, aug, augmented)
+        C = ConicComplex(P, F, gens, d, augmented)
     except NotAComplex as exc:
         raise VerificationError(f"conic {exc}") from exc
     P._conic[F, augmented] = C
@@ -194,7 +194,7 @@ def homogenize(C):
     labels = {n: [(gid(g), deg[g[0]]) for g in gs]
               for n, gs in C.gens.items()}
     d = {n: {gid(c): {gid(r): v for r, v in col.items()}
-             for c, col in cols.items()} for n, cols in C.d.items()}
+             for c, col in cols.items()} for n, cols in C.d.items() if n}
     return GradedFreeComplex(num_vars, C.field, labels, d)
 
 

@@ -26,18 +26,18 @@ class ChainComplex:
     """Field chain complex on an ordered basis of hashable ids.
 
     basis:     dict n -> ordered list of the basis ids in degree n
-    d:         dict n -> {col_id: {row_id: scalar}} for n >= 1, the columns
-               of d_n; this is the one store of every differential
-    aug:       dict degree-0 id -> scalar, the augmentation (may be empty)
-    augmented: whether homology_ranks counts aug, giving degree -1
+    d:         dict n -> {col_id: {row_id: scalar}}, the columns of d_n;
+               this is the one store of every differential, d_0 included:
+               d_0 is the augmentation, onto one row with the id ()
+    augmented: whether homology_ranks counts the row of d_0, giving
+               degree -1
 
-    The columns are copied without zero entries and empty columns.  d_0 is
-    the augmentation, onto one row with the id ().  Chains are {id: scalar}
-    dicts; an id outside its degree raises NotFound.  Methods taking a
-    field F default to the complex's own.
+    The columns are copied without zero entries and empty columns.  Chains
+    are {id: scalar} dicts; an id outside its degree raises NotFound.
+    Methods taking a field F default to the complex's own.
     """
 
-    def __init__(self, field, basis, d, aug=None, augmented=False):
+    def __init__(self, field, basis, d, augmented=False):
         self.field = field
         self.basis = {n: list(ids) for n, ids in basis.items() if ids}
         self.d = {}
@@ -46,7 +46,6 @@ class ChainComplex:
                 col.values()) else {r: v for r, v in col.items() if v})}
             if cols:
                 self.d[n] = cols
-        self.aug = dict(aug or {})
         self.augmented = augmented
         self.index = {}  # n -> {id: position in basis[n]}, filled by _index
 
@@ -70,29 +69,16 @@ class ChainComplex:
     def ranks(self):
         return tuple(len(self.basis.get(n, ())) for n in range(self.top + 1))
 
-    def _column(self, n, c):
-        """Column c of d_n ({} when none is stored); for n = 0 the
-        augmentation, onto the row ()."""
-        if n:
-            return self.d.get(n, {}).get(c, {})
-        return {(): v} if (v := self.aug.get(c)) else {}
-
-    def _cols(self, n):
-        """The columns of d_n, each as _column gives it."""
-        if n:
-            return self.d.get(n, {})
-        return {c: col for c in self.aug if (col := self._column(0, c))}
-
     def _rows(self, n):
-        """Row ids of d_n; for n = 0 the augmentation target ()."""
+        """Row ids of d_n; for n = 0 the row () of d_0."""
         if n or -1 in self.basis:
             return self.basis.get(n - 1, [])
-        return [()] if self.aug or self.augmented else []
+        return [()] if 0 in self.d or self.augmented else []
 
     def matrix(self, n, rows=None, cols=None):
         """d_n as a SparseMatrix on the given row and column ids (default:
         the whole basis of degrees n-1 and n); entries outside them are
-        dropped.  n = 0 gives the augmentation row, if there is one.  Its
+        dropped.  For n = 0 the row is (), if d_0 is stored.  Its
         columns are filled through the row index, which bounds every entry,
         so they skip SparseMatrix's checks."""
         if rows is None:
@@ -100,7 +86,7 @@ class ChainComplex:
         if cols is None:
             cols = self.basis.get(n, [])
         rix = self._index(n - 1, rows)
-        store = self._cols(n)
+        store = self.d.get(n, {})
         columns = {}
         for j, c in enumerate(cols):
             if x := {i: v for r, v in store.get(c, {}).items()
@@ -114,11 +100,11 @@ class ChainComplex:
         columns only.  Stored values go through F, as order complexes keep
         raw signs."""
         F = F or self.field
-        y = {}
+        y, cols = {}, self.d.get(n, {})
         for c, v in self._in_degree(n, chain).items():
             if v := F(v):
                 F.row_sub(y, F.neg(v), {r: F(w) for r, w in
-                                        self._column(n, c).items()})
+                                        cols.get(c, {}).items()})
         rix = self._index(n - 1, self._rows(n))
         return {r: y[r] for r in sorted(y.keys() & rix.keys(), key=rix.get)}
 
@@ -154,36 +140,19 @@ class ChainComplex:
         return None if x is None else {c: v for c, v in zip(cols, x) if v}
 
     def check_complex(self):
-        """Raise NotAComplex unless d_n o d_{n+1} = 0 for every n >= 0, d_0
-        being the augmentation, so that eps o d_1 = 0 is checked too.
-
-        exactla._suspect_columns picks the columns of d_{n+1} to sum, and
-        every column it leaves out composes to 0.  It walks the degrees
-        upward in one pass per differential: the loop that adds up the
-        masks of d_n over a column of d_{n+1} also builds that column's own
-        masks, its rows numbered by their position in basis[n].  Over
-        GF(2) it leaves out the columns of ints whose composite is even,
-        found by XOR of bitmask columns.  Over any other field, and with
-        none, it leaves out the columns whose values, and those of their
-        mids' columns, are units (ints = +1 or -1 mod p) and whose +1 and -1
-        paths pair up: every row of d_n reached by exactly one of each,
-        found by adding signed row masks.  The integer lift of such a
-        composite is exactly 0, so it is 0 mod p too.  In every field a
-        Fraction or another value the masks cannot read, an id outside the
-        basis, or an unpaired path sends the columns it touches to the
-        sum.  With fewer than two differentials there is nothing to
-        compose.  Each suspect is composed with the columns of d_n in plain
-        Python numbers, exact for ints and Fractions alike, and reduced mod
-        p only in the zero test; a complex with no field sums over the
-        integers.
-        The first failing composite, in ascending n and then in the order
-        of d_{n+1}, names its first nonzero entry.  GradedFreeComplex and
-        ConicComplex run this last in their constructors, so each is a
-        complex once built."""
-        if len(self.d) + bool(self.aug) < 2:  # no two maps to compose
+        """Raise NotAComplex unless d_n o d_{n+1} = 0 for every n >= 0, so
+        eps o d_1 = 0 too where d_0 is stored.  Only the columns of d_{n+1}
+        that exactla._suspect_columns picks (its docstring gives the mask
+        tests) are composed with d_n, in plain Python numbers, exact for
+        ints and Fractions alike, and reduced mod p only in the zero test;
+        a complex with no field sums over the integers.  The first failing
+        composite, in ascending n and then in the order of d_{n+1}, names
+        its first nonzero entry.  GradedFreeComplex and ConicComplex run
+        this last in their constructors, so each is a complex once built."""
+        if len(self.d) < 2:  # no two maps to compose
             return
         p = self.field.characteristic if self.field else 0
-        diffs = [(self.basis.get(n, []), self._cols(n))
+        diffs = [(self.basis.get(n, []), self.d.get(n, {}))
                  for n in range(max(self.d, default=0) + 1)]
         for n, c, col in _suspect_columns([()], diffs, self.field):
             lower = diffs[n - 1][1]
@@ -233,17 +202,16 @@ class ChainComplex:
 
     def restrict(self, keep):
         """Plain ChainComplex on the basis ids in `keep`, with the
-        differential and augmentation entries among them.  It is a
+        differential entries among them and d_0's row ().  It is a
         subcomplex when `keep` contains the boundary support of each of
         its ids, e.g. every degree truncation of a homogeneous complex."""
-        keep = set(keep)
+        keep = {(), *keep}
         basis = {n: [i for i in ids if i in keep]
                  for n, ids in self.basis.items()}
         d = {n: {c: {r: v for r, v in cols[c].items() if r in keep}
                  for c in basis.get(n, ()) if c in cols}
              for n, cols in self.d.items()}
-        aug = {i: v for i, v in self.aug.items() if i in keep}
-        return ChainComplex(self.field, basis, d, aug, self.augmented)
+        return ChainComplex(self.field, basis, d, self.augmented)
 
 
 class _Entries(MutableMapping):
@@ -637,9 +605,9 @@ def _kept_columns(C, n, gone, piv, below, pos):
 
 def bar_reduce(C):
     """Tensor with k[x]/(x_1-1,...,x_m-1): a plain ChainComplex of the
-    scalars.  The augmentation sends every degree-0 basis element to 1."""
-    aug = dict.fromkeys(C.basis.get(0, []), C.field.one)
-    return ChainComplex(C.field, C.basis, C.d, aug)
+    scalars, with d_0 the augmentation, 1 on every degree-0 basis element."""
+    d0 = {i: {(): C.field.one} for i in C.basis.get(0, [])}
+    return ChainComplex(C.field, C.basis, {0: d0, **C.d})
 
 
 def strand(C, alpha):

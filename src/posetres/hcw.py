@@ -106,10 +106,11 @@ def fill_cavity(P, a, n, F):
     a fresh build.
 
     Every element b with d(b) < d(a) must have a sphere below it, or
-    HypothesisFailed names the first that does not, in P.elements order;
-    every call checks them all, in (dimension, index) order, on P's
-    augmented conic complex C (_sphere_verdicts).  A filter complex is
-    built only for an element above a non-sphere, and then the call fails.
+    HypothesisFailed names the first that does not, in (dimension, index)
+    order: every call checks them in that order on P's augmented conic
+    complex C (_sphere_verdicts), up to the first miss, which has only
+    spheres below it.  So every verdict is read off C, and no filter
+    complex is built nor FACE_CAP read.
 
     Every homology rank below a is read off C (_homology_below), which is
     exact once the lower spheres are checked.  Every filling is solved on
@@ -127,10 +128,9 @@ def fill_cavity(P, a, n, F):
     if P.dim(a) < n + 2:
         raise HypothesisFailed(f"d({a!r}) = {P.dim(a)} < n + 2 = {n + 2}")
     C = conic_complex(P, F, augmented=True)
-    verdicts = dict(_sphere_verdicts(
-        C, [b for b in P.elements if P.dim(b) < P.dim(a)], {}))
-    for b in P.elements:
-        if not verdicts.get(b, True):
+    for b, sphere in _sphere_verdicts(
+            C, [b for b in P.elements if P.dim(b) < P.dim(a)], {}):
+        if not sphere:
             raise HypothesisFailed(f"filter below {b!r} is not a sphere")
     r = _homology_below(C, P.below[a]).get(n, 0)
     if not r:

@@ -27,9 +27,9 @@ def boundary_support(C, b):
 def is_minimal_support_cycle(Cbar, n, z):
     """Circuit test: no nonzero cycle has support strictly inside supp(z).
 
-    z is a chain {id: scalar} of degree n.  Cbar is a bar complex with its
-    augmentation, as bar_reduce gives, so the degree-0 cycles are the
-    kernel of the augmentation.
+    z is a chain {id: scalar} of degree n.  Cbar is a bar complex whose d_0
+    is the augmentation, as bar_reduce gives, so the degree-0 cycles are
+    the kernel of d_0.
     """
     if Cbar.boundary(n, z):
         raise NotACycle(f"vector is not in the degree-{n} cycle space")
@@ -124,7 +124,8 @@ def make_minimal_support_basis(C):
                 exps = [C.exponent(i, bp) for i, _ in items]
                 log.record(k1, bp, case, items, exps)
 
-    out = GradedFreeComplex(C.num_vars, F, C.labels, Cbar.d)
+    out = GradedFreeComplex(C.num_vars, F, C.labels,
+                            {n: cols for n, cols in Cbar.d.items() if n})
     if not out.is_minimal():
         raise VerificationError("basis rewrite produced a unit entry")
     return out, log

@@ -197,20 +197,18 @@ class OrientedComplex(ChainComplex):
     as an augmented chain complex over no fixed field.
 
     faces: dict dim -> list of tuples; dimension -1 holds the empty face.
-    The faces of each dimension are the basis; dropping vertex i of a face
-    has sign (-1)^i, and the augmentation sends every vertex to 1.  The
-    complex of only the empty face is the (-1)-sphere; a complex with no
-    faces at all (void complex) has zero homology everywhere.
+    The faces of each dimension are the basis, and d_n drops vertex i of a
+    face with sign (-1)^i, for every n >= 0: d_0 sends every vertex to the
+    empty face.  A face missing from the complex raises VerificationError.
+    The complex of only the empty face is the (-1)-sphere; a complex with
+    no faces at all (void complex) has zero homology everywhere.
     """
 
     def __init__(self, faces):
-        super().__init__(None, faces, {}, dict.fromkeys(faces.get(0, ()), 1),
-                         bool(faces.get(-1)))
+        super().__init__(None, faces, {}, bool(faces.get(-1)))
         faces = self.basis
-        if 0 in faces and -1 not in faces:
-            raise VerificationError("complex not closed: missing face ()")
         # built in place, not copied; rows keyed by the complex's own faces
-        for n in range(1, self.top + 1):
+        for n in range(self.top + 1):
             rows = faces.get(n - 1, [])
             rix = self._index(n - 1, rows)
             self.d[n] = cols = {}

@@ -160,10 +160,9 @@ def strand_reference(C, alpha):
     d = {}
     for n, mat in C.diffs.items():
         for (r, c), v in mat.items():
-            if c in keep and r in keep:
+            if c in keep and (r in keep or not n):  # d_0 maps onto ()
                 d.setdefault(n, {}).setdefault(c, {})[r] = v
-    aug = {i: v for i, v in C.aug.items() if i in keep}
-    return ChainComplex(C.field, basis, d, aug, C.augmented)
+    return ChainComplex(C.field, basis, d, C.augmented)
 
 
 def is_hcw_reference(P, F):
@@ -281,9 +280,9 @@ def conic_complex_reference(P, F, augmented=False):
         for i, z in enumerate(cycle_space(P.filter_complex(a), n - 1, F)):
             gens[n].append((a, i))
             cycles[(a, i)] = z
-    d = {n: {g: conic_coords(P, cycles, cycles[g], n - 1, F) for g in gs}
-         for n, gs in sorted(gens.items()) if n}
-    aug = {g: cycles[g].get((), F.zero) for g in gens.get(0, [])}
-    C = ConicComplex(P, F, gens, d, aug, augmented)
+    d = {0: {g: {(): cycles[g].get((), F.zero)} for g in gens.get(0, [])}}
+    d.update({n: {g: conic_coords(P, cycles, cycles[g], n - 1, F)
+                  for g in gs} for n, gs in sorted(gens.items()) if n})
+    C = ConicComplex(P, F, gens, d, augmented)
     C.cycles = cycles
     return C

@@ -289,9 +289,7 @@ def test_check_complex_matches_dense_composite(p, data):
     diffs = {n: {(r, c): v for r in rows[n - 1] for c in basis[n]
                  if data.draw(st.booleans()) and (v := F(data.draw(values)))}
              for n in range(1 - data.draw(st.booleans()), len(sizes))}
-    store = columns(diffs)
-    aug = {c: col[()] for c, col in store.pop(0, {}).items()}
-    X = ChainComplex(F, basis, store, aug)
+    X = ChainComplex(F, basis, columns(diffs))
     expected = _first_failing_entry(diffs, p)
     if expected is None:
         X.check_complex()
@@ -311,7 +309,8 @@ def test_suspect_columns_clear_every_taylor_column(p):
     F = FieldSpec(p)
     for I in [minimalize(K6_EDGES[:10])] + random_corpus(100):
         X = bar_reduce(taylor_complex(I, F))
-        diffs = [(X.basis.get(n, []), X._cols(n)) for n in range(X.top + 1)]
+        diffs = [(X.basis.get(n, []), X.d.get(n, {}))
+                 for n in range(X.top + 1)]
         assert list(_suspect_columns([()], diffs, F)) == []
 
 
@@ -355,9 +354,8 @@ def test_check_complex_matches_dense_composite_on_taylor_mutants(p, kind):
     vanishes and otherwise names the reference's first nonzero entry."""
     for seed in range(12):
         basis, diffs = _taylor_mutant(p, kind, seed)
-        store = columns(diffs)
-        aug = {c: col[()] for c, col in store.pop(0).items()}
-        X = ChainComplex(p if p is None else FieldSpec(p), basis, store, aug)
+        X = ChainComplex(p if p is None else FieldSpec(p), basis,
+                         columns(diffs))
         expected = _first_failing_entry(diffs, p or 0)
         if kind in ("flip", "path"):
             assert expected is not None
@@ -465,16 +463,17 @@ def test_check_complex_over_gf2_decides_raw_ints_by_parity():
     good = {1: d1, 2: {"e": {"x": -1, "y": 3}, "f": {"x": 1, "y": 1}}}
     # column f: (-3 - 2, 1 + 6) = (-5, 7), odd at a and b
     bad = {1: d1, 2: {"e": {"x": -1, "y": 3}, "f": {"x": -1, "y": 2}}}
-    aug = {"a": 1, "b": -3}  # eps o d_1 = (3 + 3, -1 - 9), even
+    d0 = {0: {"a": {(): 1}, "b": {(): -3}}}  # d_0 o d_1 = (3 + 3, -1 - 9)
     for d in (good, _as_fractions(good)):
-        ChainComplex(F, basis, d, aug).check_complex()
+        ChainComplex(F, basis, {**d0, **d}).check_complex()
     for d in (bad, _as_fractions(bad)):
         with pytest.raises(NotAComplex) as exc:
-            ChainComplex(F, basis, d, aug).check_complex()
+            ChainComplex(F, basis, {**d0, **d}).check_complex()
         assert str(exc.value) == "d_1 o d_2 != 0, e.g. at ('a', 'f')"
-    for d in (good, _as_fractions(good)):  # eps o d_1 = (3 - 2, -1 + 6)
+    for d in (good, _as_fractions(good)):  # d_0 o d_1 = (3 - 2, -1 + 6)
         with pytest.raises(NotAComplex) as exc:
-            ChainComplex(F, basis, d, {"a": 1, "b": 2}).check_complex()
+            ChainComplex(F, basis, {0: {"a": {(): 1}, "b": {(): 2}}, **d}
+                         ).check_complex()
         assert str(exc.value) == "d_0 o d_1 != 0, e.g. at ((), 'x')"
 
 
@@ -514,18 +513,18 @@ def test_check_complex_names_the_entry_on_a_taylor_store_over_gf2():
          for n, cols in T.d.items()}
     del d[3]["t0.3.5.7"]["t0.3.7"]
     with pytest.raises(NotAComplex) as exc:
-        ChainComplex(F, T.basis, d, T.aug, T.augmented).check_complex()
+        ChainComplex(F, T.basis, d, T.augmented).check_complex()
     assert str(exc.value) == "d_2 o d_3 != 0, e.g. at ('t3.7', 't0.3.5.7')"
 
 
 def test_restrict_and_matrix_keep_only_the_given_ids():
     X = ChainComplex(Q, {0: ["a", "b"], 1: ["x", "y"], 2: ["e"]},
-                     {1: {"x": {"a": 1, "b": 2}, "y": {"a": 3}},
-                      2: {"e": {"x": 1, "y": 5}}}, {"a": 1, "b": 1})
+                     {0: {"a": {(): 1}, "b": {(): 1}},
+                      1: {"x": {"a": 1, "b": 2}, "y": {"a": 3}},
+                      2: {"e": {"x": 1, "y": 5}}})
     S = X.restrict(["b", "x", "e"])  # no subcomplex: y and a are left out
     assert S.basis == {0: ["b"], 1: ["x"], 2: ["e"]}
-    assert S.d == {1: {"x": {"b": 2}}, 2: {"e": {"x": 1}}}
-    assert S.aug == {"b": 1}
+    assert S.d == {0: {"b": {(): 1}}, 1: {"x": {"b": 2}}, 2: {"e": {"x": 1}}}
     # matrix too reads only the given columns and keeps only the given rows
     assert X.matrix(1, rows=["b"], cols=["y", "x"]).entries == {(0, 1): 2}
     assert X.matrix(0, cols=["b"]).entries == {(0, 0): 1}
@@ -543,10 +542,11 @@ def test_check_complex_reads_every_row_of_a_column():
 
 def test_check_complex_reads_the_augmentation_as_d0():
     basis = {0: ["a", "b"], 1: ["c"]}
-    ChainComplex(Q, basis, {1: {"c": {"a": 1, "b": -1}}}, {"a": 1, "b": 1},
+    d0 = {"a": {(): 1}, "b": {(): 1}}
+    ChainComplex(Q, basis, {0: d0, 1: {"c": {"a": 1, "b": -1}}},
                  augmented=True).check_complex()
-    bad = ChainComplex(Q, basis, {1: {"c": {"a": 1, "b": 1}}},
-                       {"a": 1, "b": 1}, augmented=True)
+    bad = ChainComplex(Q, basis, {0: d0, 1: {"c": {"a": 1, "b": 1}}},
+                       augmented=True)
     with pytest.raises(NotAComplex) as exc:
         bad.check_complex()
     assert str(exc.value) == "d_0 o d_1 != 0, e.g. at ((), 'c')"
@@ -599,6 +599,16 @@ def test_homogeneity_checked_for_every_degree_pair():
     # placement is checked for every entry, also on a degree pair seen before
     with pytest.raises(ShapeError, match=r"entry \(f,c\) misplaced"):
         GradedFreeComplex(2, Q, labels, {1: {"c": {"a": 1, "f": 1}}})
+
+
+def test_graded_complex_rejects_a_d0_column():
+    """A GradedFreeComplex is unaugmented: bar_reduce's d_0, onto the row
+    (), lies in no degree of its labels."""
+    M = minimize(taylor_complex(minimalize(SQUAREFREE3), Q))
+    B = bar_reduce(M)
+    assert B.d[0] == {i: {(): 1} for i in M.basis[0]}
+    with pytest.raises(ShapeError, match="misplaced in degree 0"):
+        GradedFreeComplex(M.num_vars, Q, M.labels, B.d)
 
 
 def test_graded_complex_checks_each_column():
@@ -1090,7 +1100,7 @@ def test_is_resolution_report_matches_reference_strands(p):
         widened += not join_closure(deg0).issuperset(C.degree_of.values())
         for alpha, h in report.items():
             S, R = strand(C, alpha), strand_reference(C, alpha)
-            assert (S.basis, S.d, S.aug) == (R.basis, R.d, R.aug)
+            assert (S.basis, S.d) == (R.basis, R.d)
             assert h == R.homology_ranks()
     assert widened == 3
 

@@ -310,7 +310,7 @@ def test_memo_returns_copies():
 
 def _scalars(C):
     return [v for part in (C.cycles, *C.d.values()) for z in part.values()
-            for v in z.values()] + list(C.aug.values())
+            for v in z.values()]
 
 
 def test_conic_memo_per_field_and_augmentation():
@@ -320,7 +320,7 @@ def test_conic_memo_per_field_and_augmentation():
     A = conic_complex(P, FieldSpec(0), True)
     assert A is not C and A.augmented and not C.augmented
     # built once per (poset, field): the other augmentation shares the stores
-    assert all(getattr(A, k) is getattr(C, k) for k in ("gens", "d", "aug"))
+    assert all(getattr(A, k) is getattr(C, k) for k in ("gens", "d"))
     assert A.cycles == C.cycles
     assert conic_complex(P, FieldSpec(0), True) is A
     D = conic_complex(P, FractionField(0))
@@ -443,11 +443,11 @@ def test_hcwify_fills_only_cavities_and_checks_final_filters(monkeypatch):
 
 def _first_non_sphere(P, a, F):
     """The element fill_cavity(P, a, ...) must name: the first one in
-    P.elements of dimension below d(a) whose filter, rebuilt from the
-    covers alone, is not a sphere."""
+    (dimension, index) order of dimension below d(a) whose filter, rebuilt
+    from the covers alone, is not a sphere."""
     R = Poset(P.elements, P.covers, deg=P.deg)
-    return next(b for b in R.elements if R.dim(b) < R.dim(a)
-                and not is_homology_sphere_at(R, b, F))
+    return next(b for b in _by_dimension(R, R.elements)
+                if R.dim(b) < R.dim(a) and not is_homology_sphere_at(R, b, F))
 
 
 def test_fill_names_the_first_non_sphere_on_every_call():
@@ -475,6 +475,40 @@ def test_fill_names_the_first_non_sphere_on_every_call():
     first = [_first_non_sphere(Pi, "z", F) for Pi in (P, P, P2, P2)]
     assert names == [f"filter below {b!r} is not a sphere" for b in first]
     assert first[0] == top and first[2] in (top, "w")
+
+
+def test_fill_names_the_first_miss_in_dimension_order(monkeypatch):
+    """v, of dimension 1, covers one point y, so its filter is no sphere,
+    and it is appended after top, a non-sphere of dimension 3, and below w.
+    fill_cavity below z names v, the first miss in (dimension, index)
+    order, not top, the first in P.elements order, and stops there: it
+    builds no filter complex, not even w's, which lies above v, and reads
+    no FACE_CAP."""
+    F = FieldSpec(2)
+    P = incidence_poset(load_fixture_complex("pp_res.json", 2))
+    top = next(e for e in P.elements if P.dim(e) == 3)
+    x = next(e for e in P.elements if P.dim(e) == 2)
+    y = next(e for e in P.below[x] if P.dim(e) == 0)
+    P = Poset([*P.elements, "w", "z", "v"],
+              [*P.covers, (x, "w"), ("w", "z"), (y, "v"), ("v", "w")],
+              deg={**P.deg, "w": P.deg[x], "z": P.deg[x], "v": P.deg[y]})
+    assert (P.dim("v"), P.dim(top)) == (1, 3)
+    assert _first_non_sphere(P, "z", F) == "v"
+    assert next(b for b in P.elements if P.dim(b) < P.dim("z")
+                and not is_homology_sphere_at(P, b, F)) == top
+    built = []
+    subcomplex = Poset.subcomplex
+
+    def spy_subcomplex(P0, tops):
+        built.append(tops)
+        return subcomplex(P0, tops)
+
+    monkeypatch.setattr(Poset, "subcomplex", spy_subcomplex)
+    monkeypatch.setattr("posetres.posets.FACE_CAP", 0)
+    with pytest.raises(HypothesisFailed,
+                       match="filter below 'v' is not a sphere"):
+        fill_cavity(P, "z", 0, F)
+    assert built == []
 
 
 @pytest.mark.parametrize("name,p", [("rp2", 2), ("m", 3), ("k6-10", 2),

@@ -95,6 +95,23 @@ def test_order_complex_chain():
     assert reduced_homology(K, Q) == {}  # a simplex is acyclic
 
 
+def test_order_complex_stores_d0_as_a_differential():
+    """d_0 sends each vertex (v,) to the empty face (), in the one store."""
+    P = chain_poset(3)
+    K = P.order_complex()
+    assert K.d[0] == {(v,): {(): 1} for v in P.elements}
+    assert K.matrix(0).entries == {(0, j): 1 for j in range(3)}
+
+
+def test_oriented_complex_names_a_missing_face_in_every_degree():
+    with pytest.raises(VerificationError) as exc:
+        OrientedComplex({0: [("v",)]})
+    assert str(exc.value) == "complex not closed: missing face ()"
+    with pytest.raises(VerificationError) as exc:
+        OrientedComplex({-1: [()], 1: [("a", "b")]})
+    assert str(exc.value) == "complex not closed: missing face ('b',)"
+
+
 def test_reduced_homology_circle():
     # hollow triangle as an order complex: three points and three joins
     els = ["a", "b", "c", "ab", "bc", "ca"]

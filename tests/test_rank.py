@@ -134,8 +134,7 @@ def _complexes(I, F, taylor_strands):
     alphas = sorted(join_closure(I.generators))
     out = [P.order_complex(), *map(P.filter_complex, P.elements),
            conic_complex(P, F), conic_complex(P, F, augmented=True),
-           bar_reduce(M), ChainComplex(F, M.basis, M.d,
-                                       bar_reduce(M).aug, True),
+           bar_reduce(M), ChainComplex(F, M.basis, bar_reduce(M).d, True),
            *(strand(M, a) for a in alphas)]
     if taylor_strands:
         out += [bar_reduce(T), *(strand(T, a) for a in alphas)]
