@@ -66,6 +66,22 @@ class ConicComplex(ChainComplex):
                     map(P.index.__getitem__, fv[0]))))
         return dict(sorted(cycles.items(), key=lambda gz: P.index[gz[0][0]]))
 
+    @cached_property
+    def _at(self):
+        """The apex index: each apex with generators -> (d(a), its
+        generators in basis order), built on first read."""
+        at = {}
+        for n, gs in self.gens.items():
+            for g in gs:
+                at.setdefault(g[0], (n, []))[1].append(g)
+        return at
+
+    def _below(self, below):
+        """The basis of the subcomplex on the apexes of the down-set
+        `below`, for _homology_on: closed under d, as each column at an
+        apex has its rows at apexes below it."""
+        return _select(self.poset, self._at, below)
+
     def same_matrices(self, other):
         """Entry-wise equality of generators and differentials, which fix
         the cycles."""
@@ -96,24 +112,112 @@ class ConicComplex(ChainComplex):
         }
 
 
+def _select(P, at, below):
+    """{n: generators} on the apexes of `below` that the apex index `at`
+    holds, each degree in basis order: apexes in index order, as each
+    degree lists its generators."""
+    basis = {}
+    for a in sorted(below, key=P.index.__getitem__):
+        if (x := at.get(a)) is not None:
+            basis.setdefault(x[0], []).extend(x[1])
+    return basis
+
+
+class _ConicBuild(ChainComplex):
+    """The augmented conic complex of P over F as far as it is built: the
+    degrees 0 to `built`, each added whole by `_grow`, bottom-up in d(a).
+    conic_complex drains it into a ConicComplex, which checks d o d once;
+    sphere verdicts read it through `_below`, which builds only the degrees
+    a read needs and checks each new differential first (_check_above).
+    A build that a read left unfinished is kept on P (P._conic_build[F]),
+    apart from the complexes in P._conic.  `_at` is the apex index, each
+    apex built -> (d(a), its generators)."""
+
+    def __init__(self, P, F):
+        gens = [(a, 0) for a in P.elements if not P.dim(a)]
+        super().__init__(F, {0: gens}, {0: {g: {(): F.one} for g in gens}},
+                         True)
+        self.poset = P
+        self._at = {g[0]: (0, [g]) for g in gens}
+        self.by_dim = {}  # d(a) -> the apexes a, in index order
+        for a in P.elements:
+            self.by_dim.setdefault(P.dim(a), []).append(a)
+        self.built = self.checked = 0
+
+    def _grow(self, n):
+        """Build the degrees up to n.
+
+        Each top face of Delta(P_{<a}) is c * f with d(c) = d(a) - 1, and
+        d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c
+        is a top cycle at c and sum_c w_c = 0.  So the cycles at a are the
+        kernel of the conic d_{d(a)-1} (for d(a) = 1 the augmentation d_0)
+        on the generators `cols` with apex below a: z = sum_g s_g (apex(g) *
+        cycles[g]) has differential s.  Each s is kernel_basis's (as
+        ChainComplex.kernel reads it, sparse), divided by mu, z's coefficient
+        at its smallest face in vertex-index order.  Faces compare by their
+        top vertex first, and the cycles at one apex are independent, so
+        that face is c * f for the lowest-index apex c in the support of s,
+        and f the smallest face of the cycle that d(s restricted to c)
+        stands for one degree down.  The descent ends in d_0, 1 on every
+        vertex: mu is the entry at the lowest vertex."""
+        P, F = self.poset, self.field
+        for m in range(self.built + 1, n + 1):
+            gens, cols = [], {}
+            for a in self.by_dim.get(m, ()):
+                below, mine = P.below[a], []
+                sub = [g for g in self.basis.get(m - 1, []) if g[0] in below]
+                for i, s in enumerate(self._kernel_on(m - 1, sub)):
+                    t = s  # mu, by descent on the lowest apex down to d_0
+                    for k in range(m - 1, -1, -1):
+                        c = min((g[0] for g in t), key=P.index.get)
+                        t = self.boundary(k, {g: v for g, v in t.items()
+                                              if g[0] == c})
+                    inv = F.inv(t[()])
+                    if inv != F.one:
+                        s = {g: F.mul(inv, v) for g, v in s.items()}
+                    cols[a, i] = s
+                    mine.append((a, i))
+                if mine:
+                    self._at[a] = (m, mine)
+                    gens += mine
+            if gens:
+                self.basis[m], self.d[m] = gens, cols
+            self.built = m
+
+    def _below(self, below):
+        """The basis of the subcomplex on the apexes of the down-set
+        `below`, once the degrees it reaches (up to d(a) - 1 for below =
+        P.below[a]) are built and each of their differentials has passed
+        the d o d test."""
+        n = max(map(self.poset.dim, below), default=0)
+        self._grow(n)
+        if self.checked < n:
+            self._check_above(self.checked)
+            self.checked = n
+        return _select(self.poset, self._at, below)
+
+
+def _verdict_source(P, F):
+    """What sphere verdicts on P over F read: P's augmented conic complex
+    when either augmentation is memoized, else P's conic build, kept on P
+    for the next read or for conic_complex to drain."""
+    if (F, True) in P._conic or (F, False) in P._conic:
+        return conic_complex(P, F, True)
+    if (B := P._conic_build.get(F)) is None:
+        B = P._conic_build[F] = _ConicBuild(P, F)
+    return B
+
+
 def conic_complex(P, F, augmented=False):
     """The conic chain complex of P over F, built bottom-up in d(a) with no
     face, once per (P, F), and memoized on P per (F, augmented): the other
     augmentation shares the gens and d stores with only `augmented`
     flipped, as the constructor's d o d check covers eps o d_1 either way.
 
-    Each top face of Delta(P_{<a}) is c * f with d(c) = d(a) - 1, and
-    d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c is
-    a top cycle at c and sum_c w_c = 0.  So the cycles at a are the kernel
-    of the conic d_{d(a)-1} (for d(a) = 1 the augmentation d_0) on the
-    generators `cols` with apex below a: z = sum_g s_g (apex(g) * cycles[g])
-    has differential s.  Each s is kernel_basis's (as ChainComplex.kernel
-    reads it, sparse), divided by mu, z's coefficient at its smallest face
-    in vertex-index order.  Faces compare by their top vertex first, and the
-    cycles at one apex are independent, so that face is c * f for the
-    lowest-index apex c in the support of s, and f the smallest face of the
-    cycle that d(s restricted to c) stands for one degree down.  The descent
-    ends in d_0, 1 on every vertex: mu is the entry at the lowest vertex.
+    The build is _ConicBuild's (its _grow gives the construction), drained
+    to the top degree: a build that sphere verdicts left on P (is_hcw) is
+    finished, not started again.  The ConicComplex made of it checks d o d
+    once, in its constructor, and only then is memoized as the complex.
     """
     if (F, augmented) in P._conic:
         return P._conic[F, augmented]
@@ -122,26 +226,11 @@ def conic_complex(P, F, augmented=False):
         C.augmented = augmented
         P._conic[F, augmented] = C
         return C
-    gens = {P.dim(a): [] for a in P.elements}  # degrees in the order met
-    gens[0] = [(a, 0) for a in P.elements if not P.dim(a)]
-    d = {0: {g: {(): F.one} for g in gens[0]}}
-    for n in sorted(gens)[1:]:
-        low = ChainComplex(F, gens, d)  # the degrees below n
-        for a in (a for a in P.elements if P.dim(a) == n):
-            cols = [g for g in gens[n - 1] if g[0] in P.below[a]]
-            for i, s in enumerate(low.kernel(n - 1, cols=cols)):
-                t = s  # mu, by descent on the lowest apex down to d_0
-                for m in range(n - 1, -1, -1):
-                    c = min((g[0] for g in t), key=P.index.get)
-                    t = low.boundary(m, {g: v for g, v in t.items()
-                                         if g[0] == c})
-                inv = F.inv(t[()])
-                if inv != F.one:
-                    s = {g: F.mul(inv, v) for g, v in s.items()}
-                gens[n].append((a, i))
-                d.setdefault(n, {})[(a, i)] = s
+    B = P._conic_build.pop(F, None) or _ConicBuild(P, F)
+    B._grow(max(B.by_dim, default=0))
+    gens = {n: B.basis.get(n, []) for n in B.by_dim}  # degrees in the order met
     try:
-        C = ConicComplex(P, F, gens, d, augmented)
+        C = ConicComplex(P, F, gens, B.d, augmented)
     except NotAComplex as exc:
         raise VerificationError(f"conic {exc}") from exc
     P._conic[F, augmented] = C
@@ -201,7 +290,9 @@ def homogenize(C):
 def supports_resolution(P, F):
     """Whether P supports a resolution along its degree map: is_resolution
     of the (unaugmented) conic complex, which checks the strand of every
-    truncation P_{<=alpha} at a join of the generator degrees.
+    truncation P_{<=alpha} at a join of the generator degrees.  The answer
+    is memoized on P per field (P._support), so hcwify and
+    verify_mfr_support on one poset check its strands once.
 
     Returns (ok, the first alpha whose strand is not {0: 1} or None).
     """
@@ -209,5 +300,8 @@ def supports_resolution(P, F):
         raise NotAMorphism("poset has no degree map")
     if not P.elements:
         return True, None
-    ok, report = is_resolution(conic_complex(P, F))
-    return ok, next((a for a, h in report.items() if h != {0: 1}), None)
+    if F not in P._support:
+        ok, report = is_resolution(conic_complex(P, F))
+        P._support[F] = ok, next((a for a, h in report.items()
+                                  if h != {0: 1}), None)
+    return P._support[F]

@@ -18,6 +18,14 @@ their first nonzero coordinate is 1: the basis the RREF of A gives.
 behind conic_complex, reads that basis as sparse vectors off
 `_kernel_vectors`, which kernel_basis writes out dense.
 
+`_reduce` reads each column in its reduce-ready form over F: over GF(2) a
+bitmask of the rows with an odd value, otherwise {row: F(value)} without
+zeros (`_ready`).  A plain SparseMatrix is converted column by column as
+`_reduce` reads it; a prepared one (`field` set) already holds its columns
+in that form, so nothing is converted.  ChainComplex._homology_on prepares
+the columns of each d_n once per complex and field, and ranks a down-set
+on them: every down-set of a complex reads the same prepared columns.
+
 Over GF(2) the module works on bitmask columns, combined by XOR: `_reduce`
 for the three functions above and `_suspect_columns` for
 ChainComplex.check_complex.  Over every other field, and with none,
@@ -142,9 +150,12 @@ class FieldSpec:
 
 class SparseMatrix:
     """Immutable sparse matrix, kept by column: `columns` maps a column to
-    {row: nonzero scalar}.  The constructor checks every entry (row, col,
-    scalar) for bounds, duplicates and zeros; `entries` gives the matrix
-    as {(row, col): scalar}."""
+    {row: nonzero scalar}, or, in a matrix prepared over the field `field`,
+    to its reduce-ready form over it (`_ready`).  The constructor checks
+    every entry (row, col, scalar) for bounds, duplicates and zeros;
+    `entries` gives the matrix as {(row, col): scalar}."""
+
+    field = None  # the field whose reduce-ready form the columns are in
 
     def __init__(self, rows, cols, entries=()):
         columns = {}
@@ -160,29 +171,53 @@ class SparseMatrix:
         self.rows, self.cols, self.columns = rows, cols, columns
 
     @classmethod
-    def _of_columns(cls, rows, cols, columns):
+    def _of_columns(cls, rows, cols, columns, field=None):
         """The matrix on `columns` as given, unchecked: the caller keeps
         every index in range and every scalar nonzero (ChainComplex.matrix,
         whose index lookup drops the rows outside, and solve, which adds
-        b as a last column)."""
+        b as a last column).  With `field`, the columns are nonzero and in
+        their reduce-ready form over it (ChainComplex._homology_on)."""
         A = cls.__new__(cls)
         A.rows, A.cols, A.columns = rows, cols, columns
+        if field is not None:
+            A.field = field
         return A
 
     @property
     def entries(self):
         return {(r, c): v for c, col in self.columns.items()
-                for r, v in col.items()}
+                for r, v in (_bits(col) if type(col) is int else col.items())}
 
     def __repr__(self):
-        nnz = sum(map(len, self.columns.values()))
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz})"
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+
+
+def _bits(x):
+    """(row, 1) for each set bit of a bitmask column, from bit 0 up."""
+    while x:
+        yield (x & -x).bit_length() - 1, 1
+        x &= x - 1
+
+
+def _ready(col, F):
+    """A {row: scalar} column in `_reduce`'s form over F: over GF(2) the
+    bitmask of its rows whose value F keeps nonzero, otherwise {row: F(v)}
+    with the zeros dropped, in the column's own order."""
+    if F.characteristic == 2:
+        x = 0
+        for r, v in col.items():
+            if F(v):
+                x |= 1 << r
+        return x
+    return {r: w for r, v in col.items() if (w := F(v))}
 
 
 def _reduce(A, F, cols, track=False):
     """Reduce the columns `cols` of A, in the order given, each by its lowest
     (largest) row against the earlier columns that ended with that row,
-    until it vanishes or ends with a new row.  Entries go through F first.
+    until it vanishes or ends with a new row.  Each column is read in its
+    reduce-ready form over F: as A holds it when A is prepared over F,
+    else converted by `_ready` as it is read.
 
     Returns (pivots, left): pivots maps each lowest row to the reduced
     column that ends there.  With `track`, each column carries a marker for
@@ -193,14 +228,13 @@ def _reduce(A, F, cols, track=False):
     Columns are bitmasks over GF(2) and sparse dicts otherwise.
     """
     pivots, left = {}, {}
+    get = A.columns.get
+    ready = A.field is not None and A.field.characteristic == F.characteristic
     if F.characteristic == 2:
         shift = A.cols if track else 0
         row0 = 1 << shift  # x >= row0 iff x has a row bit
         for c in cols:
-            x = 0
-            for r, v in A.columns.get(c, {}).items():
-                if F(v):
-                    x |= 1 << r
+            x = get(c, 0) if ready else _ready(get(c, {}), F)
             if track:
                 x = x << shift | 1 << c
             while x >= row0:
@@ -211,14 +245,11 @@ def _reduce(A, F, cols, track=False):
                     break
                 x ^= y
             else:
-                if track:  # x holds marker bits only: walk its set bits
-                    left[c] = y = {}
-                    while x:
-                        y[(x & -x).bit_length() - 1] = 1
-                        x &= x - 1
+                if track:  # x holds marker bits only
+                    left[c] = dict(_bits(x))
     else:
-        for c in cols:
-            x = {r: w for r, v in A.columns.get(c, {}).items() if (w := F(v))}
+        for c in cols:  # a prepared column is copied: x changes in place
+            x = dict(get(c, ())) if ready else _ready(get(c, {}), F)
             if track:
                 x[~c] = F.one
             while x and (low := max(x)) >= 0:

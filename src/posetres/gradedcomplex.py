@@ -15,7 +15,7 @@ from operator import mod
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
                      VerificationError, malformed)
-from .exactla import (FieldSpec, SparseMatrix, _kernel_vectors,
+from .exactla import (FieldSpec, SparseMatrix, _kernel_vectors, _ready,
                       _suspect_columns, rank, solve)
 from .monomials import divides, join_closure, lcm
 
@@ -34,7 +34,10 @@ class ChainComplex:
 
     The columns are copied without zero entries and empty columns.  Chains
     are {id: scalar} dicts; an id outside its degree raises NotFound.
-    Methods taking a field F default to the complex's own.
+    Methods taking a field F default to the complex's own.  Homology reads
+    d as it was when first read (`_ready_columns`): a caller that edits d
+    in place, as make_minimal_support_basis does its bar complex, reads
+    no homology of it.
     """
 
     def __init__(self, field, basis, d, augmented=False):
@@ -48,6 +51,7 @@ class ChainComplex:
                 self.d[n] = cols
         self.augmented = augmented
         self.index = {}  # n -> {id: position in basis[n]}, filled by _index
+        self._ready = {}  # (n, p) -> prepared columns, by _ready_columns
 
     @property
     def diffs(self):
@@ -129,6 +133,18 @@ class ChainComplex:
         return [{cols[j]: v for j, v in x.items()}
                 for x in _kernel_vectors(self.matrix(n, cols=cols), F)]
 
+    def _kernel_on(self, n, cols):
+        """kernel(n, cols) over the complex's field, read off the prepared
+        columns of d_n (_ready_columns), so only for a complex whose d_n
+        is not edited after the first read, as the conic build's."""
+        F = self.field
+        rows, _, ready = (self._ready.get((n, F.characteristic))
+                          or self._ready_columns(n, F))
+        A = SparseMatrix._of_columns(rows, len(cols), {
+            j: ready[c][1] for j, c in enumerate(cols)}, F)
+        return [{cols[j]: v for j, v in x.items()}
+                for x in _kernel_vectors(A, F)]
+
     def preimage(self, n, chain, cols=None, F=None):
         """Some n-chain on `cols` (default: all of degree n) whose d_n is
         `chain`, or None if there is none."""
@@ -149,10 +165,16 @@ class ChainComplex:
         composite, in ascending n and then in the order of d_{n+1}, names
         its first nonzero entry.  GradedFreeComplex and ConicComplex run
         this last in their constructors, so each is a complex once built."""
+        self._check_above(0)
+
+    def _check_above(self, k):
+        """check_complex on the composites d_{n-1} o d_n with n > k only:
+        the differentials below d_k are left out.  The conic build checks
+        each degree it adds this way before a verdict reads it."""
         if len(self.d) < 2:  # no two maps to compose
             return
         p = self.field.characteristic if self.field else 0
-        diffs = [(self.basis.get(n, []), self.d.get(n, {}))
+        diffs = [(self.basis.get(n, []), self.d.get(n, {}) if n >= k else {})
                  for n in range(max(self.d, default=0) + 1)]
         for n, c, col in _suspect_columns([()], diffs, self.field):
             lower = diffs[n - 1][1]
@@ -173,32 +195,58 @@ class ChainComplex:
 
     def _homology_on(self, basis, F):
         """homology_ranks of the subcomplex on `basis` ({n: ids}, each list
-        nonempty and in basis order), read off this complex's own columns:
-        `matrix` drops the entries whose row lies outside basis[n - 1], as
-        `restrict` would.  is_resolution reads its strands this way.
+        nonempty and in basis order).  Precondition: `basis` is closed
+        under the boundary, every row of d_n at a column in basis[n] lying
+        in basis[n - 1] (in () for d_0).  Every caller meets it: the whole
+        basis, a down-set of apexes of a conic complex (hcw's
+        _homology_below), and a strand of a complex with a degree_of,
+        closed by homogeneity or by the monotone degree map (is_resolution).
+        So no row needs dropping: each d_n is ranked on the columns
+        _ready_columns prepared once for the whole complex, with no row
+        index built, no entry filtered and no value converted.  The matrix
+        keeps each column at its position in self.basis[n] and has the
+        whole shape of d_n.
 
         The ranks of the differentials are taken top down, with clearing: a
-        column of d_n is skipped when its index is the lowest row of a
+        column of d_n is skipped when its position is the lowest row of a
         nonzero reduced column of d_{n+1}.  That reduced column is a cycle
         ending there, so the skipped column is a combination of the columns
         before it.  The rows of d_{n+1} and the columns of d_n are both
-        basis[n], in the same order."""
+        positions in self.basis[n]."""
         lo = -1 if self.augmented else 0
         top = max(basis, default=-1)
-
-        def rows(n):  # d_0, taken only when augmented, maps onto ()
-            return basis.get(n - 1, []) if n or -1 in basis else [()]
-
+        p = F.characteristic
         rk, lows = {}, set()  # rk[n] = rank of d_n, for n > lo
         for n in range(top, lo, -1):
             cleared, lows = lows, set()
-            rk[n] = rank(self.matrix(n, rows(n), basis.get(n, [])), F,
-                         skip=cleared, lows=lows)
+            rows, cols, ready = (self._ready.get((n, p))
+                                 or self._ready_columns(n, F))
+            A = SparseMatrix._of_columns(
+                rows, cols, dict(map(ready.__getitem__, basis.get(n, ()))), F)
+            rk[n] = rank(A, F, skip=cleared, lows=lows)
         out = {}
-        for n in range(lo, top + 1):
-            if h := len(rows(n + 1)) - rk.get(n, 0) - rk.get(n + 1, 0):
+        for n in range(lo, top + 1):  # the rows of d_0 are (), when taken
+            rows = len(basis.get(n, () if n >= 0 else [()]))
+            if h := rows - rk.get(n, 0) - rk.get(n + 1, 0):
                 out[n] = h
         return out
+
+    def _ready_columns(self, n, F):
+        """(rows, columns, {id: (position, column)}) for d_n over F: its
+        shape, and each column id of basis[n] with its position there and
+        its column in exactla's reduce-ready form (a bitmask over GF(2),
+        else {row: F(v)}), each row the position of its id in the whole
+        row basis of d_n; rows outside it are dropped, as `matrix` drops
+        them.  Made on the first read per (n, F) and kept on the complex."""
+        rows = self._rows(n)
+        rix = self._index(n - 1, rows)
+        store = self.d.get(n, {})
+        cols = self.basis.get(n, [])
+        ready = self._ready[n, F.characteristic] = len(rows), len(cols), {
+            c: (j, _ready({i: v for r, v in store.get(c, {}).items()
+                           if (i := rix.get(r)) is not None}, F))
+            for j, c in enumerate(cols)}
+        return ready
 
     def restrict(self, keep):
         """Plain ChainComplex on the basis ids in `keep`, with the

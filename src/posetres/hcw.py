@@ -66,9 +66,7 @@ def _homology_below(C, below):
     with d(c) = d(a) - 1, and d(sum_c c * w_c) = sum_c w_c - sum_c c * dw_c,
     so the top cycles are exactly the kernel conic_complex takes at a, and
     the top rank is component_dims()[a]."""
-    return C._homology_on({n: gs for n, ids in C.gens.items()
-                           if (gs := [g for g in ids if g[0] in below])},
-                          C.field)
+    return C._homology_on(C._below(below), C.field)
 
 
 def _memo_below(C, below, memo):

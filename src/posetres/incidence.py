@@ -5,8 +5,8 @@ homogenized conic complex of the incidence poset reproduces the resolution.
 from collections import defaultdict
 
 from .errors import (DegenerateColumn, NotMinimalSupport, VerificationError)
-from .conic import conic_complex, homogenize
-from .gradedcomplex import _scalar_json, betti_table, is_resolution
+from .conic import conic_complex, homogenize, supports_resolution
+from .gradedcomplex import _scalar_json, betti_table
 from .minsupport import noncomparable_supports
 from .posets import Poset
 
@@ -158,5 +158,4 @@ def verify_mfr_support(I, C, F):
     H = homogenize(conic_complex(P, F))
     if betti_table(H).entries != betti_table(C).entries:
         return False
-    ok, _ = is_resolution(H)
-    return ok
+    return supports_resolution(P, F)[0]

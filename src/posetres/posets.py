@@ -71,6 +71,7 @@ class Poset:
                         raise NotAMorphism(
                             f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
         self._chain_count, self._conic = None, {}
+        self._conic_build, self._support = {}, {}
 
     def __len__(self):
         return len(self.elements)
@@ -243,9 +244,9 @@ def is_hcw(P, F):
     in (dimension, index) order up to the first miss, which has only
     spheres below it: so each is read off the conic complex, exact by the
     paper's theorem, and no filter complex is built nor FACE_CAP read."""
-    from .conic import conic_complex  # conic and hcw import this module
+    from .conic import _verdict_source  # conic and hcw import this module
     from .hcw import _sphere_verdicts
-    return all(v for _, v in _sphere_verdicts(conic_complex(P, F, True),
+    return all(v for _, v in _sphere_verdicts(_verdict_source(P, F),
                                               P.elements, {}))
 
 
