@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .errors import (HypothesisFailed, NotAComplex, NotAMorphism, ShapeError,
                      VerificationError)
-from .exactla import rank
+from .exactla import SparseMatrix, _kernel_vectors, rank
 from .gradedcomplex import (ChainComplex, GradedFreeComplex, _scalar_json,
                             is_resolution)
 from .posets import reduced_homology
@@ -151,10 +151,10 @@ class _ConicBuild(ChainComplex):
         d(c * w) = w - c * dw, so z = sum_c c * w_c is a cycle iff every w_c
         is a top cycle at c and sum_c w_c = 0.  So the cycles at a are the
         kernel of the conic d_{d(a)-1} (for d(a) = 1 the augmentation d_0)
-        on the generators `cols` with apex below a: z = sum_g s_g (apex(g) *
+        on the generators `sub` with apex below a: z = sum_g s_g (apex(g) *
         cycles[g]) has differential s.  Each s is kernel_basis's (as
-        ChainComplex.kernel reads it, sparse), divided by mu, z's coefficient
-        at its smallest face in vertex-index order.  Faces compare by their
+        `_kernel` reads it, sparse), divided by mu, z's coefficient at its
+        smallest face in vertex-index order.  Faces compare by their
         top vertex first, and the cycles at one apex are independent, so
         that face is c * f for the lowest-index apex c in the support of s,
         and f the smallest face of the cycle that d(s restricted to c)
@@ -166,7 +166,7 @@ class _ConicBuild(ChainComplex):
             for a in self.by_dim.get(m, ()):
                 below, mine = P.below[a], []
                 sub = [g for g in self.basis.get(m - 1, []) if g[0] in below]
-                for i, s in enumerate(self._kernel_on(m - 1, sub)):
+                for i, s in enumerate(self._kernel(m - 1, sub)):
                     t = s  # mu, by descent on the lowest apex down to d_0
                     for k in range(m - 1, -1, -1):
                         c = min((g[0] for g in t), key=P.index.get)
@@ -184,16 +184,29 @@ class _ConicBuild(ChainComplex):
                 self.basis[m], self.d[m] = gens, cols
             self.built = m
 
+    def _kernel(self, n, cols):
+        """ChainComplex.kernel(n, cols), read off the columns of d_n that
+        _ready_columns prepared: the build only adds degrees, so they stay
+        those of d_n, and every apex of degree n + 1 reads them."""
+        F = self.field
+        rows, _, ready = self._ready_columns(n, F)
+        A = SparseMatrix._of_columns(rows, len(cols), {
+            j: ready[c][1] for j, c in enumerate(cols)}, F)
+        return [{cols[j]: v for j, v in x.items()}
+                for x in _kernel_vectors(A, F)]
+
     def _below(self, below):
         """The basis of the subcomplex on the apexes of the down-set
         `below`, once the degrees it reaches (up to d(a) - 1 for below =
-        P.below[a]) are built and each of their differentials has passed
-        the d o d test."""
-        n = max(map(self.poset.dim, below), default=0)
-        self._grow(n)
-        if self.checked < n:
-            self._check_above(self.checked)
-            self.checked = n
+        P.below[a]) are built and every differential built has passed the
+        d o d test."""
+        self._grow(max(map(self.poset.dim, below), default=0))
+        if self.checked < self.built:
+            try:
+                self._check_above(self.checked)
+            except NotAComplex as exc:
+                raise VerificationError(f"conic {exc}") from exc
+            self.checked = self.built
         return _select(self.poset, self._at, below)
 
 
@@ -233,6 +246,7 @@ def conic_complex(P, F, augmented=False):
         C = ConicComplex(P, F, gens, B.d, augmented)
     except NotAComplex as exc:
         raise VerificationError(f"conic {exc}") from exc
+    C.index, C._ready = B.index, B._ready  # B's positions and columns
     P._conic[F, augmented] = C
     return C
 

@@ -22,9 +22,10 @@ behind conic_complex, reads that basis as sparse vectors off
 bitmask of the rows with an odd value, otherwise {row: F(value)} without
 zeros (`_ready`).  A plain SparseMatrix is converted column by column as
 `_reduce` reads it; a prepared one (`field` set) already holds its columns
-in that form, so nothing is converted.  ChainComplex._homology_on prepares
-the columns of each d_n once per complex and field, and ranks a down-set
-on them: every down-set of a complex reads the same prepared columns.
+in that form, so nothing is converted.  ChainComplex._ready_columns
+prepares the columns of each d_n once per complex and field: every
+down-set whose homology ChainComplex._homology_on reads, and every kernel
+the conic build takes, reads those prepared columns.
 
 Over GF(2) the module works on bitmask columns, combined by XOR: `_reduce`
 for the three functions above and `_suspect_columns` for

@@ -133,18 +133,6 @@ class ChainComplex:
         return [{cols[j]: v for j, v in x.items()}
                 for x in _kernel_vectors(self.matrix(n, cols=cols), F)]
 
-    def _kernel_on(self, n, cols):
-        """kernel(n, cols) over the complex's field, read off the prepared
-        columns of d_n (_ready_columns), so only for a complex whose d_n
-        is not edited after the first read, as the conic build's."""
-        F = self.field
-        rows, _, ready = (self._ready.get((n, F.characteristic))
-                          or self._ready_columns(n, F))
-        A = SparseMatrix._of_columns(rows, len(cols), {
-            j: ready[c][1] for j, c in enumerate(cols)}, F)
-        return [{cols[j]: v for j, v in x.items()}
-                for x in _kernel_vectors(A, F)]
-
     def preimage(self, n, chain, cols=None, F=None):
         """Some n-chain on `cols` (default: all of degree n) whose d_n is
         `chain`, or None if there is none."""
@@ -215,12 +203,10 @@ class ChainComplex:
         positions in self.basis[n]."""
         lo = -1 if self.augmented else 0
         top = max(basis, default=-1)
-        p = F.characteristic
         rk, lows = {}, set()  # rk[n] = rank of d_n, for n > lo
         for n in range(top, lo, -1):
             cleared, lows = lows, set()
-            rows, cols, ready = (self._ready.get((n, p))
-                                 or self._ready_columns(n, F))
+            rows, cols, ready = self._ready_columns(n, F)
             A = SparseMatrix._of_columns(
                 rows, cols, dict(map(ready.__getitem__, basis.get(n, ()))), F)
             rk[n] = rank(A, F, skip=cleared, lows=lows)
@@ -238,15 +224,17 @@ class ChainComplex:
         else {row: F(v)}), each row the position of its id in the whole
         row basis of d_n; rows outside it are dropped, as `matrix` drops
         them.  Made on the first read per (n, F) and kept on the complex."""
-        rows = self._rows(n)
-        rix = self._index(n - 1, rows)
-        store = self.d.get(n, {})
-        cols = self.basis.get(n, [])
-        ready = self._ready[n, F.characteristic] = len(rows), len(cols), {
-            c: (j, _ready({i: v for r, v in store.get(c, {}).items()
-                           if (i := rix.get(r)) is not None}, F))
-            for j, c in enumerate(cols)}
-        return ready
+        key = n, F.characteristic
+        if key not in self._ready:
+            rows = self._rows(n)
+            rix = self._index(n - 1, rows)
+            store = self.d.get(n, {})
+            cols = self.basis.get(n, [])
+            self._ready[key] = len(rows), len(cols), {
+                c: (j, _ready({i: v for r, v in store.get(c, {}).items()
+                               if (i := rix.get(r)) is not None}, F))
+                for j, c in enumerate(cols)}
+        return self._ready[key]
 
     def restrict(self, keep):
         """Plain ChainComplex on the basis ids in `keep`, with the

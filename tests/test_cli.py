@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import posetres.cli
+import posetres.conic
+import posetres.incidence
 import posetres.gradedcomplex
 import posetres.posets
 import posetres.rigidity
@@ -340,3 +342,21 @@ def test_determinism(capsys):
     first = capsys.readouterr().out
     assert main(["minbasis", M, "--json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_verify_checks_each_strand_set_once(monkeypatch, capsys):
+    """`posetres verify` reads strands twice: the resolution's, and those
+    of the incidence poset's conic complex, which the support criterion
+    and hcwify share through supports_resolution's memo."""
+    calls = []
+    is_resolution = posetres.gradedcomplex.is_resolution
+
+    def spy(C):
+        calls.append(C)
+        return is_resolution(C)
+
+    for mod in (posetres.cli, posetres.conic, posetres.incidence):
+        monkeypatch.setattr(mod, "is_resolution", spy, raising=False)
+    assert main(["verify", RP2, "--char", "2"]) == 0
+    assert "support_criterion: pass" in capsys.readouterr().out
+    assert len(calls) == 2

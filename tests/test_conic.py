@@ -423,3 +423,26 @@ def test_conic_complex_past_the_face_cap_builds_no_face(monkeypatch):
     for name in ("gens", "d"):
         assert _ordered(getattr(C, name)) == _ordered(getattr(D, name)), name
     assert D.cycles
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_support_criterion_reads_the_memoized_strand_check(p):
+    """verify_mfr_support answers is_resolution of the homogenized conic
+    complex, which has the matrices, basis order and degrees of the conic
+    complex that supports_resolution checks: on the corpus incidence
+    posets, and on the Betti posets, where both answers occur."""
+    from posetres.incidence import verify_mfr_support
+    from posetres.rigidity import betti_poset
+    F = FieldSpec(p)
+    answers = set()
+    for I in random_corpus(100) + [minimalize(RP2_GENS), minimalize(M_GENS)]:
+        M = make_minimal_support_basis(minimize(taylor_complex(I, F)))[0]
+        P = incidence_poset(M)
+        want = is_resolution(homogenize(conic_complex(P, F)))[0]
+        assert verify_mfr_support(I, M, F) == want
+        assert P._support == {F: supports_resolution(P, F)}
+        B = betti_poset(betti_table(M))
+        ok = is_resolution(homogenize(conic_complex(B, F)))[0]
+        assert supports_resolution(B, F)[0] == ok
+        answers.add(ok)
+    assert answers == {False, True}

@@ -11,8 +11,10 @@ with the simplicial one it replaced.
 
 import pytest
 
-from posetres import (FieldSpec, Poset, betti_poset, betti_table, hcw,
-                      is_hcw, minimalize, minimize, taylor_complex)
+from posetres import (FieldSpec, Poset, betti_poset, betti_table, conic,
+                      conic_complex, gradedcomplex, hcw, is_hcw, minimalize,
+                      minimize, taylor_complex)
+from posetres.errors import VerificationError
 from posetres.posets import is_homology_sphere_at, reduced_homology
 from conftest import (RP2_GENS, random_corpus, random_graded_posets,
                       theta_poset)
@@ -200,3 +202,80 @@ def test_is_hcw_equals_reference_and_builds_no_filter_complex(
         assert verdicts[-1] == is_hcw_reference(P, F), P.elements
     assert built == []
     assert len(posets) == 347 and True in verdicts and False in verdicts
+
+
+# --- is_hcw builds the conic complex only as far as its walk reads ---------
+
+def test_is_hcw_on_the_k6_10_betti_poset_builds_no_kernel_past_degree_1(
+        monkeypatch):
+    """The walk's first miss on the K6-10 Betti poset over GF(2) is at
+    dimension 1, and a verdict at dimension n reads degrees <= n - 1: no
+    kernel is taken for a degree >= 2, and no complex is memoized."""
+    F = FieldSpec(2)
+    P = betti_poset(betti_table(minimize(taylor_complex(
+        minimalize(K6_EDGES[:10]), F))))
+    degrees, kernel = [], conic._ConicBuild._kernel
+
+    def spy(self, n, cols):
+        degrees.append(n + 1)  # the kernel of d_n gives degree n + 1
+        return kernel(self, n, cols)
+
+    monkeypatch.setattr(conic._ConicBuild, "_kernel", spy)
+    assert len(P) == 47 and not is_hcw(P, F)
+    assert max(degrees, default=0) < 2
+    assert P._conic == {} and P._conic_build[F].built < 2
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_lazy_is_hcw_equals_reference_and_drains_into_the_whole_build(
+        monkeypatch, p):
+    """On the Betti posets of the corpus, rp2 and K6-10: is_hcw equals the
+    simplicial reference and memoizes no partial build as the complex;
+    conic_complex then finishes that build, with one d o d pass on the
+    complex it returns, which has the matrices of a fresh poset's build."""
+    F = FieldSpec(p)
+    passes, check = [], gradedcomplex.ChainComplex.check_complex
+
+    def counting(self):
+        passes.append(self)
+        check(self)
+
+    partial = 0
+    for I in random_corpus(100) + [minimalize(g) for g in (RP2_GENS,
+                                                           K6_EDGES[:10])]:
+        P = betti_poset(betti_table(minimize(taylor_complex(I, F))))
+        assert is_hcw(P, F) == is_hcw_reference(P, F), P.elements
+        assert P._conic == {}
+        partial += P._conic_build[F].built < max(map(P.dim, P.elements))
+        with monkeypatch.context() as m:
+            m.setattr(gradedcomplex.ChainComplex, "check_complex", counting)
+            C = conic_complex(P, F, True)
+        assert passes == [C] and F not in P._conic_build
+        passes.clear()
+        fresh = Poset(P.elements, P.covers, deg=P.deg)
+        assert C.same_matrices(conic_complex(fresh, F, True))
+    assert partial > 10
+
+
+def test_lazy_is_hcw_reads_no_differential_before_its_d_o_d_check(
+        monkeypatch):
+    """A verdict never reads a differential that has not passed d o d: a
+    build whose d_1 breaks eps o d_1 = 0 raises before its first read of
+    degree 1 (rp2's Betti poset over Q is hcw, so the walk reaches it)."""
+    F = FieldSpec(0)
+    P = betti_poset(betti_table(minimize(taylor_complex(
+        minimalize(RP2_GENS), F))))
+    grow, reads = conic._ConicBuild._grow, []
+
+    def corrupting(self, n):
+        grow(self, n)
+        if 1 in self.d and not reads:
+            col = next(iter(self.d[1].values()))
+            r = next(iter(col))
+            col[r] *= 2
+            reads.append(n)
+
+    monkeypatch.setattr(conic._ConicBuild, "_grow", corrupting)
+    with pytest.raises(VerificationError, match=r"conic d_0 o d_1 != 0"):
+        is_hcw(P, F)
+    assert reads == [1]

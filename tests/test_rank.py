@@ -4,17 +4,21 @@ oracle: on hypothesis matrices whose columns cancel, and on the order,
 filter, conic, bar and strand complexes of the pipeline, whose
 `kernel_basis` is also checked against the dense RREF."""
 
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import _rank, _reduced_homology_ranks, dense_kernel, dense_rref
 from posetres import (ChainComplex, FieldSpec, SparseMatrix, bar_reduce,
-                      conic_complex, incidence_poset, join_closure,
-                      kernel_basis, make_minimal_support_basis, minimalize,
-                      minimize, rank, strand, taylor_complex)
+                      betti_poset, betti_table, conic_complex, hcw_support,
+                      incidence_poset, is_hcw, join_closure, kernel_basis,
+                      make_minimal_support_basis, minimalize, minimize, rank,
+                      strand, taylor_complex)
 from posetres import gradedcomplex
+from posetres.cli import main
 from conftest import M_GENS, RP2_GENS, random_corpus
 from test_hcw_memo import K6_EDGES
 
@@ -222,3 +226,105 @@ def test_homology_ranks_clears_by_the_lows_of_the_degree_above(p, monkeypatch):
             cleared += len(skip)
             above = _lows(_dense(A, p), p)
     assert cleared > 200
+
+
+# --- the down-set engine: ChainComplex._homology_on ------------------------
+
+def _scalar(v, p):
+    """A stored scalar as the dense oracle reads it: reduced mod p > 0."""
+    if not p:
+        return v
+    return v.numerator * pow(v.denominator, -1, p) % p if type(
+        v) is Fraction else v % p
+
+
+def _restricted_homology(C, basis, p):
+    """Homology of the subcomplex of C on `basis`, from oracle._rank on the
+    dense matrices of the restricted complex: d_n on the rows basis[n - 1]
+    (the row () for d_0) and the columns basis[n], its entries read off
+    C.d, as strand_reference restricts a complex."""
+    lo = -1 if C.augmented else 0
+    top = max(basis, default=-1)
+
+    def rows(n):
+        return basis.get(n - 1, []) if n or -1 in basis else [()]
+
+    rk = {}
+    for n in range(lo + 1, top + 1):
+        cols = [C.d.get(n, {}).get(c, {}) for c in basis.get(n, [])]
+        rk[n] = _rank([[_scalar(col.get(r, 0), p) for col in cols]
+                       for r in rows(n)], p)
+    return {n: h for n in range(lo, top + 1) if (
+        h := len(rows(n + 1)) - rk.get(n, 0) - rk.get(n + 1, 0))}
+
+
+def _engine_posets(F):
+    """The incidence posets of the corpus, rp2, m and the K6-13 Taylor
+    start, over F."""
+    named = [minimalize(g) for g in (RP2_GENS, M_GENS, K6_EDGES[:13])]
+    return [incidence_poset(make_minimal_support_basis(
+        minimize(taylor_complex(I, F)))[0]) for I in random_corpus(100) + named]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_homology_on_down_sets_and_strands_matches_the_oracle(
+        p, monkeypatch):
+    """_homology_on on every P.below[a] and every below[a] + {a} of the
+    augmented conic complex, and on every strand is_resolution reads of
+    the conic complex, against the dense ranks of the restricted complex."""
+    F = FieldSpec(p)
+    strands, homology_on = [], gradedcomplex.ChainComplex._homology_on
+
+    def spy(self, basis, F):
+        h = homology_on(self, basis, F)
+        strands.append((self, basis, h))
+        return h
+
+    checked = 0
+    for P in _engine_posets(F):
+        C = conic_complex(P, F, True)
+        for a in P.elements:
+            for below in (P.below[a], P.below[a] | {a}):
+                basis = C._below(below)
+                assert C._homology_on(basis, F) == _restricted_homology(
+                    C, basis, p), (a, below)
+                checked += 1
+        with monkeypatch.context() as m:
+            m.setattr(gradedcomplex.ChainComplex, "_homology_on", spy)
+            gradedcomplex.is_resolution(conic_complex(P, F))
+    assert strands
+    for D, basis, h in strands:
+        assert h == _restricted_homology(D, basis, p)
+    assert checked > 1000 and len(strands) > 400
+
+
+def _closed(C, basis):
+    """Whether every row of d_n at a column in basis[n] lies in basis[n - 1],
+    the row () of d_0 included."""
+    return all(set(C.d.get(n, {}).get(c, {})) <= set(
+        basis.get(n - 1, ()) if n else ((), *basis.get(-1, ())))
+        for n, ids in basis.items() for c in ids)
+
+
+def test_homology_on_reads_only_bases_closed_under_d(monkeypatch, tmp_path):
+    """The precondition of _homology_on, spied on every call made by
+    hcw_support, is_hcw and `posetres verify` on the corpus over Q, GF(2)
+    and GF(3): each basis read is closed under the boundary."""
+    seen, homology_on = [], gradedcomplex.ChainComplex._homology_on
+
+    def spy(self, basis, F):
+        assert _closed(self, basis), basis
+        seen.append(basis)
+        return homology_on(self, basis, F)
+
+    monkeypatch.setattr(gradedcomplex.ChainComplex, "_homology_on", spy)
+    path = tmp_path / "ideal.txt"
+    for k, I in enumerate(random_corpus(100)):
+        F = FieldSpec((0, 2, 3)[k % 3])
+        Q, _, H = hcw_support(I, F)
+        is_hcw(betti_poset(betti_table(H)), F)
+        path.write_text("\n".join(" ".join(map(str, g))
+                                  for g in I.generators) + "\n")
+        with redirect_stdout(StringIO()):
+            assert main(["verify", str(path), "--char", str(F.p)]) == 0
+    assert len(seen) > 2000
