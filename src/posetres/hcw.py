@@ -56,8 +56,11 @@ def antichain_form(P, a, w, m, F):
 
 def _homology_below(C, below):
     """H~(Delta(P_{<a})) for below = P.below[a], read off the augmented
-    conic complex C of P: C._homology_on the generators whose apex lies in
-    `below`, a subcomplex as `below` is a down-set.
+    conic complex C of P, or off P's conic build (conic._ConicBuild, which
+    is_hcw reads as it builds it): C._homology_on the generators whose
+    apex lies in `below`, which C._below picks from its apex index.  As
+    `below` is a down-set, they span a subcomplex, closed under d, as
+    _homology_on requires.
 
     By the paper's theorem this is the reduced homology of Delta(P_{<a})
     whenever every b < a has H~(Delta(P_{<b})) concentrated in degree

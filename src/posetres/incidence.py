@@ -150,8 +150,11 @@ def conic_iso_check(C):
 
 
 def verify_mfr_support(I, C, F):
-    """True iff the homogenized conic complex of the incidence poset has the
-    same Betti table as C and is a resolution."""
+    """True iff the homogenized conic complex H of the incidence poset P
+    has the same Betti table as C and is a resolution.  H has the matrices,
+    basis order and degrees of P's conic complex, so its strands are those
+    supports_resolution(P, F) checks: the verdict is that memoized one,
+    which hcwify on P then reads too."""
     if sorted(d for _, d in C.labels.get(0, [])) != sorted(I.generators):
         return False
     P = incidence_poset(C)

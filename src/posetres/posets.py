@@ -24,11 +24,13 @@ class Poset:
     `relations` may be any set of (lower, upper) pairs; the order they
     generate is taken.  An optional `deg` map id -> multidegree tuple must
     be monotone, its tuples all of one length with entries ints >= 0.
-    The chain count and conic complexes (`_conic`) are memoized on it;
-    filter complexes are built afresh on each call.  is_hcw, hcwify and
-    fill_cavity read their sphere verdicts and cavity ranks off the conic
-    complex, so a filter complex is built there only for an element above
-    a non-sphere, and never in is_hcw; conic_vs_simplicial builds them all.
+    The chain count, conic complexes (`_conic`), an unfinished conic build
+    (`_conic_build`) and supports_resolution's answer (`_support`) are
+    memoized on it; filter complexes are built afresh on each call.
+    is_hcw, hcwify and fill_cavity read their sphere verdicts and cavity
+    ranks off the conic complex, so a filter complex is built there only
+    for an element above a non-sphere, and never in is_hcw;
+    conic_vs_simplicial builds them all.
     """
 
     def __init__(self, elements, relations, deg=None):
@@ -243,7 +245,11 @@ def is_hcw(P, F):
     The verdicts are hcw._sphere_verdicts' on P's augmented conic complex,
     in (dimension, index) order up to the first miss, which has only
     spheres below it: so each is read off the conic complex, exact by the
-    paper's theorem, and no filter complex is built nor FACE_CAP read."""
+    paper's theorem, and no filter complex is built nor FACE_CAP read.
+    Unless that complex is memoized, the walk reads P's conic build
+    (conic._verdict_source), which builds the degrees <= n - 1 a verdict
+    at dimension n reads, each differential checked for d o d first, and
+    so stops at the degree of the first miss; conic_complex finishes it."""
     from .conic import _verdict_source  # conic and hcw import this module
     from .hcw import _sphere_verdicts
     return all(v for _, v in _sphere_verdicts(_verdict_source(P, F),
