@@ -241,12 +241,14 @@ def conic_complex(P, F, augmented=False):
         return C
     B = P._conic_build.pop(F, None) or _ConicBuild(P, F)
     B._grow(max(B.by_dim, default=0))
-    gens = {n: B.basis.get(n, []) for n in B.by_dim}  # degrees in the order met
+    gens = {n: B.basis.get(n, []) for n in B.by_dim}  # in the order met
     try:
         C = ConicComplex(P, F, gens, B.d, augmented)
     except NotAComplex as exc:
         raise VerificationError(f"conic {exc}") from exc
-    C.index, C._ready = B.index, B._ready  # B's positions and columns
+    # C holds B's basis and columns, so B's positions and prepared columns
+    # are C's: the verdicts and strands read them without preparing again
+    C.index, C._ready = B.index, B._ready
     P._conic[F, augmented] = C
     return C
 

@@ -190,7 +190,8 @@ class SparseMatrix:
                 for r, v in (_bits(col) if type(col) is int else col.items())}
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        nnz = len(self.entries)
+        return f"SparseMatrix({self.rows}x{self.cols}, nnz={nnz})"
 
 
 def _bits(x):

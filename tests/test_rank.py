@@ -262,8 +262,8 @@ def _engine_posets(F):
     """The incidence posets of the corpus, rp2, m and the K6-13 Taylor
     start, over F."""
     named = [minimalize(g) for g in (RP2_GENS, M_GENS, K6_EDGES[:13])]
-    return [incidence_poset(make_minimal_support_basis(
-        minimize(taylor_complex(I, F)))[0]) for I in random_corpus(100) + named]
+    return [incidence_poset(make_minimal_support_basis(minimize(
+        taylor_complex(I, F)))[0]) for I in random_corpus(100) + named]
 
 
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
