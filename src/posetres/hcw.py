@@ -87,7 +87,9 @@ def _sphere_verdicts(C, down, memo):
     order, so that each b whose lower elements all are spheres is read off
     the conic complex C (_memo_below); an element above a non-sphere falls
     back to the simplicial homology of its filter complex.  The first miss
-    has only spheres below it, so every verdict up to it is a conic one."""
+    has only spheres below it, so every verdict up to it is a conic one.
+    C may be P's conic build (is_hcw): the order is by dimension, so it
+    builds each degree only when the first verdict that reads it comes."""
     P, spheres = C.poset, set()
     for b in sorted(down, key=lambda e: (P.dim(e), P.index[e])):
         h = (_memo_below(C, P.below[b], memo) if P.below[b] <= spheres
