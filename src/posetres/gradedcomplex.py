@@ -211,9 +211,9 @@ class ChainComplex:
                 rows, cols, dict(map(ready.__getitem__, basis.get(n, ()))), F)
             rk[n] = rank(A, F, skip=cleared, lows=lows)
         out = {}
-        for n in range(lo, top + 1):  # the rows of d_0 are (), when taken
-            rows = len(basis.get(n, () if n >= 0 else [()]))
-            if h := rows - rk.get(n, 0) - rk.get(n + 1, 0):
+        for n in range(lo, top + 1):  # degree -1 is basis[-1] or ()
+            size = len(basis[n]) if n in basis else int(n < 0)
+            if h := size - rk.get(n, 0) - rk.get(n + 1, 0):
                 out[n] = h
         return out
 
