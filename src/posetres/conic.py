@@ -134,14 +134,14 @@ class _ConicBuild(ChainComplex):
     apex built -> (d(a), its generators)."""
 
     def __init__(self, P, F):
-        gens = [(a, 0) for a in P.elements if not P.dim(a)]
+        gens = [(a, 0) for a in P.elements if not P._dims[a]]
         super().__init__(F, {0: gens}, {0: {g: {(): F.one} for g in gens}},
                          True)
         self.poset = P
         self._at = {g[0]: (0, [g]) for g in gens}
         self.by_dim = {}  # d(a) -> the apexes a, in index order
         for a in P.elements:
-            self.by_dim.setdefault(P.dim(a), []).append(a)
+            self.by_dim.setdefault(P._dims[a], []).append(a)
         self.built = self.checked = 0
 
     def _grow(self, n):
@@ -200,7 +200,7 @@ class _ConicBuild(ChainComplex):
         `below`, once the degrees it reaches (up to d(a) - 1 for below =
         P.below[a]) are built and every differential built has passed the
         d o d test."""
-        self._grow(max(map(self.poset.dim, below), default=0))
+        self._grow(max(map(self.poset._dims.__getitem__, below), default=0))
         if self.checked < self.built:
             try:
                 self._check_above(self.checked)
@@ -285,20 +285,19 @@ def conic_vs_simplicial(P, F):
 
 def homogenize(C):
     """Lift a conic complex to a Z^m-graded free complex along its poset's
-    (monotone) degree map; without one NotAMorphism, if empty ShapeError."""
+    (monotone) degree map; without one NotAMorphism, if empty ShapeError.
+    Generator (a, i) gets the id "a#i", formatted once per generator: the
+    rows of d_n are generators of degree n - 1, d_0 being left out."""
     deg = C.poset.deg
     if deg is None:
         raise NotAMorphism("poset has no degree map")
     if not deg:
         raise ShapeError("cannot homogenize an empty poset")
     num_vars = len(next(iter(deg.values())))
-
-    def gid(g):
-        return f"{g[0]}#{g[1]}"
-
-    labels = {n: [(gid(g), deg[g[0]]) for g in gs]
+    gid = {g: f"{g[0]}#{g[1]}" for gs in C.gens.values() for g in gs}
+    labels = {n: [(gid[g], deg[g[0]]) for g in gs]
               for n, gs in C.gens.items()}
-    d = {n: {gid(c): {gid(r): v for r, v in col.items()}
+    d = {n: {gid[c]: {gid[r]: v for r, v in col.items()}
              for c, col in cols.items()} for n, cols in C.d.items() if n}
     return GradedFreeComplex(num_vars, C.field, labels, d)
 

@@ -10,7 +10,7 @@ tables all live here.
 from collections import Counter, defaultdict
 from collections.abc import MutableMapping
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import mod
 
 from .errors import (NotAComplex, NotFound, NotMinimal, ShapeError, TooLarge,
@@ -285,13 +285,19 @@ def _vector(ix, chain, n, F):
 def _in_field(d, F):
     """The column store d with every scalar as F gives it: d itself when its
     values are all ints that F keeps (any int over Q, 0..p-1 over GF(p)),
-    checked without a call per entry, else a copy made through F."""
-    vals = [v for cols in d.values() for col in cols.values()
-            for v in col.values()]
+    checked without a call per entry, else a copy made through F.  The
+    scalars are listed by chain.from_iterable; their types are read off
+    every entry, as 1 and 1.0 are one set member, and their range off the
+    set of distinct values, a few per complex."""
+    vals = [*chain.from_iterable(map(dict.values, chain.from_iterable(
+        map(dict.values, d.values()))))]
     p = F.characteristic
-    if {int}.issuperset(map(type, vals)) and (
-            not p or 0 <= min(vals, default=0) and max(vals, default=0) < p):
-        return d
+    if {int}.issuperset(map(type, vals)):
+        if not p:
+            return d
+        vals = set(vals)
+        if 0 <= min(vals, default=0) and max(vals, default=0) < p:
+            return d
     return {n: {c: {r: F(v) for r, v in col.items()}
                 for c, col in cols.items()} for n, cols in d.items()}
 
@@ -522,7 +528,14 @@ def minimize(C):
     up to its own row, on demand and once.  A column's `row_sub` calls
     depend only on itself and on those pivot columns, so its values, dict
     order and scalar types are the full sweep's.
+
+    A complex with no unit entry admits no cancellation: phase 1 would
+    find no pivot and phase 2 copy every column as it is.  So when
+    C.is_minimal(), minimize returns its input object C itself, and
+    builds nothing; any other result is checked to have no unit entry.
     """
+    if C.is_minimal():
+        return C
     pos = {i: k for labs in C.labels.values() for k, (i, _) in enumerate(labs)}
     pivots = _unit_pivots(C, pos)
     dead, store = set(), {}

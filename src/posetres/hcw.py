@@ -91,10 +91,10 @@ def _sphere_verdicts(C, down, memo):
     C may be P's conic build (is_hcw): the order is by dimension, so it
     builds each degree only when the first verdict that reads it comes."""
     P, spheres = C.poset, set()
-    for b in sorted(down, key=lambda e: (P.dim(e), P.index[e])):
+    for b in sorted(down, key=lambda e: (P._dims[e], P.index[e])):
         h = (_memo_below(C, P.below[b], memo) if P.below[b] <= spheres
              else reduced_homology(P.filter_complex(b), C.field))
-        if h == {P.dim(b) - 1: 1}:
+        if h == {P._dims[b] - 1: 1}:
             spheres.add(b)
         yield b, b in spheres
 
@@ -263,13 +263,13 @@ def hcwify(P, F):
         raise HypothesisFailed(
             f"truncated conic complex at {alpha} is not exact")
     before, added = P, []
-    for a in sorted(P.elements, key=lambda e: (P.dim(e), P.index[e])):
-        for n in range(P.dim(a) - 2, -1, -1):
+    for a in sorted(P.elements, key=lambda e: (P._dims[e], P.index[e])):
+        for n in range(P._dims[a] - 2, -1, -1):
             if _memo_below(C, P.below[a], memo).get(n, 0):
                 P, new = fill_cavity(P, a, n, F)
                 added.extend(new)
                 C = conic_complex(P, F, True)
-        if _memo_below(C, P.below[a], memo) != {P.dim(a) - 1: 1}:
+        if _memo_below(C, P.below[a], memo) != {P._dims[a] - 1: 1}:
             raise VerificationError("hcwify result is not hcw")
     # each adding fill compared the conic complexes of its input and output
     verdicts_after = dict.fromkeys(P.elements, True)

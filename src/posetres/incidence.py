@@ -2,11 +2,12 @@
 homogenized conic complex of the incidence poset reproduces the resolution.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
-from .errors import (DegenerateColumn, NotMinimalSupport, VerificationError)
-from .conic import conic_complex, homogenize, supports_resolution
-from .gradedcomplex import _scalar_json, betti_table
+from .errors import (DegenerateColumn, NotMinimal, NotMinimalSupport,
+                     ShapeError, VerificationError)
+from .conic import conic_complex, supports_resolution
+from .gradedcomplex import BettiTable, _scalar_json, betti_table
 from .minsupport import noncomparable_supports
 from .posets import Poset
 
@@ -31,7 +32,7 @@ def incidence_poset(C):
     deg = {i: d for n in range(C.top + 1) for i, d in C.labels.get(n, [])}
     P = Poset(elements, relations, deg=deg)
     for b in elements:
-        if P.dim(b) != C.hdeg_of[b]:
+        if P._dims[b] != C.hdeg_of[b]:
             raise VerificationError(
                 f"poset dimension of {b!r} differs from homological degree")
     C._incidence_poset = P
@@ -152,13 +153,32 @@ def conic_iso_check(C):
 def verify_mfr_support(I, C, F):
     """True iff the homogenized conic complex H of the incidence poset P
     has the same Betti table as C and is a resolution.  H has the matrices,
-    basis order and degrees of P's conic complex, so its strands are those
-    supports_resolution(P, F) checks: the verdict is that memoized one,
-    which hcwify on P then reads too."""
+    basis order and degrees of P's conic complex K, so neither is built:
+
+    - H's Betti table counts the generators of K by degree n and by the
+      degree of their apex, and betti_table(H)'s minimality test is made on
+      K's entries, raising the same NotMinimal at an entry between two
+      apexes of one degree;
+    - the checks of H's constructor are made on the same matrices already:
+      d o d by the ConicComplex constructor, placement by the conic build,
+      and homogeneity by the monotone degree map that the Poset
+      constructor checks;
+    - H's strands are those supports_resolution(P, F) checks: the verdict
+      is that memoized one, which hcwify on P then reads too.
+
+    A C with a unit entry raises NotMinimal, as betti_table(C) does, and
+    an empty C ShapeError, as homogenize does."""
     if sorted(d for _, d in C.labels.get(0, [])) != sorted(I.generators):
         return False
     P = incidence_poset(C)
-    H = homogenize(conic_complex(P, F))
-    if betti_table(H).entries != betti_table(C).entries:
+    if not P.elements:
+        raise ShapeError("cannot homogenize an empty poset")
+    K = conic_complex(P, F)
+    deg = K.degree_of
+    if any(deg[c] in map(deg.__getitem__, col)
+           for n, cols in K.d.items() if n for c, col in cols.items()):
+        raise NotMinimal("complex has a unit entry; Betti labels unreliable")
+    if BettiTable(Counter((n, deg[g]) for n, gs in K.gens.items()
+                          for g in gs)) != betti_table(C):
         return False
     return supports_resolution(P, F)[0]

@@ -82,7 +82,11 @@ class BasisChangeLog:
 def make_minimal_support_basis(C):
     """Rewrite the basis of a minimal graded resolution so that every column
     passes the circuit test, degree by degree.  Returns the new complex and
-    the replacement log; basis ids and labels are preserved."""
+    the replacement log; basis ids and labels are preserved.
+
+    When no column is replaced (the log is empty), the bar complex still
+    holds C's own columns, so the rebuilt complex would equal C, which was
+    checked minimal on entry: the input object C itself is returned."""
     if not C.is_minimal():
         raise NotMinimal("input complex has a unit entry")
     F = C.field
@@ -124,6 +128,8 @@ def make_minimal_support_basis(C):
                 exps = [C.exponent(i, bp) for i, _ in items]
                 log.record(k1, bp, case, items, exps)
 
+    if not log.steps:
+        return C, log
     out = GradedFreeComplex(C.num_vars, F, C.labels,
                             {n: cols for n, cols in Cbar.d.items() if n})
     if not out.is_minimal():

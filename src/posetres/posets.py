@@ -7,7 +7,7 @@ face () sits in dimension -1 so that reduced homology of the empty complex
 is rank 1 in dimension -1.
 """
 
-from graphlib import CycleError, TopologicalSorter
+from itertools import chain
 
 from .errors import (NotAMorphism, NotFound, ParseError, ShapeError,
                      TooLarge, VerificationError, malformed)
@@ -22,8 +22,15 @@ class Poset:
     """Finite poset; stores the transitive reduction (cover relations).
 
     `relations` may be any set of (lower, upper) pairs; the order they
-    generate is taken.  An optional `deg` map id -> multidegree tuple must
-    be monotone, its tuples all of one length with entries ints >= 0.
+    generate is taken.  One pass of Kahn's sort, started from the minimal
+    elements in element order, places each element once all the elements
+    below it are placed, and reads its down-set, covers and dimension off
+    theirs; an element never placed lies on a cycle (ShapeError).
+    An optional `deg` map id -> multidegree tuple must be monotone, its
+    tuples all of one length with entries ints >= 0.  It is checked on the
+    covers, which generate the order, as divisibility is transitive; the
+    NotAMorphism message names the first failing cover in (upper index,
+    lower index) order.
     The chain count, conic complexes (`_conic`), an unfinished conic build
     (`_conic_build`) and supports_resolution's answer (`_support`) are
     memoized on it; filter complexes are built afresh on each call.
@@ -39,39 +46,51 @@ class Poset:
             raise ShapeError("duplicate poset elements")
         self.index = {e: i for i, e in enumerate(self.elements)}
         preds = {e: set() for e in self.elements}
+        ups = {e: [] for e in self.elements}
         for lo, hi in relations:
             if lo not in self.index or hi not in self.index:
                 raise NotFound(f"relation ({lo},{hi}) mentions unknown element")
             if lo == hi:
                 raise ShapeError(f"reflexive relation on {lo}")
-            preds[hi].add(lo)
-        try:
-            order = list(TopologicalSorter(preds).static_order())
-        except CycleError:
-            raise ShapeError("relations contain a cycle") from None
+            if lo not in (ps := preds[hi]):
+                ps.add(lo)
+                ups[lo].append(hi)
         # x in preds[e] covers e unless it lies below another element below e
-        below, covers, self._dims = {}, set(), {}
-        for e in order:
-            lower = set().union(*(below[x] for x in preds[e]))
-            covers.update((x, e) for x in preds[e] if x not in lower)
-            below[e] = frozenset(lower | preds[e])
-            self._dims[e] = 1 + max((self._dims[x] for x in preds[e]),
-                                    default=-1)
+        below, covers, dims = {}, set(), {}
+        left = {e: len(ps) for e, ps in preds.items()}
+        order = [e for e in self.elements if not left[e]]
+        for e in order:  # Kahn's sort: order grows as elements are placed
+            if ps := preds[e]:
+                lower = set().union(*map(below.__getitem__, ps))
+                covers.update((x, e) for x in ps - lower)
+                below[e] = frozenset(lower | ps)
+                dims[e] = 1 + max(map(dims.__getitem__, ps))
+            else:
+                below[e], dims[e] = frozenset(), 0
+            for y in ups[e]:
+                left[y] -= 1
+                if not left[y]:
+                    order.append(y)
+        if len(order) < len(self.elements):
+            raise ShapeError("relations contain a cycle")
         self.below = {e: below[e] for e in self.elements}
         self.covers = frozenset(covers)
+        self._dims = dims
         self.deg = None
         if deg is not None:
-            self.deg = {e: tuple(deg[e]) for e in self.elements}
-            if any(type(x) is not int or x < 0
-                   for d in self.deg.values() for x in d):
+            self.deg = dg = {e: tuple(deg[e]) for e in self.elements}
+            xs = [*chain.from_iterable(dg.values())]
+            if not {int}.issuperset(map(type, xs)) or min(xs, default=0) < 0:
                 raise ShapeError("degree entries must be integers >= 0")
-            if len({len(d) for d in self.deg.values()}) > 1:
+            if len(set(map(len, dg.values()))) > 1:
                 raise ShapeError("degree tuples of unequal length")
-            for e in self.elements:
-                for x in self.below[e]:
-                    if not divides(self.deg[x], self.deg[e]):
-                        raise NotAMorphism(
-                            f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
+            if not all(divides(dg[x], dg[e]) for x, e in covers):
+                ix = self.index
+                x, e = min(((x, e) for x, e in covers
+                            if not divides(dg[x], dg[e])),
+                           key=lambda c: (ix[c[1]], ix[c[0]]))
+                raise NotAMorphism(
+                    f"deg not monotone: {x} < {e} but deg({x}) !<= deg({e})")
         self._chain_count, self._conic = None, {}
         self._conic_build, self._support = {}, {}
 

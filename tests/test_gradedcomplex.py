@@ -587,6 +587,25 @@ def test_every_built_complex_is_checked_once(monkeypatch):
     assert all(C is B for C, B in zip(checked, built))
 
 
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_two_generator_pipeline_builds_two_graded_complexes(monkeypatch, p):
+    """The Taylor complex of x*y^2, y*z^3 is minimal and its columns are
+    circuits, so minimize and make_minimal_support_basis return it as it
+    is: hcw_support builds the Taylor complex and H, and one conic
+    complex, whose unaugmented twin is a copy."""
+    built = []
+    for cls in (GradedFreeComplex, ConicComplex):
+        def init(self, *args, init=cls.__init__):
+            init(self, *args)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+    _, _, H = hcw_support(minimalize([(1, 2, 0), (0, 1, 3)]), FieldSpec(p))
+    assert [type(C) for C in built] == [GradedFreeComplex, ConicComplex,
+                                        GradedFreeComplex]
+    assert built[-1] is H
+    assert H.ranks() == (2, 1)
+
+
 def test_homogeneity_checked_for_every_degree_pair():
     labels = {0: [("a", (1, 0)), ("b", (0, 1))],
               1: [("c", (1, 1)), ("e", (1, 0)), ("f", (1, 0))]}
@@ -973,6 +992,46 @@ def test_minimize_pins_k6_complexes(edges, p):
     text = json.dumps(M.to_json(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         MINIMAL_SHA256[(edges, p)]
+
+
+# SHA-256 of the sorted-key, compact to_json of each complex minimize
+# builds from a Taylor complex with a unit entry, over the corpus, rp2, m
+# and K6-10 and p in {0, 2, 3, 5}, in that order; recorded before minimize
+# returned a minimal input as it is
+NEW_MINIMAL_SHA256 = ("17ee5feb1ed3a12a7e7bbd866486da7d"
+                      "6a55ee4648779b58e64f592067ae5757")
+
+
+def test_minimize_returns_its_input_exactly_when_minimal():
+    """minimize(C) is C itself when C has no unit entry (320 of the 412
+    Taylor complexes here), else a new complex with the to_json it had
+    before; minimize of either result is that result."""
+    h, seen = hashlib.sha256(), set()
+    for I in random_corpus(100) + [minimalize(RP2_GENS), minimalize(M_GENS),
+                                   minimalize(K6_EDGES[:10])]:
+        for F in FIELDS:
+            T = taylor_complex(I, F)
+            M = minimize(T)
+            seen.add(T.is_minimal())
+            assert (M is T) == T.is_minimal()
+            if M is not T:
+                h.update(json.dumps(M.to_json(), sort_keys=True,
+                                    separators=(",", ":")).encode())
+            assert minimize(M) is M
+    assert seen == {True, False}
+    assert h.hexdigest() == NEW_MINIMAL_SHA256
+
+
+def test_minimize_checks_the_complex_it_builds(monkeypatch):
+    """A complex with a unit entry is not returned as it is: with phase 1
+    made to find no pivot, phase 2 keeps every column, unit entries
+    included, and the result's check raises VerificationError."""
+    T = taylor_complex(minimalize(SQUAREFREE3), Q)
+    assert not T.is_minimal()
+    monkeypatch.setattr(gradedcomplex, "_unit_pivots",
+                        lambda C, pos: dict.fromkeys(C.d, {}))
+    with pytest.raises(VerificationError, match="left a unit entry"):
+        minimize(T)
 
 
 def test_minimize_squarefree_matches_oracle():

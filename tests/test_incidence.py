@@ -7,7 +7,7 @@ from posetres import (FieldSpec, Poset, conic_iso_check, hcwify,
                       incidence_poset, make_minimal_support_basis,
                       minimalize, minimize, poset_isomorphic, taylor_complex,
                       verify_mfr_support)
-from posetres.errors import DegenerateColumn, NotMinimalSupport
+from posetres.errors import DegenerateColumn, NotMinimal, NotMinimalSupport
 from posetres.gradedcomplex import GradedFreeComplex
 from conftest import SQUAREFREE3, load_fixture_complex, random_corpus
 from helpers import down_set, maximal_elements, minimal_elements
@@ -90,6 +90,19 @@ def test_verify_mfr_support_end_to_end():
     assert verify_mfr_support(m, load_fixture_complex("two_res_b.json", 0), Q)
     # wrong ideal: degree-0 labels disagree
     assert not verify_mfr_support(rp2, C, Q)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_verify_mfr_support_rejects_a_complex_with_a_unit_entry(p):
+    """The Taylor complex of three squarefree quadrics has unit entries,
+    and so has the conic complex of its incidence poset, whose entries lie
+    on C's covers: verify_mfr_support raises betti_table's NotMinimal."""
+    F, I = FieldSpec(p), minimalize(SQUAREFREE3)
+    T = taylor_complex(I, F)
+    assert not T.is_minimal()
+    with pytest.raises(NotMinimal, match="^complex has a unit entry; "
+                                         "Betti labels unreliable$"):
+        verify_mfr_support(I, T, F)
 
 
 def test_incidence_poset_is_memoized_on_the_complex():

@@ -192,3 +192,20 @@ def test_minimal_support_basis_pins_corpus_and_k6():
     assert steps == 269
     assert h.hexdigest() == ("5b6a445acf973d83863ea7ad53b0af98d"
                              "ba518a0e28bda3c65ec464fdac66db3")
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_minimal_support_basis_returns_its_input_exactly_when_unchanged(p):
+    """make_minimal_support_basis(C)[0] is C itself when the log is empty
+    (every minimal resolution here), and a new complex when a column was
+    replaced (some damaged ones)."""
+    F, seen = FieldSpec(p), set()
+    K6_10 = minimalize(K6_13[:10])
+    for I in random_corpus(100) + [minimalize(RP2_GENS), minimalize(M_GENS),
+                                   K6_10]:
+        M = minimize(taylor_complex(I, F))
+        for C in (M, damaged(M)):
+            out, log = make_minimal_support_basis(C)
+            assert (out is C) == (not log.steps)
+            seen.add((C is M, bool(log.steps)))
+    assert seen == {(True, False), (False, False), (False, True)}

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +12,7 @@ from posetres.conic import skeleton_complex
 from posetres.errors import (NotAMorphism, NotFound, ParseError,
                              PosetresError, ShapeError, VerificationError)
 from posetres.posets import cycle_space, is_hcw, is_homology_sphere_at
-from conftest import json_values
+from conftest import FIXTURES, json_values
 from helpers import down_set, face_counts
 
 Q = FieldSpec(0)
@@ -72,6 +76,74 @@ def test_construction_matches_brute_force(case):
 def test_deg_monotonicity_enforced():
     with pytest.raises(NotAMorphism):
         Poset(["a", "b"], [("a", "b")], deg={"a": (1, 0), "b": (0, 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_sets(), st.randoms(use_true_random=False))
+def test_relation_order_and_redundant_pairs_change_nothing(case, rnd):
+    """The relations shuffled, with every relation of the order they
+    generate added in a shuffled order, and the elements shuffled give the
+    same down-sets, covers and dimensions."""
+    n, rels = case
+    G = nx.DiGraph(rels)
+    G.add_nodes_from(range(n))
+    if not nx.is_directed_acyclic_graph(G):
+        return
+    P = Poset(range(n), rels)
+    implied = [(x, e) for e in range(n) for x in P.below[e]]
+    more = rels + implied
+    rnd.shuffle(more)
+    elements = list(range(n))
+    rnd.shuffle(elements)
+    for Q in (Poset(range(n), rnd.sample(rels, len(rels))),
+              Poset(range(n), more), Poset(elements, more)):
+        assert Q.below == P.below
+        assert Q.covers == P.covers
+        assert [Q.dim(e) for e in range(n)] == [P.dim(e) for e in range(n)]
+
+
+@pytest.mark.parametrize("rels", [
+    [(1, 2), (2, 1)],
+    [(1, 2), (2, 3), (3, 1)],
+    [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)],  # a 3-cycle between 0 and 4
+    [(1, 2), (2, 1), (0, 3)],  # a 2-cycle beside a chain
+])
+def test_cycles_raise_shape_error(rels):
+    with pytest.raises(ShapeError, match="^relations contain a cycle$"):
+        Poset(range(5), rels)
+
+
+def test_deg_message_names_the_first_failing_cover():
+    """Covers are checked in (upper index, lower index) order: (y, u)
+    fails before (x, w), u being listed before w.  A relation that is no
+    cover is not named: z < x < w, and z < w fails before x < w in that
+    order, but the failing cover is x < w."""
+    deg = {"u": (0,), "w": (0,), "x": (1,), "y": (1,)}
+    with pytest.raises(NotAMorphism) as exc:
+        Poset(["u", "w", "x", "y"], [("x", "w"), ("y", "u")], deg=deg)
+    assert str(exc.value) == "deg not monotone: y < u but deg(y) !<= deg(u)"
+    with pytest.raises(NotAMorphism) as exc:
+        Poset(["w", "z", "x"], [("z", "x"), ("x", "w"), ("z", "w")],
+              deg={"z": (2,), "x": (3,), "w": (1,)})
+    assert str(exc.value) == "deg not monotone: x < w but deg(x) !<= deg(w)"
+
+
+def test_deg_message_is_the_same_under_every_hash_seed():
+    """a, b, c < e and all three relations fail; the message names a, the
+    first in (upper, lower) index order, under hash seeds 0 and 1."""
+    code = ("from posetres import Poset\n"
+            "from posetres.errors import NotAMorphism\n"
+            "deg = {'a': (2, 0), 'b': (0, 2), 'c': (3, 3), 'e': (1, 1)}\n"
+            "try:\n"
+            "    Poset('abce', [(x, 'e') for x in 'abc'], deg=deg)\n"
+            "except NotAMorphism as exc:\n"
+            "    print(exc)\n")
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent),
+               "PYTHONHASHSEED": seed}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout == "deg not monotone: a < e but deg(a) !<= deg(e)\n"
 
 
 def test_deg_tuples_of_unequal_length_rejected():
